@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InvalidParams, NotQuadratic, OddCharacteristic
-from .field import FieldContext, format_field_spec
+from .field import format_field_spec
 from .funcs import PolyFunc, classify_shape, is_permutation, is_planar, is_two_to_one, p_weight
 from .parallel import pmap
 
@@ -28,9 +28,33 @@ def c_derivative(f: PolyFunc, a: int, c: int) -> PolyFunc:
     return PolyFunc.from_table(ctx, row)
 
 
-def _row_counts(ctx: FieldContext, table, cmul, a: int) -> np.ndarray:
-    row = ctx.vsub(table[ctx.shift_perm(a)], cmul)
-    return np.bincount(row, minlength=ctx.order)
+# c-derivative rows are counted in blocks of about this many elements:
+# large enough to amortize numpy's per-call cost, small enough that a
+# block's index and value arrays stay in cache
+_BLOCK_ELEMS = 1 << 15
+
+
+def _row_block_counts(f: PolyFunc, c: int, directions, *, extra=None):
+    """Count the c-derivative rows of f, a block of directions at a time.
+
+    Yields one array per block of consecutive directions; its row i
+    counts, for each b, the x with f(x+a) - c*f(x) = b, a being the
+    block's i-th direction.  extra, if given, maps a block of directions
+    to a (block, q) array added to the rows, e.g. a term a*x.  A caller
+    that stops iterating skips the remaining blocks.
+    """
+    ctx = f.ctx
+    q = ctx.order
+    shifted_minus_cf = ctx.gather_add(f.table, ctx.vneg(ctx.vmul_const(c, f.table)))
+    directions = np.asarray(directions, dtype=np.int64)
+    step = max(1, _BLOCK_ELEMS // q)
+    for lo in range(0, len(directions), step):
+        block = directions[lo:lo + step]
+        rows = shifted_minus_cf(ctx.shift_rows(block))
+        if extra is not None:
+            rows = ctx.vadd(rows, extra(block))
+        rows += q * np.arange(len(block))[:, None]
+        yield np.bincount(rows.ravel(), minlength=len(block) * q).reshape(len(block), q)
 
 
 @dataclass
@@ -56,13 +80,12 @@ class CDiffSpectrum:
 
 def c_ddt(f: PolyFunc, c: int) -> CDiffSpectrum:
     """Materialize the full q x q count matrix (O(q^2) time and space)."""
-    ctx = f.ctx
-    q = ctx.order
-    table = f.table
-    cmul = ctx.vmul_const(c, table)
+    q = f.ctx.order
     counts = np.empty((q, q), dtype=np.int64)
-    for a in range(q):
-        counts[a] = _row_counts(ctx, table, cmul, a)
+    a = 0
+    for block in _row_block_counts(f, c, range(q)):
+        counts[a:a + len(block)] = block
+        a += len(block)
     row_max = counts.max(axis=1)
     if c == 1:
         delta = int(row_max[1:].max()) if q > 1 else 0
@@ -72,18 +95,10 @@ def c_ddt(f: PolyFunc, c: int) -> CDiffSpectrum:
 
 
 def c_uniformity(f: PolyFunc, c: int) -> int:
-    """delta without materializing the matrix (streams rows, O(q) memory)."""
-    ctx = f.ctx
-    table = f.table
-    cmul = ctx.vmul_const(c, table)
-    delta = 0
-    for a in range(ctx.order):
-        if a == 0 and c == 1:
-            continue
-        m = int(_row_counts(ctx, table, cmul, a).max())
-        if m > delta:
-            delta = m
-    return delta
+    """delta without materializing the matrix (streams row blocks)."""
+    q = f.ctx.order
+    directions = range(1, q) if c == 1 else range(q)
+    return max(int(block.max()) for block in _row_block_counts(f, c, directions))
 
 
 def label_for_delta(delta: int) -> str:
@@ -283,15 +298,8 @@ def check_quadratic_characterization(f: PolyFunc, scope: int = 1) -> QuadCheckRe
 def is_relaxed_pcn(f: PolyFunc, c: int) -> bool:
     """True iff x -> f(x+gamma) - c*f(x) is bijective for all gamma != 0
     (the zero-direction derivative is not required to be)."""
-    ctx = f.ctx
-    q = ctx.order
-    table = f.table
-    cmul = ctx.vmul_const(c, table)
-    for gamma in range(1, q):
-        counts = _row_counts(ctx, table, cmul, gamma)
-        if int(counts.max()) > 1:
-            return False
-    return True
+    q = f.ctx.order
+    return all(int(block.max()) <= 1 for block in _row_block_counts(f, c, range(1, q)))
 
 
 def is_pseudo_pcn(f: PolyFunc, c: int) -> bool:
@@ -300,13 +308,7 @@ def is_pseudo_pcn(f: PolyFunc, c: int) -> bool:
     ctx = f.ctx
     if ctx.p != 2:
         raise OddCharacteristic("pseudo-PcN is defined in characteristic 2")
-    q = ctx.order
-    table = f.table
     xs = ctx.elements()
-    cmul = ctx.vmul_const(c, table)
-    for eps in range(1, q):
-        row = ctx.vadd(ctx.vadd(table[ctx.shift_perm(eps)], cmul),
-                       ctx.vmul_const(eps, xs))
-        if int(np.bincount(row, minlength=q).max()) > 1:
-            return False
-    return True
+    blocks = _row_block_counts(f, c, range(1, ctx.order),
+                               extra=lambda eps: ctx.vmul(eps[:, None], xs))
+    return all(int(block.max()) <= 1 for block in blocks)

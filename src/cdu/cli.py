@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized suites (default 0)")
     common.add_argument("--cap", type=int, default=None,
-                        help=f"field-size cap for O(q^2) sweeps (default {DEFAULT_DDT_CAP})")
+                        help=f"field-order cap (analyze default {DEFAULT_DDT_CAP})")
     common.add_argument("--force", action="store_true",
                         help="override the field-size cap")
     common.add_argument("--config", default=None,
@@ -148,21 +148,23 @@ def _field_from(spec_text: str):
 
 def cmd_analyze(args, cfg) -> tuple[dict, int]:
     ctx = _field_from(_resolve(args, cfg, "field", None))
+    q = ctx.order
+    scope = getattr(args, "c_scope", None)
+    if scope is not None and (scope < 1 or ctx.n % scope):
+        raise ConfigError(f"--c-scope {scope} does not divide the extension degree {ctx.n}")
     cap = _resolve(args, cfg, "cap", DEFAULT_DDT_CAP)
-    if ctx.order > cap and not args.force:
+    if q > cap and not args.force:
+        n_c = q if scope is None else ctx.p ** scope
         raise ConfigError(
-            f"field order {ctx.order} exceeds the O(q^2) cap {cap}; pass --force to override")
+            f"field order {q} exceeds the cap {cap}: the report evaluates {n_c} multipliers"
+            f" x {q} directions = {n_c * q} c-derivative rows of {q} elements each;"
+            " pass --force to override")
     try:
         f = parse_function(_resolve(args, cfg, "function", None), ctx)
     except ParseError as exc:
         raise ConfigError(f"cannot parse function: {exc}") from None
     workers = _resolve(args, cfg, "parallel", 1)
-    cs = None
-    scope = getattr(args, "c_scope", None)
-    if scope is not None:
-        if scope < 1 or ctx.n % scope:
-            raise ConfigError(f"--c-scope {scope} does not divide the extension degree {ctx.n}")
-        cs = ctx.subfield_elements(ctx.p ** scope)
+    cs = None if scope is None else ctx.subfield_elements(ctx.p ** scope)
     report = cdiff.full_report(f, workers=workers, cs=cs).to_dict()
     if args.matrix_c is not None:
         c = parse_element(ctx, args.matrix_c)

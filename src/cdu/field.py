@@ -21,6 +21,7 @@ integers.  Field specification strings look like ``"3^2"`` or
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import threading
@@ -38,7 +39,10 @@ from .errors import (
 
 DEFAULT_LOG_TABLE_CAP = 1 << 20
 
-# add-shift permutations are cached per field only below this order
+# Shift permutations are no longer cached.  The benchmark's tracer still
+# reads this name to select the shift_perm calls it reports as uncached
+# (orders above it), so the name and value stay until the benchmark drops
+# the read.
 _SHIFT_CACHE_MAX_ORDER = 1 << 11
 
 
@@ -208,8 +212,8 @@ class FieldContext:
     """A fully materialized finite field F_{p^n}.
 
     Holds the element tables (base-p digit matrix, optional discrete-log
-    tables, Frobenius matrices) that the rest of the library computes
-    with.  Construct through :func:`make_field`, which validates and
+    tables, Frobenius matrices, half-addition tables for odd p) that the
+    rest of the library computes with.  Construct through :func:`make_field`, which validates and
     caches contexts.
     """
 
@@ -242,8 +246,10 @@ class FieldContext:
 
         self.frobenius_matrices = self._build_frobenius_matrices()
 
+        if p != 2:
+            self._build_half_tables()
+
         self._lock = threading.Lock()
-        self._shift_cache: dict[int, np.ndarray] = {}
         self._embed_roots: dict[FieldSpec, int] = {}
         self._subfield_cache: dict[int, tuple[int, ...]] = {}
         self._elements = np.arange(q, dtype=np.int64)
@@ -344,6 +350,30 @@ class FieldContext:
         log[exp] = np.arange(len(exp), dtype=np.int64)
         self._log = log
 
+    def _build_half_tables(self):
+        """Carry-free addition tables for odd p.
+
+        An element x splits into halves x = lo + K*hi with K = p^k,
+        k = ceil(n/2).  Digit-wise addition never carries between digits,
+        so each half adds on its own.  _spread writes a half's base-p
+        digits in base 2p-1 (_spread_neg those of its negation), where
+        adding two spread halves is plain integer addition with no carry;
+        _fold maps such a sum back to the half's canonical digits mod p,
+        and _fold_hi to K times them.  The tables hold K or (2p-1)^k
+        entries each (81 and 625 for F_{3^7}), against K^2 for a table of
+        half sums.
+        """
+        p, k = self.p, (self.n + 1) // 2
+        self._half = p ** k
+        radix = 2 * p - 1
+        spread_pow = radix ** np.arange(k, dtype=np.int64)
+        half_digits = self.digits[: self._half, :k].astype(np.int64)
+        self._spread = half_digits @ spread_pow
+        self._spread_neg = (-half_digits % p) @ spread_pow
+        sums = np.arange(radix ** k, dtype=np.int64)
+        self._fold = (sums[:, None] // spread_pow % radix % p) @ self._pow_vec[:k]
+        self._fold_hi = self._half * self._fold
+
     def _build_frobenius_matrices(self) -> list[np.ndarray]:
         """Matrix of x -> x^(p^i) on digit columns, for i = 0..n-1."""
         mats = []
@@ -421,23 +451,48 @@ class FieldContext:
 
     # -- vector arithmetic (numpy arrays of canonical integers) -----------
 
+    def _spread_halves(self, spread, u):
+        """Low and high halves of u, each written through the table spread
+        (odd p)."""
+        hi, lo = np.divmod(u, self._half)
+        return spread[lo], spread[hi]
+
+    def _join(self, lo_sum, hi_sum):
+        """The element whose halves fold from the spread sums given."""
+        return self._fold[lo_sum] + self._fold_hi[hi_sum]
+
     def vadd(self, u, v):
         if self.p == 2:
             return np.asarray(u) ^ np.asarray(v)
-        d = (self.digits[u].astype(np.int64) + self.digits[v]) % self.p
-        return d @ self._pow_vec
+        ul, uh = self._spread_halves(self._spread, u)
+        vl, vh = self._spread_halves(self._spread, v)
+        return self._join(ul + vl, uh + vh)
 
     def vsub(self, u, v):
         if self.p == 2:
             return np.asarray(u) ^ np.asarray(v)
-        d = (self.digits[u].astype(np.int64) - self.digits[v]) % self.p
-        return d @ self._pow_vec
+        ul, uh = self._spread_halves(self._spread, u)
+        vl, vh = self._spread_halves(self._spread_neg, v)
+        return self._join(ul + vl, uh + vh)
 
     def vneg(self, u):
         if self.p == 2:
             return np.asarray(u)
-        d = (-self.digits[u].astype(np.int64)) % self.p
-        return d @ self._pow_vec
+        return self._join(*self._spread_halves(self._spread_neg, u))
+
+    def gather_add(self, u, v):
+        """A function mapping an index array s to vadd(u[s], v).
+
+        u and v are split into spread halves once, so each call costs a
+        few gathers per element; s may be any shape that broadcasts
+        against v.
+        """
+        u = np.asarray(u, dtype=np.int64)
+        if self.p == 2:
+            return lambda s: u[s] ^ v
+        ul, uh = self._spread_halves(self._spread, u)
+        vl, vh = self._spread_halves(self._spread, v)
+        return lambda s: self._join(ul[s] + vl, uh[s] + vh)
 
     def vmul(self, u, v):
         u = np.asarray(u, dtype=np.int64)
@@ -495,17 +550,19 @@ class FieldContext:
         """Index array of the translation x -> x + a."""
         if a == 0:
             return self._elements
-        cached = self._shift_cache.get(a)
-        if cached is not None:
-            return cached
+        return self.shift_rows([a])[0]
+
+    def shift_rows(self, directions) -> np.ndarray:
+        """Row i holds the translation x -> x + directions[i], for all x."""
+        a = np.asarray(directions, dtype=np.int64)
         if self.p == 2:
-            row = self._elements ^ a
-        else:
-            row = ((self.digits.astype(np.int64) + self.digits[a]) % self.p) @ self._pow_vec
-        if self.order <= _SHIFT_CACHE_MAX_ORDER:
-            with self._lock:
-                self._shift_cache[a] = row
-        return row
+            return a[:, None] ^ self._elements
+        # x = x_lo + K*x_hi, row-major over (x_hi, x_lo): x + a permutes each
+        # axis on its own, so a direction folds only K + q/K half sums
+        al, ah = self._spread_halves(self._spread, a)
+        lo = self._fold[al[:, None] + self._spread]
+        hi = self._fold_hi[ah[:, None] + self._spread[: self.order // self._half]]
+        return (hi[:, :, None] + lo[:, None, :]).reshape(len(a), self.order)
 
     def field_sum(self, u) -> int:
         """Sum of an array of elements, as one field element."""
@@ -549,6 +606,12 @@ _FIELD_CACHE: dict[tuple, FieldContext] = {}
 _FIELD_CACHE_LOCK = threading.Lock()
 
 
+@functools.cache
+def _default_modulus(p: int, n: int) -> tuple[int, ...]:
+    """smallest_irreducible(p, n), searched once per (p, n)."""
+    return smallest_irreducible(p, n)
+
+
 def make_field(p: int, n: int, modulus=None,
                log_table_cap: int = DEFAULT_LOG_TABLE_CAP) -> FieldContext:
     """Construct (or fetch from cache) the field F_{p^n}.
@@ -571,7 +634,7 @@ def make_field(p: int, n: int, modulus=None,
         if not is_irreducible(mod, p):
             raise ReducibleModulus(f"{list(mod)} is reducible over Z_{p}")
     else:
-        mod = smallest_irreducible(p, n)
+        mod = _default_modulus(p, n)
     key = (p, n, mod, log_table_cap)
     with _FIELD_CACHE_LOCK:
         ctx = _FIELD_CACHE.get(key)

@@ -267,11 +267,7 @@ def is_two_to_one(f: PolyFunc) -> bool:
 
 def is_planar(f: PolyFunc) -> bool:
     """True iff x -> f(x+a) - f(x) is a bijection for every a != 0."""
-    ctx = f.ctx
-    q = ctx.order
-    table = f.table
-    for a in range(1, q):
-        row = ctx.vsub(table[ctx.shift_perm(a)], table)
-        if int(np.bincount(row, minlength=q).max()) > 1:
-            return False
-    return True
+    from .cdiff import _row_block_counts  # cdiff imports this module
+
+    q = f.ctx.order
+    return all(int(block.max()) <= 1 for block in _row_block_counts(f, 1, range(1, q)))

@@ -384,15 +384,17 @@ def planar_power_family_report(workers: int = 1) -> dict:
 # 6. classical DDT cross-check (c = 1 reduction)
 # ---------------------------------------------------------------------------
 
-def classical_ddt_direct(f: PolyFunc) -> list[list[int]]:
-    """Reference classical DDT: naive scalar triple loop, coefficients
-    evaluated term by term (independent of the vectorized table path)."""
+def classical_ddt_direct(f: PolyFunc, c: int = 1) -> list[list[int]]:
+    """Reference c-DDT (the classical DDT at c = 1): naive scalar triple
+    loop, coefficients evaluated term by term (independent of the
+    vectorized table path)."""
     ctx = f.ctx
     q = ctx.order
+    values = [f.evaluate(x) for x in range(q)]
     counts = [[0] * q for _ in range(q)]
     for a in range(q):
         for x in range(q):
-            b = ctx.sub(f.evaluate(ctx.add(x, a)), f.evaluate(x))
+            b = ctx.sub(values[ctx.add(x, a)], ctx.mul(c, values[x]))
             counts[a][b] += 1
     return counts
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cdu import errors
+from cdu import field as field_module
 from cdu.field import (
     elem_pow,
     embed,
@@ -101,6 +102,15 @@ class TestConstruction:
 
     def test_contexts_are_cached(self):
         assert make_field(3, 2) is make_field(3, 2)
+
+    def test_warm_call_skips_the_modulus_search(self, monkeypatch):
+        ctx = make_field(3, 5)
+
+        def no_search(p, n):
+            raise AssertionError("modulus searched again on a warm call")
+
+        monkeypatch.setattr(field_module, "smallest_irreducible", no_search)
+        assert make_field(3, 5) is ctx
 
     def test_rabin_matches_bruteforce(self):
         rng = random.Random(0)

@@ -16,8 +16,8 @@ import json
 import sys
 
 from . import cdiff, construct, monomial, verify
-from .errors import CduError, ConfigError, ParseError
-from .field import format_field_spec, make_field, parse_element, parse_field_spec
+from .errors import CapExceeded, CduError, ConfigError, ParseError
+from .field import format_field_spec, make_field, parse_element, split_field_spec
 from .funcs import PolyFunc, is_permutation, is_two_to_one, parse_function
 
 DEFAULT_DDT_CAP = 1 << 12
@@ -40,9 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized suites (default 0)")
     common.add_argument("--cap", type=int, default=None,
-                        help=f"field-order cap (analyze default {DEFAULT_DDT_CAP})")
+                        help=f"field-order cap of analyze and construct (default {DEFAULT_DDT_CAP})"
+                             f" and monomial (default {monomial.DEFAULT_SWEEP_CAP})")
     common.add_argument("--force", action="store_true",
-                        help="override the field-size cap")
+                        help="override the field-order cap")
     common.add_argument("--config", default=None,
                         help="JSON file with default option values")
     common.add_argument("--strict", action="store_true",
@@ -139,26 +140,37 @@ def _emit_human(obj, indent=0):
         print(f"{pad}{obj}")
 
 
-def _field_from(spec_text: str):
+def _field_spec(spec_text: str):
     try:
-        return parse_field_spec(spec_text)
+        return split_field_spec(spec_text)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
+def _check_cap(args, cfg, order: int, default: int, cost: str):
+    """Refuse work over a field of order above --cap unless --force is
+    given.  Commands call this before they build the field."""
+    cap = _resolve(args, cfg, "cap", default)
+    if order > cap and not args.force:
+        raise CapExceeded(
+            f"field order {order} exceeds the cap {cap}: {cost}; pass --force to override")
+
+
+def _check_report_cap(args, cfg, q: int, n_c: int):
+    """The cap of an all-c report over F_q with n_c multipliers."""
+    _check_cap(args, cfg, q, DEFAULT_DDT_CAP,
+               f"the report evaluates {n_c} multipliers x {q} directions"
+               f" = {n_c * q} c-derivative rows of {q} elements each")
+
+
 def cmd_analyze(args, cfg) -> tuple[dict, int]:
-    ctx = _field_from(_resolve(args, cfg, "field", None))
-    q = ctx.order
+    p, n, modulus = _field_spec(_resolve(args, cfg, "field", None))
+    q = p ** n
     scope = getattr(args, "c_scope", None)
-    if scope is not None and (scope < 1 or ctx.n % scope):
-        raise ConfigError(f"--c-scope {scope} does not divide the extension degree {ctx.n}")
-    cap = _resolve(args, cfg, "cap", DEFAULT_DDT_CAP)
-    if q > cap and not args.force:
-        n_c = q if scope is None else ctx.p ** scope
-        raise ConfigError(
-            f"field order {q} exceeds the cap {cap}: the report evaluates {n_c} multipliers"
-            f" x {q} directions = {n_c * q} c-derivative rows of {q} elements each;"
-            " pass --force to override")
+    if scope is not None and (scope < 1 or n % scope):
+        raise ConfigError(f"--c-scope {scope} does not divide the extension degree {n}")
+    _check_report_cap(args, cfg, q, q if scope is None else p ** scope)
+    ctx = make_field(p, n, modulus)
     try:
         f = parse_function(_resolve(args, cfg, "function", None), ctx)
     except ParseError as exc:
@@ -210,6 +222,7 @@ def cmd_construct(args, cfg) -> tuple[dict, int]:
     theorem = recipe["theorem"]
     q0, n = int(recipe["q"]), int(recipe["n"])
     p, m = _prime_of(q0)
+    _check_report_cap(args, cfg, q0 ** n, q0 ** n)
     ctx = make_field(p, m * n)
     workers = _resolve(args, cfg, "parallel", 1)
 
@@ -268,15 +281,16 @@ def cmd_construct(args, cfg) -> tuple[dict, int]:
 
 
 def cmd_monomial(args, cfg) -> tuple[dict, int]:
+    _check_cap(args, cfg, args.p ** (args.h * args.rmax), monomial.DEFAULT_SWEEP_CAP,
+               f"the sweep builds F_{args.p}^({args.h}r) for r = 1..{args.rmax}")
     base = make_field(args.p, args.h)
     try:
         c = parse_element(base, args.c)
     except ParseError as exc:
         raise ConfigError(f"cannot parse c: {exc}") from None
     workers = _resolve(args, cfg, "parallel", 1)
-    cap = _resolve(args, cfg, "cap", monomial.DEFAULT_SWEEP_CAP)
     analysis = monomial.exceptionality_sweep(
-        args.p, args.h, args.d, c, args.rmax, cap=cap, workers=workers)
+        args.p, args.h, args.d, c, args.rmax, cap=None, workers=workers)
     return {"command": "monomial", "report": analysis.to_dict()}, EXIT_OK
 
 
@@ -302,7 +316,7 @@ def cmd_experiment(args, cfg) -> tuple[dict, int]:
     seed = _resolve(args, cfg, "seed", 0)
     probe = args.probe
     if probe == "pseudo-pcn":
-        ctx = _field_from(args.field or "2^3")
+        ctx = make_field(*_field_spec(args.field or "2^3"))
         if ctx.p != 2:
             raise ConfigError("the pseudo-PcN probe needs characteristic 2")
         rows = []
@@ -315,7 +329,7 @@ def cmd_experiment(args, cfg) -> tuple[dict, int]:
         report = {"probe": probe, "field": format_field_spec(ctx),
                   "monomials_with_pseudo_pcn_c": rows}
     elif probe == "relaxed-pcn-odd-p":
-        ctx = _field_from(args.field or "3^2")
+        ctx = make_field(*_field_spec(args.field or "3^2"))
         if ctx.p == 2:
             raise ConfigError("this probe explores odd characteristic")
         import random as _random
@@ -337,7 +351,7 @@ def cmd_experiment(args, cfg) -> tuple[dict, int]:
                   "non_pp_counterexamples": counterexamples,
                   "note": "exploratory: no invariant asserted for odd characteristic"}
     else:  # quad-zero-index
-        ctx = _field_from(args.field or "5^2")
+        ctx = make_field(*_field_spec(args.field or "5^2"))
         p = ctx.p
         m = ctx.n // 2
         q0 = p ** m

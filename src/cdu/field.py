@@ -9,9 +9,8 @@ directly by element value.
 
 A FieldContext is immutable once constructed and safe to share across
 threads: every operation is a pure function of the context and its
-arguments.  Multiplication uses discrete-log/exponential tables when the
-field order is at or below ``log_table_cap`` (default 2^20), and direct
-polynomial multiplication with modular reduction above it.
+arguments.  Every field multiplies through discrete-log/exponential
+tables; digit-convolution multiplication builds those tables.
 
 Element I/O accepts the canonical integer form and the symbolic
 ``a*g^2+b*g+c`` polynomial-in-generator form; output is canonical
@@ -36,8 +35,6 @@ from .errors import (
     NotPrime,
     ReducibleModulus,
 )
-
-DEFAULT_LOG_TABLE_CAP = 1 << 20
 
 # Shift permutations are no longer cached.  The benchmark's tracer still
 # reads this name to select the shift_perm calls it reports as uncached
@@ -182,7 +179,8 @@ def smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     """
     if n == 1:
         return (0, 1)
-    for m in range(p ** n):
+    # candidates below p^(n-1) have c0 = 0, so x divides them
+    for m in range(p ** (n - 1), p ** n):
         # m's base-p digits, most significant digit = c0
         digs = []
         t = m
@@ -211,13 +209,13 @@ class FieldSpec:
 class FieldContext:
     """A fully materialized finite field F_{p^n}.
 
-    Holds the element tables (base-p digit matrix, optional discrete-log
-    tables, Frobenius matrices, half-addition tables for odd p) that the
-    rest of the library computes with.  Construct through :func:`make_field`, which validates and
-    caches contexts.
+    Holds the element tables (base-p digit matrix, discrete-log and
+    exponential tables, half-addition tables for odd p) that the rest of
+    the library computes with.  Construct through :func:`make_field`,
+    which validates and caches contexts.
     """
 
-    def __init__(self, spec: FieldSpec, log_table_cap: int = DEFAULT_LOG_TABLE_CAP):
+    def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.p = spec.p
         self.n = spec.n
@@ -237,15 +235,7 @@ class FieldContext:
             row = _pmod((0,) * (n + k) + (1,), self.modulus, p)
             self._reduc[k, : len(row)] = row
 
-        self.mul_table_mode = "log_table" if q <= log_table_cap else "direct"
-        self.generator: int | None = None
-        self._exp2: np.ndarray | None = None
-        self._log: np.ndarray | None = None
-        if self.mul_table_mode == "log_table":
-            self._build_log_tables()
-
-        self.frobenius_matrices = self._build_frobenius_matrices()
-
+        self._build_log_tables()
         if p != 2:
             self._build_half_tables()
 
@@ -263,12 +253,6 @@ class FieldContext:
         """Polynomial-basis coordinates of a canonical integer."""
         return tuple(int(v) for v in self.digits[x])
 
-    def from_coords(self, coords) -> int:
-        out = 0
-        for i, c in enumerate(coords):
-            out += (int(c) % self.p) * self.p ** i
-        return out
-
     @property
     def gen_residue(self) -> int:
         """Canonical integer of g, the residue of the indeterminate."""
@@ -283,7 +267,7 @@ class FieldContext:
     # -- table construction ------------------------------------------------
 
     def _vmul_direct(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Digit-convolution product; works without discrete-log tables."""
+        """Digit-convolution product, used to build the discrete-log tables."""
         p, n = self.p, self.n
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -374,17 +358,6 @@ class FieldContext:
         self._fold = (sums[:, None] // spread_pow % radix % p) @ self._pow_vec[:k]
         self._fold_hi = self._half * self._fold
 
-    def _build_frobenius_matrices(self) -> list[np.ndarray]:
-        """Matrix of x -> x^(p^i) on digit columns, for i = 0..n-1."""
-        mats = []
-        for i in range(self.n):
-            m = np.zeros((self.n, self.n), dtype=np.int64)
-            for j in range(self.n):
-                image = self.pow(self.p ** j, self.p ** i)
-                m[:, j] = self.digits[image]
-            mats.append(m)
-        return mats
-
     # -- scalar arithmetic -------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -416,16 +389,12 @@ class FieldContext:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._log is not None:
-            return int(self._exp2[self._log[a] + self._log[b]])
-        return self._mul_direct(a, b)
+        return int(self._exp2[self._log[a] + self._log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._log is not None:
-            return int(self._exp2[(self.order - 1) - self._log[a]])
-        return self._pow_direct(a, self.order - 2)
+        return int(self._exp2[(self.order - 1) - self._log[a]])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -442,9 +411,7 @@ class FieldContext:
         em = e % qm1
         if em == 0:
             return 1
-        if self._log is not None:
-            return int(self._exp2[(self._log[x] * em) % qm1])
-        return self._pow_direct(x, em)
+        return int(self._exp2[(self._log[x] * em) % qm1])
 
     def frobenius(self, x: int, i: int = 1) -> int:
         return self.pow(x, self.p ** i)
@@ -497,10 +464,7 @@ class FieldContext:
     def vmul(self, u, v):
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        if self._log is None:
-            r = self._vmul_direct(u, v)
-        else:
-            r = self._exp2[self._log[u] + self._log[v]]
+        r = self._exp2[self._log[u] + self._log[v]]
         return np.where((u == 0) | (v == 0), 0, r)
 
     def vmul_const(self, c: int, u):
@@ -509,10 +473,7 @@ class FieldContext:
             return np.zeros_like(u)
         if c == 1:
             return u.copy()
-        if self._log is None:
-            r = self._vmul_direct(np.int64(c), u)
-        else:
-            r = self._exp2[int(self._log[c]) + self._log[u]]
+        r = self._exp2[int(self._log[c]) + self._log[u]]
         return np.where(u == 0, 0, r)
 
     def vpow_const(self, u, e: int):
@@ -523,28 +484,8 @@ class FieldContext:
         if e == 0:
             return np.ones_like(u)
         qm1 = self.order - 1
-        if qm1 == 0:
-            return u.copy()
-        em = e % qm1
-        if self._log is not None:
-            r = self._exp2[(self._log[u] * em) % qm1]
-            return np.where(u == 0, 0, r)
-        result = np.ones_like(u)
-        base = u.copy()
-        ee = em if em else qm1
-        while ee:
-            if ee & 1:
-                result = self.vmul(result, base)
-            ee >>= 1
-            if ee:
-                base = self.vmul(base, base)
-        return np.where(u == 0, 0, result)
-
-    def vfrob(self, u, i: int = 1):
-        """Elementwise x -> x^(p^i) via the precomputed Frobenius matrix."""
-        m = self.frobenius_matrices[i % self.n]
-        d = (self.digits[u].astype(np.int64) @ m.T) % self.p
-        return d @ self._pow_vec
+        r = self._exp2[(self._log[u] * (e % qm1)) % qm1]
+        return np.where(u == 0, 0, r)
 
     def shift_perm(self, a: int) -> np.ndarray:
         """Index array of the translation x -> x + a."""
@@ -612,8 +553,7 @@ def _default_modulus(p: int, n: int) -> tuple[int, ...]:
     return smallest_irreducible(p, n)
 
 
-def make_field(p: int, n: int, modulus=None,
-               log_table_cap: int = DEFAULT_LOG_TABLE_CAP) -> FieldContext:
+def make_field(p: int, n: int, modulus=None) -> FieldContext:
     """Construct (or fetch from cache) the field F_{p^n}.
 
     When no modulus is given, the lexicographically smallest monic
@@ -635,11 +575,11 @@ def make_field(p: int, n: int, modulus=None,
             raise ReducibleModulus(f"{list(mod)} is reducible over Z_{p}")
     else:
         mod = _default_modulus(p, n)
-    key = (p, n, mod, log_table_cap)
+    key = (p, n, mod)
     with _FIELD_CACHE_LOCK:
         ctx = _FIELD_CACHE.get(key)
     if ctx is None:
-        ctx = FieldContext(FieldSpec(p, n, mod), log_table_cap)
+        ctx = FieldContext(FieldSpec(p, n, mod))
         with _FIELD_CACHE_LOCK:
             ctx = _FIELD_CACHE.setdefault(key, ctx)
     return ctx
@@ -650,15 +590,16 @@ def embed(sub: FieldContext, sup: FieldContext, x: int) -> int:
 
     The embedding sends sub's basis generator to the smallest root (in
     canonical integer order) of sub's modulus inside sup, which makes it
-    a deterministic field homomorphism.
+    a deterministic field homomorphism.  Every root of that modulus lies
+    in sup's subfield of order p^sub.n, so only that subfield is searched.
     """
     if sub.p != sup.p or sup.n % sub.n:
         raise IncompatibleTower(
             f"F_{sub.p}^{sub.n} does not embed in F_{sup.p}^{sup.n}")
     root = sup._embed_roots.get(sub.spec)
     if root is None:
-        xs = sup.elements()
-        acc = np.full(sup.order, sub.modulus[0], dtype=np.int64)
+        xs = np.array(sup.subfield_elements(sup.p ** sub.n), dtype=np.int64)
+        acc = np.full(xs.shape, sub.modulus[0], dtype=np.int64)
         for i in range(1, len(sub.modulus)):
             ci = sub.modulus[i]
             if ci:
@@ -704,7 +645,7 @@ def trace_table(ctx: FieldContext, sub_degree: int, values) -> np.ndarray:
 
 
 def elem_pow(ctx: FieldContext, x: int, e: int) -> int:
-    """x^e by square-and-multiply; 0^0 = 1, exponents reduce mod q-1."""
+    """x^e through the log tables; 0^0 = 1, exponents reduce mod q-1."""
     return ctx.pow(x, e)
 
 
@@ -717,11 +658,6 @@ def parse_element(ctx: FieldContext, text: str) -> int:
     from ._parse import parse_element_text
 
     return parse_element_text(ctx, text)
-
-
-def format_element(ctx: FieldContext, x: int) -> str:
-    """Canonical integer form."""
-    return str(int(x))
 
 
 def format_element_symbolic(ctx: FieldContext, x: int) -> str:
@@ -744,8 +680,8 @@ def format_element_symbolic(ctx: FieldContext, x: int) -> str:
 _FIELD_SPEC_RE = re.compile(r"^(\d+)\^(\d+)(?:/(.+))?$")
 
 
-def parse_field_spec(text: str) -> FieldContext:
-    """Build a field from a spec string like ``3^2`` or ``2^3/1,1,0,1``."""
+def split_field_spec(text: str) -> tuple[int, int, list[int] | None]:
+    """(p, n, modulus or None) of a spec string, without building the field."""
     m = _FIELD_SPEC_RE.match(text.strip())
     if not m:
         raise ValueError(
@@ -754,7 +690,12 @@ def parse_field_spec(text: str) -> FieldContext:
     modulus = None
     if m.group(3):
         modulus = [int(c) for c in m.group(3).split(",")]
-    return make_field(p, n, modulus)
+    return p, n, modulus
+
+
+def parse_field_spec(text: str) -> FieldContext:
+    """Build a field from a spec string like ``3^2`` or ``2^3/1,1,0,1``."""
+    return make_field(*split_field_spec(text))
 
 
 def format_field_spec(ctx: FieldContext) -> str:

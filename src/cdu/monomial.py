@@ -276,8 +276,11 @@ def _classify_extension(p: int, h: int, d: int, c_base: int, r: int) -> Extensio
 
 
 def exceptionality_sweep(p: int, h: int, d: int, c: int, r_max: int,
-                         cap: int = DEFAULT_SWEEP_CAP, workers: int = 1) -> MonomialAnalysis:
+                         cap: int | None = DEFAULT_SWEEP_CAP,
+                         workers: int = 1) -> MonomialAnalysis:
     """Classify x^d over F_{(p^h)^r} for r = 1..r_max.
+
+    Raises CapExceeded when (p^h)^r_max exceeds cap; cap=None lifts it.
 
     The sweep certifies the swept range only: it reports where PcN/APcN
     first fails (with witnesses) and never concludes exceptionality.
@@ -291,7 +294,7 @@ def exceptionality_sweep(p: int, h: int, d: int, c: int, r_max: int,
         raise BadC("c must avoid 0 and 1 (c = 1 is the classical case)")
     if r_max < 1:
         raise BadC(f"r_max must be positive, got {r_max}")
-    if q0 ** r_max > cap:
+    if cap is not None and q0 ** r_max > cap:
         raise CapExceeded(
             f"q^r_max = {q0 ** r_max} exceeds the field cap {cap}")
 

@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from cdu import field
 from cdu.cli import main
 
 
@@ -11,6 +14,54 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@pytest.fixture
+def no_field_built(monkeypatch):
+    """Fail if any field is constructed, cached or not."""
+    def refuse(self, spec):
+        raise AssertionError(f"built F_{spec.p}^{spec.n} before the cap check")
+
+    monkeypatch.setattr(field, "_FIELD_CACHE", {})
+    monkeypatch.setattr(field.FieldContext, "__init__", refuse)
+
+
+class TestCaps:
+    def test_analyze_refuses_before_building(self, capsys, no_field_built):
+        code, _, err = run_cli(capsys, "analyze", "--field", "3^4",
+                               "--function", "x", "--cap", "80")
+        assert code == 2 and "cap" in err
+        assert "81 multipliers x 81 directions = 6561 c-derivative rows" in err
+        code, _, err = run_cli(capsys, "analyze", "--field", "3^4", "--function", "x",
+                               "--c-scope", "2", "--cap", "80")
+        assert code == 2 and "9 multipliers x 81 directions = 729" in err
+
+    def test_construct_refuses_before_building(self, capsys, no_field_built):
+        recipe = json.dumps({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x",
+                             "g": "x^2", "h_or_b": 1, "kind": "f1"})
+        code, _, err = run_cli(capsys, "construct", "--recipe", recipe, "--cap", "8")
+        assert code == 2 and "cap" in err
+        assert "9 multipliers x 9 directions = 81 c-derivative rows" in err
+
+    def test_construct_force(self, capsys):
+        recipe = json.dumps({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x",
+                             "g": "x^2", "h_or_b": 1, "kind": "f1"})
+        code, out, _ = run_cli(capsys, "construct", "--recipe", recipe,
+                               "--cap", "8", "--force")
+        assert code == 0
+        assert json.loads(out)["properties"]["is_permutation"] is True
+
+    def test_monomial_refuses_before_building(self, capsys, no_field_built):
+        code, _, err = run_cli(capsys, "monomial", "--p", "3", "--h", "3",
+                               "--d", "5", "--c", "g", "--rmax", "2", "--cap", "728")
+        assert code == 2 and "CapExceeded" in err and "729" in err
+
+    def test_monomial_force(self, capsys):
+        argv = ["monomial", "--p", "3", "--h", "3", "--d", "5", "--c", "g", "--rmax", "1"]
+        code, out, _ = run_cli(capsys, *argv, "--cap", "3", "--force")
+        assert code == 0
+        _, plain, _ = run_cli(capsys, *argv)
+        assert out == plain
 
 
 class TestAnalyze:

@@ -73,9 +73,9 @@ class CDiffSpectrum:
 
     def to_csv(self, stream):
         q = self.counts.shape[0]
-        stream.write("a\\b," + ",".join(str(b) for b in range(q)) + "\n")
-        for a in range(q):
-            stream.write(str(a) + "," + ",".join(str(int(v)) for v in self.counts[a]) + "\n")
+        stream.write("a\\b," + ",".join(map(str, range(q))) + "\n")
+        for a, row in enumerate(self.counts.tolist()):
+            stream.write(f"{a},{','.join(map(str, row))}\n")
 
 
 def c_ddt(f: PolyFunc, c: int) -> CDiffSpectrum:
@@ -116,15 +116,23 @@ def classify_c(f: PolyFunc, c: int) -> str:
 
 @dataclass
 class CEntry:
+    """One multiplier's verdict.  method names the directions delta was
+    counted over (see full_report); rep, when set, is the multiplier whose
+    delta was computed in c's place."""
+
     c: int
     delta: int
     label: str
     note: str | None = None
+    method: str = "rows"
+    rep: int | None = None
 
     def to_dict(self):
-        d = {"c": self.c, "delta": self.delta, "label": self.label}
+        d = {"c": self.c, "delta": self.delta, "label": self.label, "method": self.method}
         if self.note:
             d["note"] = self.note
+        if self.rep is not None:
+            d["rep"] = self.rep
         return d
 
 
@@ -147,20 +155,78 @@ class ClassificationReport:
         }
 
 
+def frobenius_degree(f: PolyFunc) -> int:
+    """The smallest k with every coefficient of f in F_{p^k}.
+
+    Then f(x)^(p^k) = f(x^(p^k)), and raising f(x+a) - c*f(x) = b to the
+    power p^k maps the solutions for (a, b, c) onto those for
+    (a^(p^k), b^(p^k), c^(p^k)): delta_c = delta_{c^(p^k)}.
+    """
+    ctx = f.ctx
+    return next(k for k in range(1, ctx.n + 1)
+                if ctx.n % k == 0 and all(ctx.in_subfield(v, ctx.p ** k) for v in f.coeffs.values()))
+
+
+def orbit_reps(ctx, cs, k: int) -> list[int]:
+    """For each c of cs, the smallest element of its orbit under
+    c -> c^(p^k) and c -> 1/c (0 is its own orbit).
+
+    Substituting y = x + a turns f(x+a) - c*f(x) = b into
+    f(y-a) - f(y)/c = -b/c, a bijection on (a, b) that keeps a = 0, so
+    delta_c = delta_{1/c} for every f; with k from frobenius_degree, the
+    whole orbit shares one delta.
+    """
+    c = np.asarray(cs, dtype=np.int64)
+    rep = c
+    for _ in range(ctx.n // k):
+        rep = np.minimum(rep, np.minimum(c, ctx.vpow_const(c, ctx.order - 2)))
+        c = ctx.vpow_const(c, ctx.p ** k)
+    return rep.tolist()
+
+
+def report_method(f: PolyFunc, c: int) -> tuple[str, range | list[int]]:
+    """The method full_report names for c, and the directions it counts.
+
+    fiber: c = 0, where every row counts the fibers of f, so direction 0
+    alone gives delta_0, the largest fiber.  monomial: f = alpha*x^d with
+    d >= 1, where x -> a*x scales the row of direction a != 0 by a^d, so
+    directions 0 and 1 (1 alone when c = 1) give delta.  rows: every
+    admissible direction, as c_uniformity counts them.
+    """
+    q = f.ctx.order
+    if c == 0:
+        return "fiber", [0]
+    if len(f.coeffs) == 1 and 0 not in f.coeffs:
+        return "monomial", [1] if c == 1 else [0, 1]
+    return "rows", range(1, q) if c == 1 else range(q)
+
+
 def full_report(f: PolyFunc, workers: int = 1, cs=None) -> ClassificationReport:
     """Classify f for every c in the field, in canonical integer order.
 
     cs restricts the multipliers (e.g. to a subfield); default is all of
     F_q including c = 1, which is reported as the classical uniformity.
+    delta is counted once per orbit of c (see orbit_reps), for the orbit's
+    smallest element, over the directions report_method picks; the result
+    equals c_uniformity(f, c) for every c.
     """
     ctx = f.ctx
+    cs = sorted(cs) if cs is not None else range(ctx.order)
+    reps = orbit_reps(ctx, cs, frobenius_degree(f))
 
-    def entry(c: int) -> CEntry:
-        delta = c_uniformity(f, c)
+    def delta(c: int) -> int:
+        _, directions = report_method(f, c)
+        return max(int(block.max()) for block in _row_block_counts(f, c, directions))
+
+    distinct = sorted(set(reps))
+    deltas = dict(zip(distinct, pmap(delta, distinct, workers)))
+
+    def entry(c: int, rep: int) -> CEntry:
         note = "c=1 is the classical differential uniformity" if c == 1 else None
-        return CEntry(c=c, delta=delta, label=label_for_delta(delta), note=note)
+        return CEntry(c=c, delta=deltas[rep], label=label_for_delta(deltas[rep]), note=note,
+                      method=report_method(f, c)[0], rep=rep if rep != c else None)
 
-    entries = pmap(entry, sorted(cs) if cs is not None else range(ctx.order), workers)
+    entries = [entry(c, rep) for c, rep in zip(cs, reps)]
     return ClassificationReport(
         function=str(f),
         field=format_field_spec(ctx),

@@ -21,6 +21,14 @@ from .field import format_field_spec, make_field, parse_element, split_field_spe
 from .funcs import PolyFunc, is_permutation, is_two_to_one, parse_function
 
 DEFAULT_DDT_CAP = 1 << 12
+# experiment probe -> (default field, default field-order cap); the cap
+# keeps a probe to seconds: pseudo-pcn evaluates about q^3 rows and
+# relaxed-pcn-odd-p --count times q^2, quad-zero-index fewer than n tables
+PROBE_DEFAULTS = {
+    "pseudo-pcn": ("2^3", 1 << 7),
+    "relaxed-pcn-odd-p": ("3^2", 1 << 7),
+    "quad-zero-index": ("5^2", DEFAULT_DDT_CAP),
+}
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -40,8 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized suites (default 0)")
     common.add_argument("--cap", type=int, default=None,
-                        help=f"field-order cap of analyze and construct (default {DEFAULT_DDT_CAP})"
-                             f" and monomial (default {monomial.DEFAULT_SWEEP_CAP})")
+                        help=f"field-order cap of analyze and construct (default {DEFAULT_DDT_CAP}),"
+                             f" monomial (default {monomial.DEFAULT_SWEEP_CAP}) and the"
+                             f" experiment probes (default {PROBE_DEFAULTS['pseudo-pcn'][1]};"
+                             f" {PROBE_DEFAULTS['quad-zero-index'][1]} for quad-zero-index)")
     common.add_argument("--force", action="store_true",
                         help="override the field-order cap")
     common.add_argument("--config", default=None,
@@ -159,8 +169,9 @@ def _check_cap(args, cfg, order: int, default: int, cost: str):
 def _check_report_cap(args, cfg, q: int, n_c: int):
     """The cap of an all-c report over F_q with n_c multipliers."""
     _check_cap(args, cfg, q, DEFAULT_DDT_CAP,
-               f"the report evaluates {n_c} multipliers x {q} directions"
-               f" = {n_c * q} c-derivative rows of {q} elements each")
+               f"the report evaluates at most {n_c} multipliers x {q} directions"
+               f" = {n_c * q} c-derivative rows of {q} elements each, an upper bound"
+               " that the c = 0, orbit and monomial reductions lower")
 
 
 def cmd_analyze(args, cfg) -> tuple[dict, int]:
@@ -312,13 +323,29 @@ def cmd_verify(args, cfg) -> tuple[dict, int]:
     return report, status
 
 
+def _probe_cost(probe: str, q: int, n: int, count: int) -> str:
+    """The work an experiment probe does over F_q, q = p^n."""
+    if probe == "pseudo-pcn":
+        return (f"the probe evaluates {q - 1} exponents x {q} multipliers x {q - 1} directions"
+                f" = {(q - 1) * q * (q - 1)} rows of {q} elements each")
+    if probe == "relaxed-pcn-odd-p":
+        return (f"the probe evaluates {count} tables x {q - 1} multipliers x {q - 1} directions"
+                f" = {count * (q - 1) * (q - 1)} rows of {q} elements each")
+    return f"the probe evaluates {max(2 * (n // 2) - 1, 0)} functions of {q} values"
+
+
 def cmd_experiment(args, cfg) -> tuple[dict, int]:
     seed = _resolve(args, cfg, "seed", 0)
     probe = args.probe
+    default_field, default_cap = PROBE_DEFAULTS[probe]
+    p, n, modulus = _field_spec(args.field or default_field)
+    if probe == "pseudo-pcn" and p != 2:
+        raise ConfigError("the pseudo-PcN probe needs characteristic 2")
+    if probe == "relaxed-pcn-odd-p" and p == 2:
+        raise ConfigError("this probe explores odd characteristic")
+    _check_cap(args, cfg, p ** n, default_cap, _probe_cost(probe, p ** n, n, args.count))
+    ctx = make_field(p, n, modulus)
     if probe == "pseudo-pcn":
-        ctx = make_field(*_field_spec(args.field or "2^3"))
-        if ctx.p != 2:
-            raise ConfigError("the pseudo-PcN probe needs characteristic 2")
         rows = []
         for d in range(1, ctx.order):
             f = PolyFunc(ctx, {d: 1})
@@ -329,9 +356,6 @@ def cmd_experiment(args, cfg) -> tuple[dict, int]:
         report = {"probe": probe, "field": format_field_spec(ctx),
                   "monomials_with_pseudo_pcn_c": rows}
     elif probe == "relaxed-pcn-odd-p":
-        ctx = make_field(*_field_spec(args.field or "3^2"))
-        if ctx.p == 2:
-            raise ConfigError("this probe explores odd characteristic")
         import random as _random
         counterexamples = []
         relaxed = 0
@@ -351,8 +375,6 @@ def cmd_experiment(args, cfg) -> tuple[dict, int]:
                   "non_pp_counterexamples": counterexamples,
                   "note": "exploratory: no invariant asserted for odd characteristic"}
     else:  # quad-zero-index
-        ctx = make_field(*_field_spec(args.field or "5^2"))
-        p = ctx.p
         m = ctx.n // 2
         q0 = p ** m
         j = construct.subspace_j(ctx, q0)

@@ -53,20 +53,20 @@ def min_s(p: int, d: int) -> int:
 def root_in_fps(p: int, h: int, d: int, c: int) -> bool:
     """Does some c0 in F_{p^s} satisfy c0^(d-1) = c?
 
-    Decided inside F_{p^L} with L = lcm(h, s): c must lie in the
-    embedded F_{p^s} and satisfy c^((p^s - 1)/(d-1)) = 1 there.
+    Decided inside F_{p^h}: c must lie in F_{p^s}, that is in
+    F_{p^h} ∩ F_{p^s} = F_{p^gcd(h,s)}, which holds iff c^(p^s) = c, and
+    satisfy c^((p^s - 1)/(d-1)) = 1.  Both powers are the same computed
+    in F_{p^h} or in any field containing it, so F_{p^lcm(h,s)} is never
+    built.
     """
     if c == 0:
         raise ZeroC("c must be nonzero")
     s = min_s(p, d)
-    ell = math.lcm(h, s)
     base = make_field(p, h)
-    big = make_field(p, ell)
-    c_big = embed(base, big, c)
     ps = p ** s
-    if big.pow(c_big, ps) != c_big:
+    if base.pow(c, ps) != c:
         return False
-    return big.pow(c_big, (ps - 1) // (d - 1)) == 1 if d > 2 else True
+    return base.pow(c, (ps - 1) // (d - 1)) == 1 if d > 2 else True
 
 
 def gcd_necessity(q: int, d: int) -> bool:

@@ -1,12 +1,14 @@
 """c-difference tables, uniformity, classification, identities."""
 
 import io
+import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cdu import errors
+from cdu import cdiff, errors
 from cdu.cdiff import (
     c_ddt,
     c_derivative,
@@ -14,6 +16,7 @@ from cdu.cdiff import (
     c_uniformity,
     check_quadratic_characterization,
     classify_c,
+    frobenius_degree,
     full_report,
     is_pseudo_pcn,
     is_relaxed_pcn,
@@ -98,6 +101,22 @@ class TestSpectrum:
         assert lines[0] == "a\\b,0,1,2,3,4"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("ctx", [F8, F9], ids=["F8", "F9"])
+    def test_csv_bytes_match_cell_by_cell_format(self, ctx):
+        def cell_by_cell(counts):
+            q = counts.shape[0]
+            text = "a\\b," + ",".join(str(b) for b in range(q)) + "\n"
+            for a in range(q):
+                text += str(a) + "," + ",".join(str(int(v)) for v in counts[a]) + "\n"
+            return text
+
+        for text in ("x^3 + x", "x^2", "g*x^5 + 1"):
+            for c in (0, 1, 2, ctx.order - 1):
+                spec = c_ddt(parse_function(text, ctx), c)
+                buf = io.StringIO()
+                spec.to_csv(buf)
+                assert buf.getvalue() == cell_by_cell(spec.counts)
+
 
 class TestClassification:
     def test_labels(self):
@@ -138,6 +157,135 @@ class TestClassification:
         a = json.dumps(full_report(f, workers=1).to_dict(), sort_keys=True)
         b = json.dumps(full_report(f, workers=8).to_dict(), sort_keys=True)
         assert a == b
+
+
+# every F_{p^n} with p in {2, 3, 5, 7} and q <= 81
+REPORT_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3),
+                 (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)]
+
+
+def _divisors(n):
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
+@st.composite
+def report_cases(draw):
+    """A function over a small field, of one of the shapes the reductions
+    treat differently, and the multipliers of a report (None for all of
+    F_q, else a subfield)."""
+    p, n = draw(st.sampled_from(REPORT_FIELDS))
+    ctx = make_field(p, n)
+    q = ctx.order
+    nonzero = st.integers(1, q - 1)
+    kind = draw(st.sampled_from(["monomial", "monomial_p", "monomial_big", "subfield",
+                                 "generic", "table"]))
+    if kind == "monomial":
+        f = PolyFunc(ctx, {draw(nonzero): draw(nonzero)})
+    elif kind == "monomial_p":  # d = 0 mod p
+        f = PolyFunc(ctx, {p * draw(st.integers(1, 2 * q)): draw(nonzero)})
+    elif kind == "monomial_big":  # d > q, reduced mod x^q - x
+        f = PolyFunc(ctx, {draw(st.integers(q + 1, 5 * q)): draw(nonzero)})
+    elif kind == "subfield":
+        sub = ctx.subfield_elements(p ** draw(st.sampled_from(_divisors(n))))
+        f = PolyFunc(ctx, draw(st.dictionaries(st.integers(0, 2 * q), st.sampled_from(sub[1:]),
+                                               min_size=1, max_size=4)))
+    elif kind == "generic":
+        f = PolyFunc(ctx, draw(st.dictionaries(st.integers(0, 2 * q), nonzero,
+                                               min_size=1, max_size=4)))
+    else:
+        f = PolyFunc.from_table(ctx, draw(st.lists(st.integers(0, q - 1),
+                                                   min_size=q, max_size=q)))
+    scope = draw(st.sampled_from([None] + _divisors(n)))
+    return f, None if scope is None else ctx.subfield_elements(p ** scope)
+
+
+def _scalar_orbit(ctx, c, k):
+    """The orbit of c != 0 under c -> c^(p^k) and c -> 1/c, by scalar powers."""
+    orbit, x = set(), c
+    for _ in range(ctx.n):
+        orbit |= {x, ctx.inv(x)}
+        x = ctx.pow(x, ctx.p ** k)
+    return orbit
+
+
+class TestReducedReport:
+    """full_report's c = 0, orbit and monomial reductions against the
+    generic per-c c_uniformity."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(report_cases())
+    def test_matches_per_c_uniformity(self, case):
+        f, cs = case
+        ctx = f.ctx
+        report = full_report(f, cs=cs)
+        assert [e.c for e in report.entries] == sorted(cs if cs is not None else range(ctx.order))
+        for e in report.entries:
+            assert e.delta == c_uniformity(f, e.c), (str(f), e)
+            assert e.label == label_for_delta(e.delta)
+        assert report.pcn_cs == [e.c for e in report.entries if e.delta == 1]
+        assert report.apcn_cs == [e.c for e in report.entries if e.delta == 2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(report_cases())
+    def test_bytes_identical_across_workers(self, case):
+        f, cs = case
+        one = json.dumps(full_report(f, workers=1, cs=cs).to_dict(), sort_keys=True)
+        two = json.dumps(full_report(f, workers=2, cs=cs).to_dict(), sort_keys=True)
+        assert one == two
+
+    @settings(max_examples=60, deadline=None)
+    @given(report_cases())
+    def test_method_and_representative(self, case):
+        f, cs = case
+        ctx = f.ctx
+        k = frobenius_degree(f)
+        monomial = len(f.coeffs) == 1 and 0 not in f.coeffs
+        for e in full_report(f, cs=cs).entries:
+            d = e.to_dict()
+            assert d["method"] == ("fiber" if e.c == 0 else "monomial" if monomial else "rows")
+            rep = 0 if e.c == 0 else min(_scalar_orbit(ctx, e.c, k))
+            assert d.get("rep") == (rep if rep != e.c else None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(report_cases())
+    def test_frobenius_degree_is_smallest_commuting_power(self, case):
+        f, _ = case
+        ctx = f.ctx
+        xs = ctx.elements()
+        k = frobenius_degree(f)
+        for j in _divisors(ctx.n):
+            e = ctx.p ** j
+            commutes = np.array_equal(f.table[ctx.vpow_const(xs, e)], ctx.vpow_const(f.table, e))
+            assert commutes == (j >= k and j % k == 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(REPORT_FIELDS), st.randoms(use_true_random=False))
+    def test_inverse_multiplier_on_random_tables(self, pn, rng):
+        ctx = make_field(*pn)
+        q = ctx.order
+        f = PolyFunc.from_table(ctx, [rng.randrange(q) for _ in range(q)])
+        for c in range(1, q):
+            assert c_uniformity(f, c) == c_uniformity(f, ctx.inv(c))
+
+    def test_rows_evaluated(self, monkeypatch):
+        rows = []
+        kernel = cdiff._row_block_counts
+
+        def counting(f, c, directions, **kw):
+            rows.append(len(directions))
+            return kernel(f, c, directions, **kw)
+
+        monkeypatch.setattr(cdiff, "_row_block_counts", counting)
+        F81 = make_field(3, 4)
+        report = full_report(parse_function("x^4", F81))
+        reps = {e.to_dict().get("rep", e.c) for e in report.entries}
+        # one fiber row for c = 0, one row for c = 1, two rows per other orbit
+        assert sorted(rows) == [1, 1] + [2] * (len(reps) - 2)
+        assert len(reps) < 81 // 4
+        rows.clear()
+        # a primitive coefficient: the orbits are {c, 1/c}, and -1 is its own
+        full_report(PolyFunc(F81, {5: 1, 2: F81.generator}))
+        assert rows == [1, 80] + [81] * (1 + (81 - 3) // 2)
 
 
 class TestClassicalReduction:

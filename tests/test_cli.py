@@ -1,11 +1,13 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cdu
 from cdu import field
 from cdu.cli import main
 
@@ -24,6 +26,22 @@ def no_field_built(monkeypatch):
 
     monkeypatch.setattr(field, "_FIELD_CACHE", {})
     monkeypatch.setattr(field.FieldContext, "__init__", refuse)
+
+
+@pytest.fixture
+def fields_up_to(monkeypatch):
+    """Fail if a field of order above the given bound is constructed."""
+    def limit(bound):
+        build = field.FieldContext.__init__
+
+        def bounded(self, spec):
+            if spec.order > bound:
+                raise AssertionError(f"built F_{spec.p}^{spec.n}, above order {bound}")
+            build(self, spec)
+
+        monkeypatch.setattr(field, "_FIELD_CACHE", {})
+        monkeypatch.setattr(field.FieldContext, "__init__", bounded)
+    return limit
 
 
 class TestCaps:
@@ -59,6 +77,38 @@ class TestCaps:
     def test_monomial_force(self, capsys):
         argv = ["monomial", "--p", "3", "--h", "3", "--d", "5", "--c", "g", "--rmax", "1"]
         code, out, _ = run_cli(capsys, *argv, "--cap", "3", "--force")
+        assert code == 0
+        _, plain, _ = run_cli(capsys, *argv)
+        assert out == plain
+
+    def test_monomial_root_decided_in_the_base_field(self, capsys, fields_up_to):
+        # s = 5 (the order of 3 mod 22): the root lies in F_{3^5}, but only
+        # F_27 may be built, not F_{3^lcm(3,5)}
+        fields_up_to(27)
+        code, out, err = run_cli(capsys, "monomial", "--p", "3", "--h", "3", "--d", "23",
+                                 "--c", "3", "--rmax", "1")
+        assert code == 0, err
+        rep = json.loads(out)["report"]
+        assert rep["s"] == 5 and rep["root_in_fps"] is False
+
+    @pytest.mark.parametrize("argv,cost", [
+        (["pseudo-pcn", "--field", "2^6", "--cap", "32"],
+         "63 exponents x 64 multipliers x 63 directions = 254016 rows of 64 elements"),
+        (["pseudo-pcn", "--field", "2^8"],
+         "255 exponents x 256 multipliers x 255 directions = 16646400 rows"),
+        (["relaxed-pcn-odd-p", "--field", "3^4", "--count", "5", "--cap", "27"],
+         "5 tables x 80 multipliers x 80 directions = 32000 rows of 81 elements"),
+        (["quad-zero-index", "--field", "5^2", "--cap", "24"],
+         "1 functions of 25 values"),
+    ])
+    def test_experiment_refuses_before_building(self, capsys, no_field_built, argv, cost):
+        code, _, err = run_cli(capsys, "experiment", "--probe", *argv)
+        assert code == 2 and "cap" in err and cost in err
+
+    def test_experiment_force(self, capsys, fields_up_to):
+        fields_up_to(1 << 6)
+        argv = ["experiment", "--probe", "pseudo-pcn", "--field", "2^3"]
+        code, out, _ = run_cli(capsys, *argv, "--cap", "4", "--force")
         assert code == 0
         _, plain, _ = run_cli(capsys, *argv)
         assert out == plain
@@ -277,9 +327,13 @@ class TestDeterminismAndConfig:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the cdu these tests import, installed or not
+        src = os.path.dirname(os.path.dirname(cdu.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "cdu", "analyze", "--field", "5^1",
              "--function", "x^2"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["report"]["summary"]["pcn_c"] == [1]

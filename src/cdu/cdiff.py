@@ -10,6 +10,7 @@ uniformity, which is why the a = 0 row is excluded exactly there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -117,18 +118,20 @@ def classify_c(f: PolyFunc, c: int) -> str:
 @dataclass
 class CEntry:
     """One multiplier's verdict.  method names the directions delta was
-    counted over (see full_report); rep, when set, is the multiplier whose
-    delta was computed in c's place."""
+    counted over (see full_report) and directions how many rows that took;
+    rep, when set, is the multiplier whose delta was computed in c's place."""
 
     c: int
     delta: int
     label: str
+    directions: int
     note: str | None = None
     method: str = "rows"
     rep: int | None = None
 
     def to_dict(self):
-        d = {"c": self.c, "delta": self.delta, "label": self.label, "method": self.method}
+        d = {"c": self.c, "delta": self.delta, "label": self.label, "method": self.method,
+             "directions": self.directions}
         if self.note:
             d["note"] = self.note
         if self.rep is not None:
@@ -155,26 +158,16 @@ class ClassificationReport:
         }
 
 
-def frobenius_degree(f: PolyFunc) -> int:
-    """The smallest k with every coefficient of f in F_{p^k}.
-
-    Then f(x)^(p^k) = f(x^(p^k)), and raising f(x+a) - c*f(x) = b to the
-    power p^k maps the solutions for (a, b, c) onto those for
-    (a^(p^k), b^(p^k), c^(p^k)): delta_c = delta_{c^(p^k)}.
-    """
-    ctx = f.ctx
-    return next(k for k in range(1, ctx.n + 1)
-                if ctx.n % k == 0 and all(ctx.in_subfield(v, ctx.p ** k) for v in f.coeffs.values()))
-
-
 def orbit_reps(ctx, cs, k: int) -> list[int]:
     """For each c of cs, the smallest element of its orbit under
     c -> c^(p^k) and c -> 1/c (0 is its own orbit).
 
     Substituting y = x + a turns f(x+a) - c*f(x) = b into
     f(y-a) - f(y)/c = -b/c, a bijection on (a, b) that keeps a = 0, so
-    delta_c = delta_{1/c} for every f; with k from frobenius_degree, the
-    whole orbit shares one delta.
+    delta_c = delta_{1/c} for every f.  With k = f.frobenius_degree,
+    raising f(x+a) - c*f(x) = b to the power p^k maps the solutions for
+    (a, b, c) onto those for (a^(p^k), b^(p^k), c^(p^k)), so the whole
+    orbit shares one delta.
     """
     c = np.asarray(cs, dtype=np.int64)
     rep = c
@@ -184,21 +177,53 @@ def orbit_reps(ctx, cs, k: int) -> list[int]:
     return rep.tolist()
 
 
-def report_method(f: PolyFunc, c: int) -> tuple[str, range | list[int]]:
-    """The method full_report names for c, and the directions it counts.
+def row_directions(ctx, c: int, k: int, m: int) -> np.ndarray:
+    """One nonzero direction per orbit of a group that keeps the multiset
+    of counts of each row of the c-derivative, for f with
+    k = f.frobenius_degree and m = f.scaling_order.  Direction 0 is an
+    orbit of its own.
+
+    The group is generated by three maps.  a -> lambda*a for lambda^m = 1:
+    substituting x -> lambda*x sends the solutions for (a, b) to those for
+    (lambda*a, lambda^d * b).  a -> sigma^j(a), sigma = x^(p^k) and j the
+    smallest j >= 1 with sigma^j(c) = c (see orbit_reps).  When c^2 = 1
+    and p is odd, a -> -a: y = x + a sends the solutions for (a, b) to
+    those for (-a, -b/c); m becomes lcm(m, 2).  Writing a = g^t, the
+    scalings reduce t modulo L = (q-1)/m and sigma^j multiplies t by
+    P = p^(kj) mod L, so the directions are g^t for each t in [0, L) that
+    is the smallest element of its <P>-orbit.
+    """
+    q, p = ctx.order, ctx.p
+    if p != 2 and ctx.mul(c, c) == 1:
+        m = math.lcm(m, 2)
+    length = (q - 1) // m
+    if length == 1:  # every nonzero direction in one orbit, as for a monomial
+        return np.ones(1, dtype=np.int64)
+    j = next(j for j in range(1, ctx.n // k + 1) if ctx.pow(c, p ** (k * j)) == c)
+    step = pow(p, k * j, length)
+    t = np.arange(length, dtype=np.int64)
+    smallest, u = t, t
+    for _ in range(ctx.n // (k * j) - 1):
+        u = u * step % length
+        smallest = np.minimum(smallest, u)
+    return ctx.vexp(t[smallest == t])
+
+
+def report_method(f: PolyFunc, c: int) -> str:
+    """The name full_report gives the directions it counts for c.
 
     fiber: c = 0, where every row counts the fibers of f, so direction 0
     alone gives delta_0, the largest fiber.  monomial: f = alpha*x^d with
-    d >= 1, where x -> a*x scales the row of direction a != 0 by a^d, so
-    directions 0 and 1 (1 alone when c = 1) give delta.  rows: every
-    admissible direction, as c_uniformity counts them.
+    d >= 1, where x -> a*x scales the row of direction a != 0 by a^d
+    (m = q-1), so row_directions picks direction 1 alone.  rows: any other
+    f, over the directions row_directions picks.  Direction 0 is added
+    for every c other than 0 and 1.
     """
-    q = f.ctx.order
     if c == 0:
-        return "fiber", [0]
+        return "fiber"
     if len(f.coeffs) == 1 and 0 not in f.coeffs:
-        return "monomial", [1] if c == 1 else [0, 1]
-    return "rows", range(1, q) if c == 1 else range(q)
+        return "monomial"
+    return "rows"
 
 
 def full_report(f: PolyFunc, workers: int = 1, cs=None) -> ClassificationReport:
@@ -207,24 +232,35 @@ def full_report(f: PolyFunc, workers: int = 1, cs=None) -> ClassificationReport:
     cs restricts the multipliers (e.g. to a subfield); default is all of
     F_q including c = 1, which is reported as the classical uniformity.
     delta is counted once per orbit of c (see orbit_reps), for the orbit's
-    smallest element, over the directions report_method picks; the result
-    equals c_uniformity(f, c) for every c.
+    smallest element, over direction 0 alone when c = 0 and otherwise over
+    the directions row_directions picks, plus direction 0 unless c = 1;
+    the result equals c_uniformity(f, c) for every c.
     """
     ctx = f.ctx
     cs = sorted(cs) if cs is not None else range(ctx.order)
-    reps = orbit_reps(ctx, cs, frobenius_degree(f))
+    k, m = f.frobenius_degree, f.scaling_order
+    reps = orbit_reps(ctx, cs, k)
 
-    def delta(c: int) -> int:
-        _, directions = report_method(f, c)
-        return max(int(block.max()) for block in _row_block_counts(f, c, directions))
+    def verdict(c: int) -> tuple[int, str, int, str]:
+        """delta, label, rows counted and method for a representative; the
+        method is the same for every c of its orbit (0 is an orbit alone)."""
+        if c == 0:
+            directions = [0]
+        elif c == 1:
+            directions = row_directions(ctx, c, k, m)
+        else:
+            directions = np.concatenate(([0], row_directions(ctx, c, k, m)))
+        d = max(int(block.max()) for block in _row_block_counts(f, c, directions))
+        return d, label_for_delta(d), len(directions), report_method(f, c)
 
     distinct = sorted(set(reps))
-    deltas = dict(zip(distinct, pmap(delta, distinct, workers)))
+    verdicts = dict(zip(distinct, pmap(verdict, distinct, workers)))
 
     def entry(c: int, rep: int) -> CEntry:
         note = "c=1 is the classical differential uniformity" if c == 1 else None
-        return CEntry(c=c, delta=deltas[rep], label=label_for_delta(deltas[rep]), note=note,
-                      method=report_method(f, c)[0], rep=rep if rep != c else None)
+        d, label, rows, method = verdicts[rep]
+        return CEntry(c=c, delta=d, label=label, directions=rows, note=note, method=method,
+                      rep=rep if rep != c else None)
 
     entries = [entry(c, rep) for c, rep in zip(cs, reps)]
     return ClassificationReport(
@@ -363,9 +399,11 @@ def check_quadratic_characterization(f: PolyFunc, scope: int = 1) -> QuadCheckRe
 
 def is_relaxed_pcn(f: PolyFunc, c: int) -> bool:
     """True iff x -> f(x+gamma) - c*f(x) is bijective for all gamma != 0
-    (the zero-direction derivative is not required to be)."""
-    q = f.ctx.order
-    return all(int(block.max()) <= 1 for block in _row_block_counts(f, c, range(1, q)))
+    (the zero-direction derivative is not required to be).  A row's
+    largest count is constant on the orbits of row_directions' group, so
+    one nonzero direction per orbit decides."""
+    directions = row_directions(f.ctx, c, f.frobenius_degree, f.scaling_order)
+    return all(int(block.max()) <= 1 for block in _row_block_counts(f, c, directions))
 
 
 def is_pseudo_pcn(f: PolyFunc, c: int) -> bool:

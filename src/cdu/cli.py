@@ -171,7 +171,8 @@ def _check_report_cap(args, cfg, q: int, n_c: int):
     _check_cap(args, cfg, q, DEFAULT_DDT_CAP,
                f"the report evaluates at most {n_c} multipliers x {q} directions"
                f" = {n_c * q} c-derivative rows of {q} elements each, an upper bound"
-               " that the c = 0, orbit and monomial reductions lower")
+               " that the c = 0 fiber, the orbits of c and the orbits of directions"
+               " (x -> lambda*x scaling, Frobenius, a -> -a) lower")
 
 
 def cmd_analyze(args, cfg) -> tuple[dict, int]:

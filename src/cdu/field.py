@@ -487,6 +487,10 @@ class FieldContext:
         r = self._exp2[(self._log[u] * (e % qm1)) % qm1]
         return np.where(u == 0, 0, r)
 
+    def vexp(self, t):
+        """Elementwise g^t, g being the generator, for exponents t >= 0."""
+        return self._exp2[np.asarray(t, dtype=np.int64) % (self.order - 1)]
+
     def shift_perm(self, a: int) -> np.ndarray:
         """Index array of the translation x -> x + a."""
         if a == 0:
@@ -505,10 +509,10 @@ class FieldContext:
         hi = self._fold_hi[ah[:, None] + self._spread[: self.order // self._half]]
         return (hi[:, :, None] + lo[:, None, :]).reshape(len(a), self.order)
 
-    def field_sum(self, u) -> int:
-        """Sum of an array of elements, as one field element."""
-        d = self.digits[u].astype(np.int64).sum(axis=0) % self.p
-        return int(d @ self._pow_vec)
+    def field_sum(self, u):
+        """Sums of an array of elements along its last axis."""
+        d = self.digits[u].astype(np.int64).sum(axis=-2) % self.p
+        return d @ self._pow_vec
 
     # -- subfields ---------------------------------------------------------
 

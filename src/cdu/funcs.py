@@ -10,6 +10,8 @@ planar) run on the table, never by symbolic shortcuts.
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -156,6 +158,23 @@ class PolyFunc:
     def degree(self) -> int:
         return max(self.coeffs, default=-1)
 
+    @functools.cached_property
+    def frobenius_degree(self) -> int:
+        """The smallest k with every coefficient in F_{p^k}, so that
+        f(x)^(p^k) = f(x^(p^k))."""
+        ctx = self.ctx
+        return next(k for k in range(1, ctx.n + 1)
+                    if ctx.n % k == 0 and all(ctx.in_subfield(v, ctx.p ** k)
+                                              for v in self.coeffs.values()))
+
+    @functools.cached_property
+    def scaling_order(self) -> int:
+        """m = gcd(q-1, d_i - d_j over the exponents d_i), so that
+        f(lambda*x) = lambda^d * f(x) for every lambda with lambda^m = 1,
+        d being any exponent."""
+        exponents = list(self.coeffs) or [0]
+        return math.gcd(self.ctx.order - 1, *(e - exponents[0] for e in exponents[1:]))
+
     def __eq__(self, other):
         if not isinstance(other, PolyFunc):
             return NotImplemented
@@ -178,31 +197,35 @@ class PolyFunc:
         return f"PolyFunc({self.ctx.p}^{self.ctx.n}, {self!s})"
 
 
+# interpolation sums about this many terms per block of coefficients
+_INTERPOLATE_BLOCK_ELEMS = 1 << 15
+
+
 def _interpolate(ctx: FieldContext, values: np.ndarray) -> dict[int, int]:
     """Coefficients of the unique reduced polynomial with the given table.
 
     Uses c_0 = f(0), c_{q-1} = -sum_b f(b), and for 1 <= k <= q-2
-    c_k = -sum_{b != 0} f(b) * b^(q-1-k).
+    c_k = -sum_{b != 0} f(b) * b^(q-1-k), summed over b = g^t for a block
+    of k at a time.
     """
     q = ctx.order
     out: dict[int, int] = {}
     c0 = int(values[0])
     if c0:
         out[0] = c0
-    top = ctx.neg(ctx.field_sum(values))
+    top = ctx.neg(int(ctx.field_sum(values)))
     if top and q > 1:
         out[q - 1] = top
     if q > 2:
-        nz = ctx.elements()[1:]
-        fb = values[1:]
-        binv = ctx.vpow_const(nz, q - 2)
-        pw = binv.copy()  # b^(q-1-k) starting at k = 1
-        for k in range(1, q - 1):
-            ck = ctx.neg(ctx.field_sum(ctx.vmul(fb, pw)))
-            if ck:
-                out[k] = ck
-            if k < q - 2:
-                pw = ctx.vmul(pw, binv)
+        t = np.arange(q - 1, dtype=np.int64)
+        f_gt = values[ctx.vexp(t)]
+        ks = np.arange(1, q - 1, dtype=np.int64)
+        step = max(1, _INTERPOLATE_BLOCK_ELEMS // (q - 1))
+        for lo in range(0, q - 2, step):
+            k = ks[lo:lo + step]
+            terms = ctx.vmul(f_gt, ctx.vexp((q - 1 - k)[:, None] * t))
+            out.update((e, c) for e, c in zip(k.tolist(), ctx.vneg(ctx.field_sum(terms)).tolist())
+                       if c)
     return out
 
 

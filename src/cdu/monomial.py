@@ -259,7 +259,8 @@ def _classify_extension(p: int, h: int, d: int, c_base: int, r: int) -> Extensio
     elif g >= 3:
         one_minus_c = ctx.sub(1, c)
         b = one_minus_c  # image of x = 1 under (1-c)*x^d
-        sols = [x for x in range(q) if ctx.mul(one_minus_c, ctx.pow(x, d)) == b]
+        row = ctx.vmul_const(one_minus_c, ctx.vpow_const(ctx.elements(), d))
+        sols = np.nonzero(row == b)[0].tolist()
         violation = {"a": 0, "b": b, "count": len(sols), "solutions": sols}
 
     split = None

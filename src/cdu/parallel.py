@@ -5,12 +5,12 @@ across workers produces byte-identical reports to a serial run.  Threads
 are used rather than processes, so contexts and tables are shared without
 copying.  They speed a report up by less than their number: the row
 kernel's gathers run in parallel on two threads, np.bincount does not.  On
-a 2-core machine, medians of ten alternating runs of full_report at one
-and two workers were 0.23 and 0.17 s for g*x^20 + x^5 + x over F_{3^5}
-(123 orbits of c), 0.18 and 0.11 s for the three multipliers of F_3
-over F_{3^7}, and 0.45 and 0.40 s for the eight of F_8 over F_{2^12}.  A
-monomial's report counts two rows per orbit, too few to share: x^4 over
-F_{3^5} took 4 and 6 ms.
+a 2-core machine, in ten alternating runs of full_report at one and two
+workers, two workers were up to 1.6 times faster on reports that count
+thousands of rows, but the gain ranged from none to that between runs
+taken minutes apart.  A report that counts few rows is too small to
+share: x^4 over F_{3^5}, two rows per orbit of c, took 2.8 ms at one
+worker and 4.2 ms at two.
 """
 
 from __future__ import annotations

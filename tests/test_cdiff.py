@@ -16,11 +16,11 @@ from cdu.cdiff import (
     c_uniformity,
     check_quadratic_characterization,
     classify_c,
-    frobenius_degree,
     full_report,
     is_pseudo_pcn,
     is_relaxed_pcn,
     label_for_delta,
+    row_directions,
 )
 from cdu.field import make_field
 from cdu.funcs import PolyFunc, is_permutation, parse_function
@@ -178,7 +178,7 @@ def report_cases(draw):
     q = ctx.order
     nonzero = st.integers(1, q - 1)
     kind = draw(st.sampled_from(["monomial", "monomial_p", "monomial_big", "subfield",
-                                 "generic", "table"]))
+                                 "scaled", "generic", "table"]))
     if kind == "monomial":
         f = PolyFunc(ctx, {draw(nonzero): draw(nonzero)})
     elif kind == "monomial_p":  # d = 0 mod p
@@ -189,6 +189,11 @@ def report_cases(draw):
         sub = ctx.subfield_elements(p ** draw(st.sampled_from(_divisors(n))))
         f = PolyFunc(ctx, draw(st.dictionaries(st.integers(0, 2 * q), st.sampled_from(sub[1:]),
                                                min_size=1, max_size=4)))
+    elif kind == "scaled":  # exponents congruent mod some m > 1 dividing q - 1 (q > 2)
+        m = draw(st.sampled_from(_divisors(q - 1)[1:] or [1]))
+        d0 = draw(st.integers(0, m - 1))
+        f = PolyFunc(ctx, draw(st.dictionaries(st.integers(0, 2 * q // m).map(lambda i: d0 + m * i),
+                                               nonzero, min_size=1, max_size=4)))
     elif kind == "generic":
         f = PolyFunc(ctx, draw(st.dictionaries(st.integers(0, 2 * q), nonzero,
                                                min_size=1, max_size=4)))
@@ -238,7 +243,7 @@ class TestReducedReport:
     def test_method_and_representative(self, case):
         f, cs = case
         ctx = f.ctx
-        k = frobenius_degree(f)
+        k = f.frobenius_degree
         monomial = len(f.coeffs) == 1 and 0 not in f.coeffs
         for e in full_report(f, cs=cs).entries:
             d = e.to_dict()
@@ -252,7 +257,7 @@ class TestReducedReport:
         f, _ = case
         ctx = f.ctx
         xs = ctx.elements()
-        k = frobenius_degree(f)
+        k = f.frobenius_degree
         for j in _divisors(ctx.n):
             e = ctx.p ** j
             commutes = np.array_equal(f.table[ctx.vpow_const(xs, e)], ctx.vpow_const(f.table, e))
@@ -283,9 +288,95 @@ class TestReducedReport:
         assert sorted(rows) == [1, 1] + [2] * (len(reps) - 2)
         assert len(reps) < 81 // 4
         rows.clear()
-        # a primitive coefficient: the orbits are {c, 1/c}, and -1 is its own
-        full_report(PolyFunc(F81, {5: 1, 2: F81.generator}))
-        assert rows == [1, 80] + [81] * (1 + (81 - 3) // 2)
+        # a primitive coefficient: the orbits of c are {c, 1/c}, and the only
+        # direction orbits are {a, -a} at c = +-1 (-1 is its own c-orbit)
+        report = full_report(PolyFunc(F81, {5: 1, 2: F81.generator}))
+        assert rows == [1, 40, 41] + [81] * ((81 - 3) // 2)
+        # each entry records the rows counted for its representative
+        by_rep = dict(zip(sorted({e.to_dict().get("rep", e.c) for e in report.entries}), rows))
+        assert [e.directions for e in report.entries] == [
+            by_rep[e.to_dict().get("rep", e.c)] for e in report.entries]
+
+
+def _scalar_direction_orbit(ctx, a, c, k, m):
+    """The orbit of direction a under a -> lambda*a for lambda^m = 1,
+    a -> a^(p^(k*j)) for the smallest j >= 1 with c^(p^(k*j)) = c and, when
+    c^2 = 1 and p is odd, a -> -a; by scalar arithmetic."""
+    p = ctx.p
+    j = next(j for j in range(1, ctx.n + 1) if ctx.pow(c, p ** (k * j)) == c)
+    roots = [lam for lam in range(1, ctx.order) if ctx.pow(lam, m) == 1]
+    if p != 2 and ctx.mul(c, c) == 1:
+        roots += [ctx.neg(lam) for lam in roots]
+    orbit, x = set(), a
+    for _ in range(ctx.n):
+        orbit |= {ctx.mul(lam, x) for lam in roots}
+        x = ctx.pow(x, p ** (k * j))
+    return orbit
+
+
+class TestDirectionOrbits:
+    """row_directions and the reduced row counts against scalar orbits and
+    full c-DDTs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(REPORT_FIELDS), st.data())
+    def test_directions_and_orbits_cover_the_field_once(self, pn, data):
+        ctx = make_field(*pn)
+        q = ctx.order
+        c = data.draw(st.integers(0, q - 1))
+        k = data.draw(st.sampled_from(_divisors(ctx.n)))
+        m = data.draw(st.sampled_from(_divisors(q - 1)))
+        directions = [0] + row_directions(ctx, c, k, m).tolist()
+        orbits = [_scalar_direction_orbit(ctx, a, c, k, m) for a in directions]
+        assert sum(len(o) for o in orbits) == q
+        assert set().union(*orbits) == set(range(q))
+
+    @settings(max_examples=80, deadline=None)
+    @given(report_cases())
+    def test_scaling_order_scales_f(self, case):
+        f, _ = case
+        ctx = f.ctx
+        m = f.scaling_order
+        d = next(iter(f.coeffs), 0)
+        assert all((e - d) % m == 0 for e in f.coeffs) and (ctx.order - 1) % m == 0
+        xs = ctx.elements()
+        for lam in range(1, ctx.order):
+            if ctx.pow(lam, m) == 1:
+                assert np.array_equal(f.table[ctx.vmul_const(lam, xs)],
+                                      ctx.vmul_const(ctx.pow(lam, d), f.table))
+
+    @settings(max_examples=80, deadline=None)
+    @given(report_cases(), st.data())
+    def test_row_counts_constant_on_orbits(self, case, data):
+        f, _ = case
+        ctx = f.ctx
+        c = data.draw(st.integers(0, ctx.order - 1))
+        k, m = f.frobenius_degree, f.scaling_order
+        spectrum = c_ddt(f, c)
+        for a in row_directions(ctx, c, k, m).tolist():
+            profile = sorted(spectrum.counts[a])
+            for b in _scalar_direction_orbit(ctx, a, c, k, m):
+                assert spectrum.row_max[b] == spectrum.row_max[a], (str(f), c, a, b)
+                assert sorted(spectrum.counts[b]) == profile
+
+    @settings(max_examples=80, deadline=None)
+    @given(report_cases())
+    def test_report_where_directions_reduce(self, case):
+        # c = -1 for odd p, and the multipliers of the subfield F_{p^k},
+        # where sigma = x^(p^k) fixes c and reduces the directions
+        f, _ = case
+        ctx = f.ctx
+        k = f.frobenius_degree
+        cs = {1, ctx.neg(1)} | (set(ctx.subfield_elements(ctx.p ** k)) if k < ctx.n else set())
+        for e in full_report(f, cs=cs).entries:
+            assert e.delta == c_uniformity(f, e.c), (str(f), e)
+
+    @settings(max_examples=80, deadline=None)
+    @given(report_cases(), st.data())
+    def test_relaxed_pcn_against_full_counts(self, case, data):
+        f, _ = case
+        c = data.draw(st.integers(0, f.ctx.order - 1))
+        assert is_relaxed_pcn(f, c) == bool(c_ddt(f, c).counts[1:].max(initial=0) <= 1)
 
 
 class TestClassicalReduction:

@@ -254,6 +254,21 @@ class TestSweep:
         if v2.violation_witness and v2.violation_witness["a"] == 0:
             assert v2.violation_witness["count"] >= 3
 
+    @pytest.mark.parametrize("p,h,d,c,r", [(3, 2, 20, 3, 1), (7, 1, 3, 2, 1), (7, 1, 27, 4, 1),
+                                           (5, 2, 9, 6, 1), (5, 2, 18, 5, 1)])
+    def test_zero_row_witness_matches_scalar_solutions(self, p, h, d, c, r):
+        # every case has gcd(d, q-1) >= 3 and no fiber of size 3 in the a = 1 row
+        ctx = make_field(p, h * r)
+        assert math.gcd(d, ctx.order - 1) >= 3
+        w = exceptionality_sweep(p, h, d, c, r).per_extension[r - 1].violation_witness
+        assert w["a"] == 0
+        one_minus_c = ctx.sub(1, c)
+        scalar = [x for x in range(ctx.order) if ctx.mul(one_minus_c, ctx.pow(x, d)) == one_minus_c]
+        assert w["b"] == one_minus_c
+        assert w["solutions"] == scalar
+        assert all(type(x) is int for x in w["solutions"])
+        assert w["count"] == len(scalar) >= 3
+
     def test_bad_inputs(self):
         with pytest.raises(errors.BadC):
             exceptionality_sweep(3, 3, 5, 1, 2)

@@ -509,10 +509,10 @@ class FieldContext:
         hi = self._fold_hi[ah[:, None] + self._spread[: self.order // self._half]]
         return (hi[:, :, None] + lo[:, None, :]).reshape(len(a), self.order)
 
-    def field_sum(self, u):
-        """Sums of an array of elements along its last axis."""
-        d = self.digits[u].astype(np.int64).sum(axis=-2) % self.p
-        return d @ self._pow_vec
+    def field_sum(self, u) -> int:
+        """Sum of an array of elements, as one field element."""
+        d = self.digits[u].astype(np.int64).sum(axis=0) % self.p
+        return int(d @ self._pow_vec)
 
     # -- subfields ---------------------------------------------------------
 

@@ -197,35 +197,31 @@ class PolyFunc:
         return f"PolyFunc({self.ctx.p}^{self.ctx.n}, {self!s})"
 
 
-# interpolation sums about this many terms per block of coefficients
-_INTERPOLATE_BLOCK_ELEMS = 1 << 15
-
-
 def _interpolate(ctx: FieldContext, values: np.ndarray) -> dict[int, int]:
     """Coefficients of the unique reduced polynomial with the given table.
 
     Uses c_0 = f(0), c_{q-1} = -sum_b f(b), and for 1 <= k <= q-2
-    c_k = -sum_{b != 0} f(b) * b^(q-1-k), summed over b = g^t for a block
-    of k at a time.
+    c_k = -sum_{b != 0} f(b) * b^(q-1-k).
     """
     q = ctx.order
     out: dict[int, int] = {}
     c0 = int(values[0])
     if c0:
         out[0] = c0
-    top = ctx.neg(int(ctx.field_sum(values)))
+    top = ctx.neg(ctx.field_sum(values))
     if top and q > 1:
         out[q - 1] = top
     if q > 2:
-        t = np.arange(q - 1, dtype=np.int64)
-        f_gt = values[ctx.vexp(t)]
-        ks = np.arange(1, q - 1, dtype=np.int64)
-        step = max(1, _INTERPOLATE_BLOCK_ELEMS // (q - 1))
-        for lo in range(0, q - 2, step):
-            k = ks[lo:lo + step]
-            terms = ctx.vmul(f_gt, ctx.vexp((q - 1 - k)[:, None] * t))
-            out.update((e, c) for e, c in zip(k.tolist(), ctx.vneg(ctx.field_sum(terms)).tolist())
-                       if c)
+        nz = ctx.elements()[1:]
+        fb = values[1:]
+        binv = ctx.vpow_const(nz, q - 2)
+        pw = binv.copy()  # b^(q-1-k) starting at k = 1
+        for k in range(1, q - 1):
+            ck = ctx.neg(ctx.field_sum(ctx.vmul(fb, pw)))
+            if ck:
+                out[k] = ck
+            if k < q - 2:
+                pw = ctx.vmul(pw, binv)
     return out
 
 

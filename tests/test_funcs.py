@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cdu import cdiff, errors, funcs
+from cdu import cdiff, errors
 from cdu.field import make_field
 from cdu.funcs import (
     PolyFunc,
@@ -105,18 +105,6 @@ class TestTableAndInterpolation:
             f = PolyFunc(ctx, coeffs)
             g = PolyFunc.from_table(ctx, f.table)
             assert g.coeffs == f.coeffs
-
-    @pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (5, 2)])
-    @pytest.mark.parametrize("rows_per_block", [1, 2, 5])
-    def test_interpolation_blocks_straddle_the_budget(self, monkeypatch, p, n, rows_per_block):
-        ctx = make_field(p, n)
-        q = ctx.order
-        # a budget one short of the next row boundary leaves a partial last block
-        monkeypatch.setattr(funcs, "_INTERPOLATE_BLOCK_ELEMS", rows_per_block * (q - 1) + q - 2)
-        rng = random.Random(q * rows_per_block)
-        for _ in range(10):
-            f = PolyFunc(ctx, {rng.randrange(q): rng.randrange(1, q) for _ in range(6)})
-            assert PolyFunc.from_table(ctx, f.table).coeffs == f.coeffs
 
     def test_arbitrary_table_interpolates(self):
         rng = random.Random(8)

@@ -177,36 +177,42 @@ def orbit_reps(ctx, cs, k: int) -> list[int]:
     return rep.tolist()
 
 
-def row_directions(ctx, c: int, k: int, m: int) -> np.ndarray:
+def row_directions(ctx, c: int, m: int, twist: tuple[int, int]) -> np.ndarray:
     """One nonzero direction per orbit of a group that keeps the multiset
     of counts of each row of the c-derivative, for f with
-    k = f.frobenius_degree and m = f.scaling_order.  Direction 0 is an
+    m = f.scaling_order and twist = f.semilinear_twist.  Direction 0 is an
     orbit of its own.
 
-    The group is generated by three maps.  a -> lambda*a for lambda^m = 1:
-    substituting x -> lambda*x sends the solutions for (a, b) to those for
-    (lambda*a, lambda^d * b).  a -> sigma^j(a), sigma = x^(p^k) and j the
-    smallest j >= 1 with sigma^j(c) = c (see orbit_reps).  When c^2 = 1
-    and p is odd, a -> -a: y = x + a sends the solutions for (a, b) to
-    those for (-a, -b/c); m becomes lcm(m, 2).  Writing a = g^t, the
-    scalings reduce t modulo L = (q-1)/m and sigma^j multiplies t by
-    P = p^(kj) mod L, so the directions are g^t for each t in [0, L) that
-    is the smallest element of its <P>-orbit.  A monomial has L = 1 and
-    its one nonzero direction is 1.
+    The group is generated by three kinds of map.  a -> lambda*a for
+    lambda^m = 1: substituting x -> lambda*x sends the solutions for (a, b)
+    to those for (lambda*a, lambda^d * b).  a -> g^s * a^(p^i) for
+    (i, s) = twist, raised to the smallest power r with sigma^(i*r)(c) = c,
+    sigma being x -> x^p: with f(g^s * x^(p^i)) = mu * f(x)^(p^i),
+    substituting x -> g^s * x^(p^i) turns f(x+a) - c*f(x) = b into
+    mu * (f(y+a') - c'*f(y))^(p^i) = b, where a = g^s * a'^(p^i) and
+    c'^(p^i) = c.  When c^2 = 1 and p is odd, a -> -a: y = x + a sends
+    the solutions for (a, b) to those for (-a, -b/c); m becomes
+    lcm(m, 2).  Writing a = g^t, the scalings reduce t modulo
+    L = (q-1)/m and the twist maps t to P*t + S mod L, so the directions
+    are g^t for each t in [0, L) that is the smallest element of its orbit
+    under that map.  A monomial has L = 1 and its one nonzero direction
+    is 1.
     """
-    q, p = ctx.order, ctx.p
+    q, p, n = ctx.order, ctx.p, ctx.n
     if p != 2 and ctx.mul(c, c) == 1:
         m = math.lcm(m, 2)
     length = (q - 1) // m
-    # sigma has order n/k, so the order j of sigma on c divides n/k
-    j = next(j for j in range(1, ctx.n // k + 1)
-             if ctx.n // k % j == 0 and ctx.pow(c, p ** (k * j)) == c)
-    step = pow(p, k * j, length)
+    i, s = twist
+    # the subfield of c has degree j | n; sigma^(i*r) fixes c iff j | i*r
+    j = next(j for j in range(1, n + 1) if n % j == 0 and ctx.pow(c, p ** j) == c)
+    step, shift = 1 % length, 0  # t -> step*t + shift, the twist's r-th power
+    for _ in range(math.lcm(i, j) // i):
+        step, shift = p ** i * step % length, (p ** i * shift + s) % length
     t = np.arange(length, dtype=np.int64)
-    smallest, power = t, step
-    while power != 1 % length:  # t * P^i for 1 <= i < the order of P mod L
-        smallest = np.minimum(smallest, t * power % length)
-        power = power * step % length
+    smallest, power, offset = t, step, shift
+    while (power, offset) != (1 % length, 0):  # the nontrivial powers of the map
+        smallest = np.minimum(smallest, (t * power + offset) % length)
+        power, offset = power * step % length, (offset * step + shift) % length
     return ctx.vexp(t[smallest == t])
 
 
@@ -239,8 +245,8 @@ def full_report(f: PolyFunc, workers: int = 1, cs=None) -> ClassificationReport:
     """
     ctx = f.ctx
     cs = sorted(cs) if cs is not None else range(ctx.order)
-    k, m = f.frobenius_degree, f.scaling_order
-    reps = orbit_reps(ctx, cs, k)
+    m, twist = f.scaling_order, f.semilinear_twist
+    reps = orbit_reps(ctx, cs, f.frobenius_degree)
 
     def verdict(c: int) -> tuple[int, str, int, str]:
         """delta, label, rows counted and method for a representative; the
@@ -248,9 +254,9 @@ def full_report(f: PolyFunc, workers: int = 1, cs=None) -> ClassificationReport:
         if c == 0:
             directions = [0]
         elif c == 1:
-            directions = row_directions(ctx, c, k, m)
+            directions = row_directions(ctx, c, m, twist)
         else:
-            directions = np.concatenate(([0], row_directions(ctx, c, k, m)))
+            directions = np.concatenate(([0], row_directions(ctx, c, m, twist)))
         d = max(int(block.max()) for block in _row_block_counts(f, c, directions))
         return d, label_for_delta(d), len(directions), report_method(f, c)
 

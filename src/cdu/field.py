@@ -491,6 +491,12 @@ class FieldContext:
         """Elementwise g^t, g being the generator, for exponents t >= 0."""
         return self._exp2[np.asarray(t, dtype=np.int64) % (self.order - 1)]
 
+    def log(self, x: int) -> int:
+        """The t in [0, q-1) with g^t = x, for x != 0."""
+        if x == 0:
+            raise ValueError("logarithm of zero")
+        return int(self._log[x])
+
     def shift_perm(self, a: int) -> np.ndarray:
         """Index array of the translation x -> x + a."""
         if a == 0:

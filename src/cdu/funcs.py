@@ -175,6 +175,30 @@ class PolyFunc:
         exponents = list(self.coeffs) or [0]
         return math.gcd(self.ctx.order - 1, *(e - exponents[0] for e in exponents[1:]))
 
+    @functools.cached_property
+    def semilinear_twist(self) -> tuple[int, int]:
+        """(i, s): i is the smallest i >= 1 with some lambda = g^s and
+        mu != 0 such that f(lambda * x^(p^i)) = mu * f(x)^(p^i), and s is
+        one such exponent, taken modulo (q-1)/scaling_order.
+
+        Comparing the coefficients of x^(d*p^i) on both sides, this holds
+        iff s*(d - d0) = (p^i - 1)*(log alpha_d - log alpha_d0) mod q-1 for
+        every term alpha_d*x^d.  The valid i form the multiples of one
+        divisor of n, since i = n always holds with s = 0; i divides
+        frobenius_degree, where s = 0.
+        """
+        ctx = self.ctx
+        qm1 = ctx.order - 1
+        (d0, a0), *rest = sorted(self.coeffs.items()) or [(0, 1)]
+        diffs = [d - d0 for d, _ in rest]
+        logs = [ctx.log(a) - ctx.log(a0) for _, a in rest]
+        for i in range(1, ctx.n + 1):
+            if ctx.n % i == 0:
+                s = _solve_congruences(diffs, [(ctx.p ** i - 1) * e for e in logs], qm1)
+                if s is not None:
+                    return i, s % (qm1 // self.scaling_order)
+        raise AssertionError("i = n always holds (unreachable)")
+
     def __eq__(self, other):
         if not isinstance(other, PolyFunc):
             return NotImplemented
@@ -195,6 +219,20 @@ class PolyFunc:
 
     def __repr__(self):
         return f"PolyFunc({self.ctx.p}^{self.ctx.n}, {self!s})"
+
+
+def _solve_congruences(coeffs, rhs, modulus: int) -> int | None:
+    """One s with s*a = b (mod modulus) for every pair (a, b), or None."""
+    s, step = 0, 1  # the solutions so far are s + step*Z
+    for a, b in zip(coeffs, rhs):
+        # (s + step*u)*a = b  <=>  u*(step*a) = b - s*a
+        a_step, b_rest = step * a % modulus, (b - s * a) % modulus
+        g = math.gcd(a_step, modulus)
+        if b_rest % g:
+            return None
+        u = b_rest // g * pow(a_step // g, -1, modulus // g)
+        s, step = (s + step * u) % modulus, math.gcd(step * (modulus // g), modulus)
+    return s
 
 
 def _interpolate(ctx: FieldContext, values: np.ndarray) -> dict[int, int]:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import random
 
 import numpy as np
@@ -178,7 +179,7 @@ def report_cases(draw):
     q = ctx.order
     nonzero = st.integers(1, q - 1)
     kind = draw(st.sampled_from(["monomial", "monomial_p", "monomial_big", "subfield",
-                                 "scaled", "generic", "table"]))
+                                 "scaled", "twisted", "generic", "table"]))
     if kind == "monomial":
         f = PolyFunc(ctx, {draw(nonzero): draw(nonzero)})
     elif kind == "monomial_p":  # d = 0 mod p
@@ -194,6 +195,10 @@ def report_cases(draw):
         d0 = draw(st.integers(0, m - 1))
         f = PolyFunc(ctx, draw(st.dictionaries(st.integers(0, 2 * q // m).map(lambda i: d0 + m * i),
                                                nonzero, min_size=1, max_size=4)))
+    elif kind == "twisted":  # two terms with gcd(d1 - d2, q - 1) = 1: f(lambda*x^p) = mu*f(x)^p
+        d1 = draw(st.integers(0, 2 * q))
+        d2 = draw(st.integers(0, 2 * q).filter(lambda d: math.gcd(d - d1, q - 1) == 1))
+        f = PolyFunc(ctx, {d1: draw(nonzero), d2: draw(nonzero)})
     elif kind == "generic":
         f = PolyFunc(ctx, draw(st.dictionaries(st.integers(0, 2 * q), nonzero,
                                                min_size=1, max_size=4)))
@@ -288,29 +293,46 @@ class TestReducedReport:
         assert sorted(rows) == [1, 1] + [2] * (len(reps) - 2)
         assert len(reps) < 81 // 4
         rows.clear()
-        # a primitive coefficient: the orbits of c are {c, 1/c}, and the only
-        # direction orbits are {a, -a} at c = +-1 (-1 is its own c-orbit)
-        report = full_report(PolyFunc(F81, {5: 1, 2: F81.generator}))
-        assert rows == [1, 40, 41] + [81] * ((81 - 3) // 2)
+        # a primitive coefficient: the orbits of c are {c, 1/c}.  As
+        # gcd(5 - 2, 80) = 1, f(lambda * x^3) = mu * f(x)^3 for some lambda,
+        # so directions reduce by that twist for c in F_3 (along with
+        # a -> -a) and by its square for c in F_9; the 36 orbits of c
+        # outside F_9 count every direction
+        f = PolyFunc(F81, {5: 1, 2: F81.generator})
+        assert f.semilinear_twist[0] == 1 and f.frobenius_degree == 4
+        report = full_report(f)
+        assert rows[:3] == [1, 13, 14] and sorted(rows[3:]) == [45] * 3 + [81] * 36
         # each entry records the rows counted for its representative
         by_rep = dict(zip(sorted({e.to_dict().get("rep", e.c) for e in report.entries}), rows))
         assert [e.directions for e in report.entries] == [
             by_rep[e.to_dict().get("rep", e.c)] for e in report.entries]
 
 
-def _scalar_direction_orbit(ctx, a, c, k, m):
-    """The orbit of direction a under a -> lambda*a for lambda^m = 1,
-    a -> a^(p^(k*j)) for the smallest j >= 1 with c^(p^(k*j)) = c and, when
-    c^2 = 1 and p is odd, a -> -a; by scalar arithmetic."""
+def _scalar_direction_orbit(ctx, a, c, m, twist):
+    """The orbit of direction a under a -> lambda*a for lambda^m = 1, the
+    r-th power of a -> g^s * a^(p^i) for (i, s) = twist and the smallest
+    r >= 1 with c^(p^(i*r)) = c and, when c^2 = 1 and p is odd, a -> -a;
+    by scalar arithmetic."""
     p = ctx.p
-    j = next(j for j in range(1, ctx.n + 1) if ctx.pow(c, p ** (k * j)) == c)
-    roots = [lam for lam in range(1, ctx.order) if ctx.pow(lam, m) == 1]
+    i, s = twist
+    r = next(r for r in range(1, ctx.n + 1) if ctx.pow(c, p ** (i * r)) == c)
+    lam = ctx.pow(ctx.generator, s)
+
+    def twisted(x):
+        for _ in range(r):
+            x = ctx.mul(lam, ctx.pow(x, p ** i))
+        return x
+
+    roots = [mu for mu in range(1, ctx.order) if ctx.pow(mu, m) == 1]
     if p != 2 and ctx.mul(c, c) == 1:
-        roots += [ctx.neg(lam) for lam in roots]
-    orbit, x = set(), a
-    for _ in range(ctx.n):
-        orbit |= {ctx.mul(lam, x) for lam in roots}
-        x = ctx.pow(x, p ** (k * j))
+        roots += [ctx.neg(mu) for mu in roots]
+    orbit, todo = {a}, [a]
+    while todo:
+        x = todo.pop()
+        for y in [ctx.mul(mu, x) for mu in roots] + [twisted(x)]:
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
     return orbit
 
 
@@ -324,10 +346,11 @@ class TestDirectionOrbits:
         ctx = make_field(*pn)
         q = ctx.order
         c = data.draw(st.integers(0, q - 1))
-        k = data.draw(st.sampled_from(_divisors(ctx.n)))
         m = data.draw(st.sampled_from(_divisors(q - 1)))
-        directions = [0] + row_directions(ctx, c, k, m).tolist()
-        orbits = [_scalar_direction_orbit(ctx, a, c, k, m) for a in directions]
+        # any twist, whether or not some f has it: the orbits still partition
+        twist = (data.draw(st.sampled_from(_divisors(ctx.n))), data.draw(st.integers(0, q - 1)))
+        directions = [0] + row_directions(ctx, c, m, twist).tolist()
+        orbits = [_scalar_direction_orbit(ctx, a, c, m, twist) for a in directions]
         assert sum(len(o) for o in orbits) == q
         assert set().union(*orbits) == set(range(q))
 
@@ -346,16 +369,36 @@ class TestDirectionOrbits:
                                       ctx.vmul_const(ctx.pow(lam, d), f.table))
 
     @settings(max_examples=80, deadline=None)
+    @given(report_cases())
+    def test_semilinear_twist_is_the_smallest(self, case):
+        f, _ = case
+        ctx = f.ctx
+        xs = ctx.elements()
+
+        def twists(i, s):
+            """f(g^s * x^(p^i)) = mu * f(x)^(p^i) for some mu != 0."""
+            lhs = f.table[ctx.vmul_const(ctx.pow(ctx.generator, s), ctx.vpow_const(xs, ctx.p ** i))]
+            rhs = ctx.vpow_const(f.table, ctx.p ** i)
+            return any(np.array_equal(lhs, ctx.vmul_const(mu, rhs)) for mu in range(1, ctx.order))
+
+        i, s = f.semilinear_twist
+        assert ctx.n % i == 0 and f.frobenius_degree % i == 0
+        assert 0 <= s < (ctx.order - 1) // f.scaling_order
+        assert twists(i, s)
+        assert not any(twists(i2, s2) for i2 in _divisors(ctx.n) if i2 < i
+                       for s2 in range(ctx.order - 1))
+
+    @settings(max_examples=80, deadline=None)
     @given(report_cases(), st.data())
     def test_row_counts_constant_on_orbits(self, case, data):
         f, _ = case
         ctx = f.ctx
         c = data.draw(st.integers(0, ctx.order - 1))
-        k, m = f.frobenius_degree, f.scaling_order
+        m, twist = f.scaling_order, f.semilinear_twist
         spectrum = c_ddt(f, c)
-        for a in row_directions(ctx, c, k, m).tolist():
+        for a in row_directions(ctx, c, m, twist).tolist():
             profile = sorted(spectrum.counts[a])
-            for b in _scalar_direction_orbit(ctx, a, c, k, m):
+            for b in _scalar_direction_orbit(ctx, a, c, m, twist):
                 assert spectrum.row_max[b] == spectrum.row_max[a], (str(f), c, a, b)
                 assert sorted(spectrum.counts[b]) == profile
 

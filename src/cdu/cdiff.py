@@ -73,10 +73,30 @@ class CDiffSpectrum:
     delta: int
 
     def to_csv(self, stream):
-        q = self.counts.shape[0]
+        """Write the header b = 0..q-1, then one line "a,counts[a]" per a.
+
+        A block of rows is encoded at a time: each cell is gathered from
+        a table holding, for every value, its decimal digits, null
+        padding and a comma; the row's last comma becomes a newline and
+        the padding is deleted, giving the bytes of str() per cell.
+        """
+        counts = self.counts
+        q = counts.shape[0]
         stream.write("a\\b," + ",".join(map(str, range(q))) + "\n")
-        for a, row in enumerate(self.counts.tolist()):
-            stream.write(f"{a},{','.join(map(str, row))}\n")
+        top = max(q - 1, int(counts.max()))
+        digits = np.array([str(v).encode() for v in range(top + 1)])
+        width = digits.itemsize + 1
+        table = np.full((top + 1, width), ord(","), dtype=np.uint8)
+        table[:, :-1] = digits.view(np.uint8).reshape(top + 1, -1)
+        table = table.view(f"V{width}").ravel()
+        step = max(1, _BLOCK_ELEMS // q)
+        for lo in range(0, q, step):
+            block = counts[lo:lo + step]
+            cells = np.empty((len(block), q + 1), dtype=table.dtype)
+            cells[:, 0] = table[lo:lo + len(block)]
+            cells[:, 1:] = table[block]
+            cells.view(np.uint8)[:, -1] = ord("\n")
+            stream.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def c_ddt(f: PolyFunc, c: int) -> CDiffSpectrum:

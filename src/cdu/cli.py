@@ -12,7 +12,11 @@ byte-identical JSON at any parallelism.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import itertools
 import json
+import os
 import sys
 
 from . import cdiff, construct, monomial, verify
@@ -123,9 +127,59 @@ def _resolve(args, cfg, key, default):
     return default
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(pad: str):
+    """The C encoder, with items separated by a newline and pad; one is
+    kept per nesting depth."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": ")).encode
+
+
+def _indented_json(obj, pad: str = "") -> str:
+    """Exactly json.dumps(obj, sort_keys=True, indent=2), pad being the
+    indentation of the line obj starts on.
+
+    With an indent, json.dumps runs its pure-Python encoder.  Here a
+    container that nests nothing nonempty is one call of the C encoder,
+    whose item separator carries the newline and indentation, and so is
+    a list of nonempty dicts of scalars; other containers recurse.
+    """
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return json.dumps(obj)
+    inner = pad + "  "
+    if not any(isinstance(v, (dict, list, tuple)) and v for v in values):
+        text = _flat_encoder(inner)(obj)
+    elif isinstance(obj, dict):
+        # json.dumps({k: None}) renders a key as the encoder does: 1 -> "1"
+        text = "{" + f",\n{inner}".join(
+            json.dumps({k: None})[1:-7] + ": " + _indented_json(v, inner)
+            for k, v in sorted(obj.items())) + "}"
+    elif ({*map(type, obj)} == {dict} and all(obj)
+          and _SCALARS.issuperset(map(type, itertools.chain.from_iterable(map(dict.values, obj))))):
+        # a list of nonempty dicts of scalars, like a report's entries: a
+        # raw newline only ever comes from a separator, and every item of a
+        # dict starts with its key, so "},\n" + inner2 + "{" is exactly a
+        # boundary between two of the dicts
+        inner2 = inner + "  "
+        text = _flat_encoder(inner2)(obj).replace(
+            f"}},\n{inner2}{{", f"\n{inner}}},\n{inner}{{\n{inner2}")
+        return f"[\n{inner}{{\n{inner2}{text[2:-2]}\n{inner}}}\n{pad}]"
+    else:
+        text = "[" + f",\n{inner}".join(_indented_json(v, inner) for v in obj) + "]"
+    return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+
+
 def _emit(report: dict, fmt: str):
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_indented_json(report))
     else:
         _emit_human(report)
 
@@ -148,6 +202,14 @@ def _emit_human(obj, indent=0):
                 print(f"{pad}- {v}")
     else:
         print(f"{pad}{obj}")
+
+
+def _drop_stdout():
+    """Send the rest of stdout to os.devnull once its reader has closed
+    the pipe, so that the flush at exit does not raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _field_spec(spec_text: str):
@@ -189,16 +251,30 @@ def cmd_analyze(args, cfg) -> tuple[dict, int]:
         raise ConfigError(f"cannot parse function: {exc}") from None
     workers = _resolve(args, cfg, "parallel", 1)
     cs = None if scope is None else ctx.subfield_elements(ctx.p ** scope)
-    report = cdiff.full_report(f, workers=workers, cs=cs).to_dict()
+    matrix_c, matrix_out = None, None
     if args.matrix_c is not None:
-        c = parse_element(ctx, args.matrix_c)
-        spectrum = cdiff.c_ddt(f, c)
+        # both are checked before the report is counted
+        try:
+            matrix_c = parse_element(ctx, args.matrix_c)
+        except ParseError as exc:
+            raise ConfigError(f"cannot parse --matrix-c: {exc}") from None
         if args.matrix_out:
-            with open(args.matrix_out, "w") as fh:
-                spectrum.to_csv(fh)
-            report["matrix_csv"] = args.matrix_out
-        else:
-            spectrum.to_csv(sys.stdout)
+            try:
+                matrix_out = open(args.matrix_out, "w")
+            except OSError as exc:
+                raise ConfigError(f"cannot write --matrix-out: {exc}") from None
+    with matrix_out or contextlib.nullcontext():
+        report = cdiff.full_report(f, workers=workers, cs=cs).to_dict()
+        if matrix_c is not None:
+            spectrum = cdiff.c_ddt(f, matrix_c)
+            if matrix_out:
+                spectrum.to_csv(matrix_out)
+                report["matrix_csv"] = args.matrix_out
+            else:
+                try:
+                    spectrum.to_csv(sys.stdout)
+                except BrokenPipeError:
+                    _drop_stdout()
     return {"command": "analyze", "report": report}, EXIT_OK
 
 
@@ -418,8 +494,11 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - internal faults
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    fmt = _resolve(args, cfg, "format", "json")
-    _emit(report, fmt)
+    try:
+        _emit(report, _resolve(args, cfg, "format", "json"))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
     return status
 
 

@@ -32,6 +32,8 @@ F5 = make_field(5, 1)
 F7 = make_field(7, 1)
 F8 = make_field(2, 3, [1, 1, 0, 1])
 F9 = make_field(3, 2)
+F128 = make_field(2, 7)
+F243 = make_field(3, 5)
 
 
 class TestCDerivative:
@@ -102,8 +104,16 @@ class TestSpectrum:
         assert lines[0] == "a\\b,0,1,2,3,4"
         assert len(lines) == 6
 
-    @pytest.mark.parametrize("ctx", [F8, F9], ids=["F8", "F9"])
-    def test_csv_bytes_match_cell_by_cell_format(self, ctx):
+    # F128 has three-digit labels, and x^2 is linear there, so its c = 1
+    # rows hold a count of 128; with 3 * 128 elements a block is 3 rows,
+    # so blocks straddle the 128-row matrix
+    @pytest.mark.parametrize("ctx,block_elems", [
+        (F8, None), (F9, None), (F128, None), (F243, None), (F128, 3 * 128),
+    ], ids=["F8", "F9", "F128", "F243", "F128-3-row-blocks"])
+    def test_csv_bytes_match_cell_by_cell_format(self, ctx, block_elems, monkeypatch):
+        if block_elems is not None:
+            monkeypatch.setattr(cdiff, "_BLOCK_ELEMS", block_elems)
+
         def cell_by_cell(counts):
             q = counts.shape[0]
             text = "a\\b," + ",".join(str(b) for b in range(q)) + "\n"

@@ -6,9 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cdu
-from cdu import field
+from cdu import cdiff, cli, field
 from cdu.cli import main
 
 
@@ -165,7 +166,10 @@ class TestAnalyze:
                                "--function", "x", "--c-scope", "3")
         assert code == 2
 
-    def test_matrix_dump(self, capsys, tmp_path):
+    def test_matrix_dump(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report ran before the --matrix-c arguments were checked")
+
         path = tmp_path / "ddt.csv"
         code, out, _ = run_cli(capsys, "analyze", "--field", "5^1",
                                "--function", "x^2", "--matrix-c", "1",
@@ -174,6 +178,16 @@ class TestAnalyze:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "a\\b,0,1,2,3,4"
         assert len(lines) == 6
+        # an unwritable path is a config error, found before the report
+        monkeypatch.setattr(cdiff, "full_report", refuse)
+        code, out, err = run_cli(capsys, "analyze", "--field", "2^4",
+                                 "--function", "x^3", "--matrix-c", "5",
+                                 "--matrix-out", str(tmp_path / "missing" / "x.csv"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --matrix-out")
+        code, _, err = run_cli(capsys, "analyze", "--field", "2^4", "--function", "x^3",
+                               "--matrix-c", "h")
+        assert code == 2 and err.startswith("error: cannot parse --matrix-c")
 
     def test_human_format(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--field", "5^1",
@@ -303,6 +317,48 @@ class TestExperiments:
         assert rep["excluded_exponents"]
 
 
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(alphabet=st.characters(codec="utf-8")) | st.sampled_from(
+                     ["", "quote \" back \\ slash", "tab\tnew\nline", "\x00\x1f\x7f", "é ✓ 𝔽"]))
+_JSON_FLAT = _JSON_SCALARS | st.just([]) | st.just({})
+
+
+def _json_containers(children):
+    return (st.lists(children, max_size=4)
+            | st.lists(children, max_size=3).map(tuple)
+            | st.dictionaries(st.text(max_size=4), children, max_size=4)
+            | st.dictionaries(st.integers(-3, 20), children, max_size=3)
+            # a list of nonempty dicts that nest nothing, like a report's entries
+            | st.lists(st.dictionaries(st.text(max_size=3), _JSON_FLAT, min_size=1, max_size=4),
+                       min_size=1, max_size=4))
+
+
+class TestJsonEncoding:
+    @settings(max_examples=400, deadline=None)
+    @given(st.recursive(_JSON_FLAT, _json_containers, max_leaves=30))
+    def test_indented_json_is_the_stdlib_encoding(self, obj):
+        assert cli._indented_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--field", "3^2", "--function", "x^2 + x^3"],
+        ["construct", "--recipe", json.dumps({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x",
+                                              "g": "x^2", "h_or_b": 1, "kind": "f1"})],
+        ["monomial", "--p", "3", "--h", "3", "--d", "5", "--c", "g", "--rmax", "2"],
+        ["verify-theorems", "--seed", "0"],
+    ], ids=["analyze", "construct", "monomial", "verify-theorems"])
+    def test_main_prints_the_stdlib_encoding(self, capsys, monkeypatch, argv):
+        reports = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda report, fmt: (reports.append(report),
+                                                               emit(report, fmt)))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(reports[0], sort_keys=True, indent=2) + "\n"
+        if argv[0] == "analyze":
+            entries = reports[0]["report"]["entries"]
+            assert any("rep" in e for e in entries) and any("note" in e for e in entries)
+
+
 class TestDeterminismAndConfig:
     def test_parallelism_does_not_change_bytes(self, capsys):
         args = ["analyze", "--field", "3^2", "--function", "x^2 + x^3"]
@@ -337,3 +393,21 @@ class TestEntryPoint:
             env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["report"]["summary"]["pcn_c"] == [1]
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--field", "2^10", "--function", "x^3"],
+        ["analyze", "--field", "2^8", "--function", "x^3", "--matrix-c", "5"],
+    ], ids=["report", "matrix"])
+    def test_closed_stdout_ends_quietly(self, argv):
+        # each writes well over a pipe's buffer, so the writer meets the
+        # closed pipe rather than finishing first
+        src = os.path.dirname(os.path.dirname(cdu.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cdu", *argv], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""

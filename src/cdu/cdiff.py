@@ -102,7 +102,7 @@ class CDiffSpectrum:
 def c_ddt(f: PolyFunc, c: int) -> CDiffSpectrum:
     """Materialize the full q x q count matrix (O(q^2) time and space)."""
     q = f.ctx.order
-    counts = np.empty((q, q), dtype=np.int64)
+    counts = np.empty((q, q), dtype=np.int32)  # a count never exceeds q
     a = 0
     for block in _row_block_counts(f, c, range(q)):
         counts[a:a + len(block)] = block

@@ -25,6 +25,7 @@ from .field import format_field_spec, make_field, parse_element, split_field_spe
 from .funcs import PolyFunc, is_permutation, is_two_to_one, parse_function
 
 DEFAULT_DDT_CAP = 1 << 12
+DEFAULT_SWEEP_CAP = 1 << 20
 # experiment probe -> (default field, default field-order cap); the cap
 # keeps a probe to seconds: pseudo-pcn evaluates about q^3 rows and
 # relaxed-pcn-odd-p --count times q^2, quad-zero-index fewer than n tables
@@ -40,6 +41,7 @@ EXIT_CONFIG = 2
 EXIT_STRICT_FAILURE = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdu",
@@ -53,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized suites (default 0)")
     common.add_argument("--cap", type=int, default=None,
                         help=f"field-order cap of analyze and construct (default {DEFAULT_DDT_CAP}),"
-                             f" monomial (default {monomial.DEFAULT_SWEEP_CAP}) and the"
+                             f" monomial (default {DEFAULT_SWEEP_CAP}) and the"
                              f" experiment probes (default {PROBE_DEFAULTS['pseudo-pcn'][1]};"
                              f" {PROBE_DEFAULTS['quad-zero-index'][1]} for quad-zero-index)")
     common.add_argument("--force", action="store_true",
@@ -369,7 +371,7 @@ def cmd_construct(args, cfg) -> tuple[dict, int]:
 
 
 def cmd_monomial(args, cfg) -> tuple[dict, int]:
-    _check_cap(args, cfg, args.p ** (args.h * args.rmax), monomial.DEFAULT_SWEEP_CAP,
+    _check_cap(args, cfg, args.p ** (args.h * args.rmax), DEFAULT_SWEEP_CAP,
                f"the sweep builds F_{args.p}^({args.h}r) for r = 1..{args.rmax}")
     base = make_field(args.p, args.h)
     try:
@@ -378,7 +380,7 @@ def cmd_monomial(args, cfg) -> tuple[dict, int]:
         raise ConfigError(f"cannot parse c: {exc}") from None
     workers = _resolve(args, cfg, "parallel", 1)
     analysis = monomial.exceptionality_sweep(
-        args.p, args.h, args.d, c, args.rmax, cap=None, workers=workers)
+        args.p, args.h, args.d, c, args.rmax, workers=workers)
     return {"command": "monomial", "report": analysis.to_dict()}, EXIT_OK
 
 

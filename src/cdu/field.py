@@ -10,7 +10,9 @@ directly by element value.
 A FieldContext is immutable once constructed and safe to share across
 threads: every operation is a pure function of the context and its
 arguments.  Every field multiplies through discrete-log/exponential
-tables; digit-convolution multiplication builds those tables.
+tables.  The exponential table is built by doubling: multiplying by the
+constant g^k is an F_p-linear map, one n x n matrix applied to the
+base-p digits of the first k powers.
 
 Element I/O accepts the canonical integer form and the symbolic
 ``a*g^2+b*g+c`` polynomial-in-generator form; output is canonical
@@ -21,7 +23,6 @@ integers.  Field specification strings look like ``"3^2"`` or
 from __future__ import annotations
 
 import functools
-import math
 import re
 import threading
 from dataclasses import dataclass
@@ -76,8 +77,8 @@ def prime_factors(m: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over Z_p (coefficient tuples, lowest degree
-# first, trailing zeros trimmed) -- used for modulus validation and the
-# irreducibility test only
+# first, trailing zeros trimmed) -- used for modulus validation, the
+# irreducibility test and the scalar steps of the log-table build
 # ---------------------------------------------------------------------------
 
 def _ptrim(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -209,10 +210,10 @@ class FieldSpec:
 class FieldContext:
     """A fully materialized finite field F_{p^n}.
 
-    Holds the element tables (base-p digit matrix, discrete-log and
-    exponential tables, half-addition tables for odd p) that the rest of
-    the library computes with.  Construct through :func:`make_field`,
-    which validates and caches contexts.
+    Holds the element tables (discrete-log and exponential tables,
+    half-addition tables for odd p) that the rest of the library computes
+    with.  Construct through :func:`make_field`, which validates and
+    caches contexts.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -224,16 +225,6 @@ class FieldContext:
 
         p, n, q = self.p, self.n, self.order
         self._pow_vec = np.array([p ** i for i in range(n)], dtype=np.int64)
-        idx = np.arange(q, dtype=np.int64)
-        self.digits = np.empty((q, n), dtype=np.int16)
-        for i in range(n):
-            self.digits[:, i] = (idx // (p ** i)) % p
-
-        # reduction rows: x^(n+k) mod modulus as a digit vector, k = 0..n-2
-        self._reduc = np.zeros((max(n - 1, 0), n), dtype=np.int64)
-        for k in range(n - 1):
-            row = _pmod((0,) * (n + k) + (1,), self.modulus, p)
-            self._reduc[k, : len(row)] = row
 
         self._build_log_tables()
         if p != 2:
@@ -249,9 +240,13 @@ class FieldContext:
     def __repr__(self):
         return f"FieldContext(F_{self.p}^{self.n}, modulus={list(self.modulus)})"
 
+    def _digits(self, u) -> np.ndarray:
+        """Base-p digits of each element of u, along a new last axis."""
+        return np.asarray(u, dtype=np.int64)[..., None] // self._pow_vec % self.p
+
     def coords(self, x: int) -> tuple[int, ...]:
         """Polynomial-basis coordinates of a canonical integer."""
-        return tuple(int(v) for v in self.digits[x])
+        return tuple(int(v) for v in self._digits(x))
 
     @property
     def gen_residue(self) -> int:
@@ -266,69 +261,39 @@ class FieldContext:
 
     # -- table construction ------------------------------------------------
 
-    def _vmul_direct(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Digit-convolution product, used to build the discrete-log tables."""
-        p, n = self.p, self.n
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        u, v = np.broadcast_arrays(u, v)
-        flat_u = u.reshape(-1)
-        flat_v = v.reshape(-1)
-        out = np.empty(flat_u.shape[0], dtype=np.int64)
-        chunk = 1 << 18
-        for lo in range(0, flat_u.shape[0], chunk):
-            du = self.digits[flat_u[lo:lo + chunk]].astype(np.int64)
-            dv = self.digits[flat_v[lo:lo + chunk]].astype(np.int64)
-            conv = np.zeros((du.shape[0], 2 * n - 1), dtype=np.int64)
-            for i in range(n):
-                col = du[:, i:i + 1]
-                conv[:, i:i + n] += col * dv
-            low = conv[:, :n]
-            if n > 1:
-                low = low + conv[:, n:] @ self._reduc
-            out[lo:lo + chunk] = (low % p) @ self._pow_vec
-        return out.reshape(u.shape)
-
-    def _mul_direct(self, a: int, b: int) -> int:
-        return int(self._vmul_direct(np.int64(a), np.int64(b)))
-
-    def _pow_direct(self, a: int, e: int) -> int:
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_direct(result, base)
-            base = self._mul_direct(base, base)
-            e >>= 1
-        return result
-
     def _build_log_tables(self):
-        q = self.order
-        if q == 2:
-            self.generator = 1
-            exp = np.array([1], dtype=np.int64)
-        else:
-            factors = prime_factors(q - 1)
-            gen = None
-            for cand in range(2, q):
-                if all(self._pow_direct(cand, (q - 1) // r) != 1 for r in factors):
-                    gen = cand
-                    break
-            assert gen is not None, "no primitive element found (unreachable)"
-            self.generator = gen
-            # block build of the power table: g^k = g^(k%B) * (g^B)^(k//B)
-            b = math.isqrt(q - 1) + 1
-            g1 = [1]
-            for _ in range(b):
-                g1.append(self._mul_direct(g1[-1], gen))
-            gb = g1[b]
-            g2 = [1]
-            for _ in range((q - 2) // b + 1):
-                g2.append(self._mul_direct(g2[-1], gb))
-            ks = np.arange(q - 1, dtype=np.int64)
-            exp = self._vmul_direct(
-                np.array(g1[:b], dtype=np.int64)[ks % b],
-                np.array(g2, dtype=np.int64)[ks // b],
-            )
+        """Generator, exponential and discrete-log tables.
+
+        The generator is the smallest integer whose (q-1)/r-th power is not
+        1 for any prime r dividing q-1.  exp is filled by doubling:
+        exp[k:2k] = exp[:k] * g^k, and multiplying by g^k maps digit
+        vectors through the matrix whose row i holds X^i * g^k mod the
+        modulus.
+        """
+        p, n, q, f = self.p, self.n, self.order, self.modulus
+        factors = prime_factors(q - 1)
+        self.generator = next(
+            (c for c in range(2, q)
+             if all(_ppowmod(_ptrim(self.coords(c)), (q - 1) // r, f, p) != (1,)
+                    for r in factors)),
+            1)  # F_2: the only unit generates
+        exp = np.empty(q - 1, dtype=np.int64)
+        exp[0] = 1
+        gk = _ptrim(self.coords(self.generator))
+        k = 1
+        while k < q - 1:
+            mat = np.zeros((n, n), dtype=np.int64)
+            row = gk
+            for i in range(n):
+                mat[i, : len(row)] = row
+                row = _pmulmod(row, (0, 1), f, p)
+            # in chunks, so that the int64 digit temporaries stay small
+            m, chunk = min(k, q - 1 - k), 1 << 16
+            for lo in range(0, m, chunk):
+                hi = min(lo + chunk, m)
+                exp[k + lo:k + hi] = self._digits(exp[lo:hi]) @ mat % p @ self._pow_vec
+            gk = _pmulmod(gk, gk, f, p)
+            k *= 2
         self._exp2 = np.concatenate([exp, exp])
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(len(exp), dtype=np.int64)
@@ -351,7 +316,7 @@ class FieldContext:
         self._half = p ** k
         radix = 2 * p - 1
         spread_pow = radix ** np.arange(k, dtype=np.int64)
-        half_digits = self.digits[: self._half, :k].astype(np.int64)
+        half_digits = self._digits(np.arange(self._half))[:, :k]
         self._spread = half_digits @ spread_pow
         self._spread_neg = (-half_digits % p) @ spread_pow
         sums = np.arange(radix ** k, dtype=np.int64)
@@ -517,7 +482,7 @@ class FieldContext:
 
     def field_sum(self, u) -> int:
         """Sum of an array of elements, as one field element."""
-        d = self.digits[u].astype(np.int64).sum(axis=0) % self.p
+        d = self._digits(u).sum(axis=0) % self.p
         return int(d @ self._pow_vec)
 
     # -- subfields ---------------------------------------------------------
@@ -668,23 +633,6 @@ def parse_element(ctx: FieldContext, text: str) -> int:
     from ._parse import parse_element_text
 
     return parse_element_text(ctx, text)
-
-
-def format_element_symbolic(ctx: FieldContext, x: int) -> str:
-    """Polynomial-in-generator form, e.g. ``2*g^2+g+1``."""
-    coords = ctx.coords(x)
-    parts = []
-    for i in range(ctx.n - 1, -1, -1):
-        c = coords[i]
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append("g" if c == 1 else f"{c}*g")
-        else:
-            parts.append(f"g^{i}" if c == 1 else f"{c}*g^{i}")
-    return "+".join(parts) if parts else "0"
 
 
 _FIELD_SPEC_RE = re.compile(r"^(\d+)\^(\d+)(?:/(.+))?$")

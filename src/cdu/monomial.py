@@ -26,11 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadC, BadExponent, CapExceeded, COne, FieldTooSmallWarning, ZeroC
+from .errors import BadC, BadExponent, COne, FieldTooSmallWarning, ZeroC
 from .field import FieldContext, embed, make_field, prime_factors
 from .parallel import pmap
-
-DEFAULT_SWEEP_CAP = 1 << 20
 
 
 def min_s(p: int, d: int) -> int:
@@ -277,11 +275,11 @@ def _classify_extension(p: int, h: int, d: int, c_base: int, r: int) -> Extensio
 
 
 def exceptionality_sweep(p: int, h: int, d: int, c: int, r_max: int,
-                         cap: int | None = DEFAULT_SWEEP_CAP,
                          workers: int = 1) -> MonomialAnalysis:
     """Classify x^d over F_{(p^h)^r} for r = 1..r_max.
 
-    Raises CapExceeded when (p^h)^r_max exceeds cap; cap=None lifts it.
+    Builds every field of the tower, so the caller bounds (p^h)^r_max (the
+    CLI refuses orders above its --cap).
 
     The sweep certifies the swept range only: it reports where PcN/APcN
     first fails (with witnesses) and never concludes exceptionality.
@@ -295,9 +293,6 @@ def exceptionality_sweep(p: int, h: int, d: int, c: int, r_max: int,
         raise BadC("c must avoid 0 and 1 (c = 1 is the classical case)")
     if r_max < 1:
         raise BadC(f"r_max must be positive, got {r_max}")
-    if cap is not None and q0 ** r_max > cap:
-        raise CapExceeded(
-            f"q^r_max = {q0 ** r_max} exceeds the field cap {cap}")
 
     s = min_s(p, d)
     root = root_in_fps(p, h, d, c)

@@ -64,6 +64,7 @@ class TestSpectrum:
             f = PolyFunc(F9, {rng.randrange(9): rng.randrange(9) for _ in range(3)})
             for c in [0, 1, 2, 7]:
                 spec = c_ddt(f, c)
+                assert spec.counts.dtype == np.int32
                 assert (spec.counts.sum(axis=1) == 9).all()
 
     def test_delta_matches_streaming(self):

@@ -4,13 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdu import errors
 from cdu import field as field_module
 from cdu.field import (
     elem_pow,
     embed,
-    format_element_symbolic,
     format_field_spec,
     is_irreducible,
     make_field,
@@ -53,6 +53,35 @@ def brute_force_irreducible(coeffs, p):
             if not poly_mod(list(coeffs), f):
                 return False
     return True
+
+
+def _poly(x, p):
+    """Coefficient tuple of a canonical integer, lowest degree first, trimmed."""
+    out = []
+    while x:
+        x, d = divmod(x, p)
+        out.append(d)
+    return tuple(out)
+
+
+def _value(poly, p):
+    return sum(c * p ** i for i, c in enumerate(poly))
+
+
+def poly_mul(ctx, a, b):
+    """Oracle: a*b by the scalar polynomial product mod the modulus."""
+    p = ctx.p
+    return _value(field_module._pmulmod(_poly(a, p), _poly(b, p), ctx.modulus, p), p)
+
+
+def poly_pow(ctx, a, e):
+    """Oracle: a^e by scalar square-and-multiply mod the modulus."""
+    p = ctx.p
+    return _value(field_module._ppowmod(_poly(a, p), e, ctx.modulus, p), p)
+
+
+# every F_{p^n} with p in {2, 3, 5, 7} and q <= 3^7
+SMALL_FIELDS = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 12) if p ** n <= 3 ** 7]
 
 
 class TestConstruction:
@@ -177,15 +206,36 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (7, 1)])
     def test_direct_and_log_multiplication_agree(self, p, n):
-        # the digit-convolution helpers that build the tables are the oracle
+        # the scalar polynomial product, which never reads the log tables,
+        # is the oracle
         ctx = make_field(p, n)
         q = ctx.order
         for a in range(q):
             for b in range(q):
-                assert ctx.mul(a, b) == ctx._mul_direct(a, b)
+                assert ctx.mul(a, b) == poly_mul(ctx, a, b)
         for a in range(1, q):
-            assert ctx.inv(a) == ctx._pow_direct(a, q - 2)
-            assert ctx.pow(a, 13) == ctx._pow_direct(a, 13)
+            assert ctx.inv(a) == poly_pow(ctx, a, q - 2)
+            assert ctx.pow(a, 13) == poly_pow(ctx, a, 13)
+
+    @settings(max_examples=4 * len(SMALL_FIELDS), deadline=None)
+    @given(st.sampled_from(SMALL_FIELDS))
+    def test_log_tables_follow_scalar_powers(self, field):
+        ctx = make_field(*field)
+        q, g = ctx.order, ctx.generator
+
+        def order(c):
+            x, k = c, 1
+            while x != 1:
+                x, k = poly_mul(ctx, x, c), k + 1
+            return k
+
+        assert order(g) == q - 1
+        assert all(order(c) < q - 1 for c in range(2, g))
+        exp = ctx._exp2[: q - 1]
+        assert exp[0] == 1
+        for k in range(q - 2):
+            assert exp[k + 1] == poly_mul(ctx, int(exp[k]), g)
+        assert list(ctx._log[exp]) == list(range(q - 1))
 
     def test_generator_has_full_order(self):
         for p, n in [(2, 3), (3, 2), (5, 2), (2, 1)]:
@@ -214,11 +264,13 @@ class TestArithmetic:
                 assert list(ctx.vmul_const(c, u)) == [ctx.mul(c, int(a)) for a in u]
 
     def test_direct_mode_vector_ops(self):
-        ctx = make_field(3, 2)
-        u = np.arange(9)
-        v = (u * 2 + 1) % 9
-        assert list(ctx.vmul(u, v)) == list(ctx._vmul_direct(u, v))
-        assert list(ctx.vpow_const(u, 7)) == [ctx._pow_direct(int(a), 7) for a in u]
+        for p, n in [(3, 2), (2, 4)]:
+            ctx = make_field(p, n)
+            q = ctx.order
+            u = np.arange(q)
+            v = (u * 2 + 1) % q
+            assert list(ctx.vmul(u, v)) == [poly_mul(ctx, int(a), int(b)) for a, b in zip(u, v)]
+            assert list(ctx.vpow_const(u, 7)) == [poly_pow(ctx, int(a), 7) for a in u]
 
 
 class TestElemPow:
@@ -366,7 +418,6 @@ class TestElementIO:
         F9 = make_field(3, 2)
         for x in range(9):
             assert parse_element(F9, str(x)) == x
-            assert parse_element(F9, format_element_symbolic(F9, x)) == x
 
     def test_symbolic_forms(self):
         F27 = make_field(3, 3)

@@ -278,8 +278,6 @@ class TestSweep:
             exceptionality_sweep(3, 3, 5, 27, 2)
         with pytest.raises(errors.BadExponent):
             exceptionality_sweep(3, 3, 6, 4, 2)
-        with pytest.raises(errors.CapExceeded):
-            exceptionality_sweep(3, 3, 5, 3, 9)
 
     def test_deterministic_across_workers(self):
         a1 = exceptionality_sweep(3, 3, 5, 3, 2, workers=1)

@@ -29,7 +29,6 @@ from .construct import (
 from .field import (
     FieldContext,
     FieldSpec,
-    elem_pow,
     embed,
     make_field,
     parse_element,
@@ -44,7 +43,6 @@ from .funcs import (
     is_permutation,
     is_planar,
     is_two_to_one,
-    monomial,
     parse_function,
 )
 from .monomial import (
@@ -83,7 +81,6 @@ __all__ = [
     "classify_c",
     "classify_shape",
     "classify_unreduced",
-    "elem_pow",
     "embed",
     "exceptionality_sweep",
     "full_report",
@@ -95,7 +92,6 @@ __all__ = [
     "is_two_to_one",
     "make_field",
     "min_s",
-    "monomial",
     "parse_element",
     "parse_field_spec",
     "parse_function",

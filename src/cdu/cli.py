@@ -16,12 +16,13 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 
 from . import cdiff, construct, monomial, verify
 from .errors import CapExceeded, CduError, ConfigError, ParseError
-from .field import format_field_spec, make_field, parse_element, split_field_spec
+from .field import format_field_spec, make_field, parse_element, prime_factors, split_field_spec
 from .funcs import PolyFunc, is_permutation, is_two_to_one, parse_function
 
 DEFAULT_DDT_CAP = 1 << 12
@@ -41,29 +42,39 @@ EXIT_CONFIG = 2
 EXIT_STRICT_FAILURE = 3
 
 
+def _workers(text: str) -> int:
+    """A --parallel value: a whole number of at least 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, not {text!r}")
+    return workers
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The cdu parser, and the parser of each command by name.  Each
+    command takes only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="cdu",
         description="c-differential uniformity toolkit over finite fields")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "human"], default=None,
+    common.add_argument("--format", choices=["json", "human"], default="json",
                         help="output format (default json)")
-    common.add_argument("--parallel", type=int, default=None,
-                        help="worker pool size (default 1)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized suites (default 0)")
-    common.add_argument("--cap", type=int, default=None,
-                        help=f"field-order cap of analyze and construct (default {DEFAULT_DDT_CAP}),"
-                             f" monomial (default {DEFAULT_SWEEP_CAP}) and the"
-                             f" experiment probes (default {PROBE_DEFAULTS['pseudo-pcn'][1]};"
-                             f" {PROBE_DEFAULTS['quad-zero-index'][1]} for quad-zero-index)")
-    common.add_argument("--force", action="store_true",
-                        help="override the field-order cap")
     common.add_argument("--config", default=None,
-                        help="JSON file with default option values")
-    common.add_argument("--strict", action="store_true",
-                        help="exit nonzero when a verification suite fails")
+                        help="JSON file of option values, keyed by long option name;"
+                             " the command line overrides them")
+
+    def capped(p, default, default_text=None):
+        p.add_argument("--cap", type=int, default=default,
+                       help=f"field-order cap (default {default_text or default})")
+        p.add_argument("--force", action="store_true", help="override the field-order cap")
+
+    def parallel(p, what):
+        p.add_argument("--parallel", type=_workers, default=1,
+                       help=f"worker threads over {what}, at most one per CPU (default 1)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -77,11 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also dump the full count matrix for this c")
     p_an.add_argument("--matrix-out", default=None,
                       help="CSV path for the matrix dump (default stdout)")
+    capped(p_an, DEFAULT_DDT_CAP)
+    parallel(p_an, "the orbits of c")
 
     p_co = sub.add_parser("construct", parents=[common],
                           help="build, validate and classify a construction recipe")
     p_co.add_argument("--recipe", required=True,
                       help="inline JSON or @file with keys theorem/q/n/phi/g/h_or_b/kind/terms")
+    capped(p_co, DEFAULT_DDT_CAP)
+    parallel(p_co, "the orbits of c")
 
     p_mo = sub.add_parser("monomial", parents=[common],
                           help="exceptionality sweep of x^d over a tower")
@@ -90,43 +105,72 @@ def build_parser() -> argparse.ArgumentParser:
     p_mo.add_argument("--d", type=int, required=True)
     p_mo.add_argument("--c", required=True, help="element of F_{p^h} (integer or g-form)")
     p_mo.add_argument("--rmax", type=int, required=True)
+    capped(p_mo, DEFAULT_SWEEP_CAP)
+    parallel(p_mo, "the extensions")
 
     p_ve = sub.add_parser("verify-theorems", parents=[common],
                           help="run the cross-module verification suites")
     p_ve.add_argument("--suite", action="append", default=None,
                       choices=sorted(verify.SUITES), help="run only these suites")
+    p_ve.add_argument("--seed", type=int, default=0,
+                      help="seed for the randomized suites (default 0)")
+    p_ve.add_argument("--strict", action="store_true",
+                      help="exit 3 when a suite fails")
 
     p_ex = sub.add_parser("experiment", parents=[common],
                           help="open-problem probes (no invariant asserted)")
-    p_ex.add_argument("--probe", required=True,
-                      choices=["pseudo-pcn", "relaxed-pcn-odd-p", "quad-zero-index"])
+    p_ex.add_argument("--probe", required=True, choices=list(PROBE_DEFAULTS))
     p_ex.add_argument("--field", default=None, help="field spec for the probe")
     p_ex.add_argument("--count", type=int, default=200,
                       help="sample size for randomized probes")
+    p_ex.add_argument("--seed", type=int, default=0,
+                      help="seed for the randomized probes (default 0)")
+    capped(p_ex, None, "; ".join(f"{cap} for {probe}"
+                                 for probe, (_, cap) in PROBE_DEFAULTS.items()))
 
-    return parser
+    return parser, sub.choices
 
 
-def _load_config(args) -> dict:
-    if not args.config:
-        return {}
+def _load_config(path: str) -> dict:
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     return cfg
 
 
-def _resolve(args, cfg, key, default):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return default
+def _config_argv(command: argparse.ArgumentParser, cfg: dict) -> list[str]:
+    """The options a config file sets, as command-line tokens.
+
+    Each key is a long option of the running command without its dashes,
+    and each value is checked against that option's own argparse action:
+    it must be what the action's type makes of its text (2 for
+    --parallel, not "2") and one of its choices; a flag takes true or
+    false.
+    """
+    actions = {opt[2:]: action for action in command._actions
+               for opt in action.option_strings if opt[2:] not in ("", "help", "config")}
+    argv = []
+    for key, value in cfg.items():
+        action = actions.get(key)
+        if action is None:
+            raise ConfigError(f"config key {key!r}: {command.prog} takes no option --{key}")
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ConfigError(f"config key {key!r}: --{key} takes true or false, not {value!r}")
+            argv += [f"--{key}"] * value
+            continue
+        try:
+            ok = (action.type or str)(str(value)) == value
+        except (ValueError, argparse.ArgumentTypeError):
+            ok = False
+        if not ok or (action.choices is not None and value not in action.choices):
+            raise ConfigError(f"config key {key!r}: {value!r} is not a value of --{key}")
+        argv.append(f"--{key}={value}")
+    return argv
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -221,37 +265,47 @@ def _field_spec(spec_text: str):
         raise ConfigError(str(exc)) from None
 
 
-def _check_cap(args, cfg, order: int, default: int, cost: str):
-    """Refuse work over a field of order above --cap unless --force is
-    given.  Commands call this before they build the field."""
-    cap = _resolve(args, cfg, "cap", default)
-    if order > cap and not args.force:
-        raise CapExceeded(
-            f"field order {order} exceeds the cap {cap}: {cost}; pass --force to override")
+def _short(p: int, e: int) -> bool:
+    """Whether p^e has at most 18 decimal digits."""
+    return e * math.log10(max(p, 1)) <= 18
 
 
-def _check_report_cap(args, cfg, q: int, n_c: int):
-    """The cap of an all-c report over F_q with n_c multipliers."""
-    _check_cap(args, cfg, q, DEFAULT_DDT_CAP,
-               f"the report evaluates at most {n_c} multipliers x {q} directions"
-               f" = {n_c * q} c-derivative rows of {q} elements each, an upper bound"
-               " that the c = 0 fiber, the orbits of c and the orbits of directions"
+def _power(p: int, e: int) -> str:
+    """p^e in decimal, or written as a power once it is too long to read."""
+    return str(p ** e) if _short(p, e) else f"{p}^{e}"
+
+
+def _check_cap(args, cap: int, p: int, e: int, cost: str):
+    """Refuse work over a field of order p^e above cap unless --force is
+    given.  Commands call this before they build the field.  Neither the
+    check nor cost computes a power too large to read, whose time would
+    grow with e."""
+    if not args.force and ((p > 1 and e > cap.bit_length()) or p ** e > cap):
+        raise CapExceeded(f"field order {_power(p, e)} exceeds the cap {cap}: {cost};"
+                          " pass --force to override")
+
+
+def _check_report_cap(args, p: int, n: int, s: int):
+    """The cap of an all-c report over F_{p^n} with p^s multipliers."""
+    q = _power(p, n)
+    _check_cap(args, args.cap, p, n,
+               f"the report evaluates at most {_power(p, s)} multipliers x {q} directions"
+               f" = {_power(p, s + n)} c-derivative rows of {q} elements each, an upper"
+               " bound that the c = 0 fiber, the orbits of c and the orbits of directions"
                " (x -> lambda*x scaling, Frobenius, a -> -a) lower")
 
 
-def cmd_analyze(args, cfg) -> tuple[dict, int]:
-    p, n, modulus = _field_spec(_resolve(args, cfg, "field", None))
-    q = p ** n
-    scope = getattr(args, "c_scope", None)
+def cmd_analyze(args) -> tuple[dict, int]:
+    p, n, modulus = _field_spec(args.field)
+    scope = args.c_scope
     if scope is not None and (scope < 1 or n % scope):
         raise ConfigError(f"--c-scope {scope} does not divide the extension degree {n}")
-    _check_report_cap(args, cfg, q, q if scope is None else p ** scope)
+    _check_report_cap(args, p, n, n if scope is None else scope)
     ctx = make_field(p, n, modulus)
     try:
-        f = parse_function(_resolve(args, cfg, "function", None), ctx)
+        f = parse_function(args.function, ctx)
     except ParseError as exc:
         raise ConfigError(f"cannot parse function: {exc}") from None
-    workers = _resolve(args, cfg, "parallel", 1)
     cs = None if scope is None else ctx.subfield_elements(ctx.p ** scope)
     matrix_c, matrix_out = None, None
     if args.matrix_c is not None:
@@ -266,7 +320,7 @@ def cmd_analyze(args, cfg) -> tuple[dict, int]:
             except OSError as exc:
                 raise ConfigError(f"cannot write --matrix-out: {exc}") from None
     with matrix_out or contextlib.nullcontext():
-        report = cdiff.full_report(f, workers=workers, cs=cs).to_dict()
+        report = cdiff.full_report(f, workers=args.parallel, cs=cs).to_dict()
         if matrix_c is not None:
             spectrum = cdiff.c_ddt(f, matrix_c)
             if matrix_out:
@@ -280,21 +334,7 @@ def cmd_analyze(args, cfg) -> tuple[dict, int]:
     return {"command": "analyze", "report": report}, EXIT_OK
 
 
-def _prime_of(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                m += 1
-            if t != 1:
-                raise ConfigError(f"q={q} is not a prime power")
-            return p, m
-    raise ConfigError(f"q={q} is not a prime power")
-
-
-def cmd_construct(args, cfg) -> tuple[dict, int]:
+def cmd_construct(args) -> tuple[dict, int]:
     raw = args.recipe
     if raw.startswith("@"):
         try:
@@ -304,17 +344,23 @@ def cmd_construct(args, cfg) -> tuple[dict, int]:
             raise ConfigError(f"cannot read recipe file: {exc}") from None
     try:
         recipe = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"recipe is not valid JSON: {exc}") from None
     for key in ("theorem", "q", "n"):
         if key not in recipe:
             raise ConfigError(f"recipe is missing {key!r}")
     theorem = recipe["theorem"]
-    q0, n = int(recipe["q"]), int(recipe["n"])
-    p, m = _prime_of(q0)
-    _check_report_cap(args, cfg, q0 ** n, q0 ** n)
-    ctx = make_field(p, m * n)
-    workers = _resolve(args, cfg, "parallel", 1)
+    try:
+        q0, n = int(recipe["q"]), int(recipe["n"])
+    except (TypeError, ValueError):
+        raise ConfigError("the recipe's q and n must be integers") from None
+    # the cap comes first: factoring a large q would take longer than refusing it
+    _check_report_cap(args, q0, n, n)
+    factors = prime_factors(q0)
+    if len(factors) != 1:
+        raise ConfigError(f"q={q0} is not a prime power")
+    p = factors[0]
+    ctx = make_field(p, n * next(m for m in itertools.count(1) if p ** m == q0))
 
     def fparse(key, default=None):
         text = recipe.get(key, default)
@@ -358,7 +404,7 @@ def cmd_construct(args, cfg) -> tuple[dict, int]:
     else:
         raise ConfigError(f"unknown theorem {theorem!r}; use pcn1 | quad | apcnagw")
 
-    classification = cdiff.full_report(f, workers=workers).to_dict()
+    classification = cdiff.full_report(f, workers=args.parallel).to_dict()
     return {
         "command": "construct",
         "recipe": recipe,
@@ -370,31 +416,26 @@ def cmd_construct(args, cfg) -> tuple[dict, int]:
     }, EXIT_OK
 
 
-def cmd_monomial(args, cfg) -> tuple[dict, int]:
-    _check_cap(args, cfg, args.p ** (args.h * args.rmax), DEFAULT_SWEEP_CAP,
+def cmd_monomial(args) -> tuple[dict, int]:
+    _check_cap(args, args.cap, args.p, args.h * args.rmax,
                f"the sweep builds F_{args.p}^({args.h}r) for r = 1..{args.rmax}")
     base = make_field(args.p, args.h)
     try:
         c = parse_element(base, args.c)
     except ParseError as exc:
         raise ConfigError(f"cannot parse c: {exc}") from None
-    workers = _resolve(args, cfg, "parallel", 1)
     analysis = monomial.exceptionality_sweep(
-        args.p, args.h, args.d, c, args.rmax, workers=workers)
+        args.p, args.h, args.d, c, args.rmax, workers=args.parallel)
     return {"command": "monomial", "report": analysis.to_dict()}, EXIT_OK
 
 
-def cmd_verify(args, cfg) -> tuple[dict, int]:
-    seed = _resolve(args, cfg, "seed", 0)
-    workers = _resolve(args, cfg, "parallel", 1)
+def cmd_verify(args) -> tuple[dict, int]:
     names = args.suite or sorted(verify.SUITES)
-    results = {}
-    for name in names:
-        results[name] = verify.SUITES[name](seed, workers)
+    results = {name: verify.SUITES[name](args.seed) for name in names}
     all_passed = all(r["passed"] for r in results.values())
     report = {
         "command": "verify-theorems",
-        "seed": seed,
+        "seed": args.seed,
         "suites": results,
         "passed": all_passed,
     }
@@ -402,19 +443,24 @@ def cmd_verify(args, cfg) -> tuple[dict, int]:
     return report, status
 
 
-def _probe_cost(probe: str, q: int, n: int, count: int) -> str:
-    """The work an experiment probe does over F_q, q = p^n."""
+def _probe_cost(probe: str, p: int, n: int, count: int) -> str:
+    """The work an experiment probe does over F_{p^n}."""
+    q = _power(p, n)
+    short = _short(p, n)
+    units = str(p ** n - 1) if short else f"{q} - 1"
     if probe == "pseudo-pcn":
-        return (f"the probe evaluates {q - 1} exponents x {q} multipliers x {q - 1} directions"
-                f" = {(q - 1) * q * (q - 1)} rows of {q} elements each")
+        rows = (p ** n - 1) ** 2 * p ** n if short else f"about {p}^{3 * n}"
+        return (f"the probe evaluates {units} exponents x {q} multipliers x {units}"
+                f" directions = {rows} rows of {q} elements each")
     if probe == "relaxed-pcn-odd-p":
-        return (f"the probe evaluates {count} tables x {q - 1} multipliers x {q - 1} directions"
-                f" = {count * (q - 1) * (q - 1)} rows of {q} elements each")
+        rows = count * (p ** n - 1) ** 2 if short else f"about {count} x {p}^{2 * n}"
+        return (f"the probe evaluates {count} tables x {units} multipliers x {units}"
+                f" directions = {rows} rows of {q} elements each")
     return f"the probe evaluates {max(2 * (n // 2) - 1, 0)} functions of {q} values"
 
 
-def cmd_experiment(args, cfg) -> tuple[dict, int]:
-    seed = _resolve(args, cfg, "seed", 0)
+def cmd_experiment(args) -> tuple[dict, int]:
+    seed = args.seed
     probe = args.probe
     default_field, default_cap = PROBE_DEFAULTS[probe]
     p, n, modulus = _field_spec(args.field or default_field)
@@ -422,7 +468,8 @@ def cmd_experiment(args, cfg) -> tuple[dict, int]:
         raise ConfigError("the pseudo-PcN probe needs characteristic 2")
     if probe == "relaxed-pcn-odd-p" and p == 2:
         raise ConfigError("this probe explores odd characteristic")
-    _check_cap(args, cfg, p ** n, default_cap, _probe_cost(probe, p ** n, n, args.count))
+    _check_cap(args, default_cap if args.cap is None else args.cap, p, n,
+               _probe_cost(probe, p, n, args.count))
     ctx = make_field(p, n, modulus)
     if probe == "pseudo-pcn":
         rows = []
@@ -482,11 +529,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
-        report, status = _COMMANDS[args.command](args, cfg)
+        if args.config:
+            # the config's options go first, so the command line's own
+            # override them; argv[0] is the command, as cdu takes no option
+            # before it but --help
+            config_argv = _config_argv(commands[args.command], _load_config(args.config))
+            args = parser.parse_args([argv[0], *config_argv, *argv[1:]])
+        report, status = _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -497,7 +550,7 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     try:
-        _emit(report, _resolve(args, cfg, "format", "json"))
+        _emit(report, args.format)
         sys.stdout.flush()
     except BrokenPipeError:
         _drop_stdout()

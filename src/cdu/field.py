@@ -378,9 +378,6 @@ class FieldContext:
             return 1
         return int(self._exp2[(self._log[x] * em) % qm1])
 
-    def frobenius(self, x: int, i: int = 1) -> int:
-        return self.pow(x, self.p ** i)
-
     # -- vector arithmetic (numpy arrays of canonical integers) -----------
 
     def _spread_halves(self, spread, u):
@@ -617,11 +614,6 @@ def trace_table(ctx: FieldContext, sub_degree: int, values) -> np.ndarray:
         cur = ctx.vpow_const(cur, q0)
         acc = ctx.vadd(acc, cur)
     return acc
-
-
-def elem_pow(ctx: FieldContext, x: int, e: int) -> int:
-    """x^e through the log tables; 0^0 = 1, exponents reduce mod q-1."""
-    return ctx.pow(x, e)
 
 
 # ---------------------------------------------------------------------------

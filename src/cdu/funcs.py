@@ -78,10 +78,6 @@ class PolyFunc:
             self._table = None
 
     @classmethod
-    def from_coeffs(cls, ctx: FieldContext, coeffs) -> "PolyFunc":
-        return cls(ctx, coeffs)
-
-    @classmethod
     def from_table(cls, ctx: FieldContext, values) -> "PolyFunc":
         return cls(ctx, None, table=values)
 
@@ -261,11 +257,6 @@ def _interpolate(ctx: FieldContext, values: np.ndarray) -> dict[int, int]:
             if k < q - 2:
                 pw = ctx.vmul(pw, binv)
     return out
-
-
-def monomial(ctx: FieldContext, e: int, coeff: int = 1) -> PolyFunc:
-    """The function coeff * x^e."""
-    return PolyFunc(ctx, {e: coeff})
 
 
 def parse_function(text: str, ctx: FieldContext) -> PolyFunc:

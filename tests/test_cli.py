@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cdu
-from cdu import cdiff, cli, field
+from cdu import cdiff, cli, field, parallel
 from cdu.cli import main
 
 
@@ -105,6 +105,34 @@ class TestCaps:
     def test_experiment_refuses_before_building(self, capsys, no_field_built, argv, cost):
         code, _, err = run_cli(capsys, "experiment", "--probe", *argv)
         assert code == 2 and "cap" in err and cost in err
+
+    def test_huge_field_is_refused_with_its_cost(self, capsys, no_field_built):
+        # 3^10000 has more decimal digits than Python converts to text
+        code, _, err = run_cli(capsys, "analyze", "--field", "3^10000", "--function", "x")
+        assert code == 2 and "field order 3^10000 exceeds the cap 4096" in err
+        assert "3^10000 multipliers x 3^10000 directions = 3^20000 c-derivative rows" in err
+        code, _, err = run_cli(capsys, "experiment", "--probe", "pseudo-pcn", "--field", "2^20000")
+        assert code == 2 and ("2^20000 - 1 exponents x 2^20000 multipliers x 2^20000 - 1"
+                              " directions = about 2^60000 rows of 2^20000 elements") in err
+        code, _, err = run_cli(capsys, "analyze", "--field", "3^1000000000", "--function", "x")
+        assert code == 2 and "3^1000000000 multipliers x 3^1000000000 directions" in err
+
+    def test_construct_refuses_a_large_prime_q_before_factoring_it(self, capsys, monkeypatch,
+                                                                  no_field_built):
+        def refuse(m):
+            raise AssertionError(f"factored {m} before the cap check")
+
+        monkeypatch.setattr(cli, "prime_factors", refuse)
+        for q, order in [(10000019, "100000380000361"), (2 ** 61 - 1, "2305843009213693951^2")]:
+            recipe = json.dumps({"theorem": "pcn1", "q": q, "n": 2})
+            code, _, err = run_cli(capsys, "construct", "--recipe", recipe)
+            assert code == 2 and f"field order {order} exceeds the cap" in err
+
+    @pytest.mark.parametrize("q,n", [(12, 2), (1, 2), (3, 0), ("three", 2)])
+    def test_construct_refuses_a_q_that_is_no_prime_power(self, capsys, q, n):
+        recipe = json.dumps({"theorem": "pcn1", "q": q, "n": n})
+        code, out, err = run_cli(capsys, "construct", "--recipe", recipe)
+        assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_experiment_force(self, capsys, fields_up_to):
         fields_up_to(1 << 6)
@@ -359,6 +387,96 @@ class TestJsonEncoding:
             assert any("rep" in e for e in entries) and any("note" in e for e in entries)
 
 
+# the options a command could take before each took only its own
+_OPTION_ARGV = {
+    "--format": ["--format", "human"], "--config": ["--config", "cfg.json"],
+    "--seed": ["--seed", "1"], "--strict": ["--strict"], "--cap": ["--cap", "9"],
+    "--force": ["--force"], "--parallel": ["--parallel", "2"],
+}
+_COMMAND_ARGV = {
+    "analyze": ["--field", "3^2", "--function", "x"],
+    "construct": ["--recipe", "{}"],
+    "monomial": ["--p", "3", "--h", "1", "--d", "5", "--c", "2", "--rmax", "1"],
+    "verify-theorems": [],
+    "experiment": ["--probe", "pseudo-pcn"],
+}
+_REMOVED = {
+    ("analyze", "--seed"), ("construct", "--seed"), ("monomial", "--seed"),
+    ("analyze", "--strict"), ("construct", "--strict"), ("monomial", "--strict"),
+    ("verify-theorems", "--cap"), ("verify-theorems", "--force"),
+    ("experiment", "--parallel"), ("experiment", "--strict"),
+    ("verify-theorems", "--parallel"),
+}
+
+
+class TestOptions:
+    def test_settable_pairs(self):
+        _, commands = cli.build_parser()
+        assert set(commands) == set(_COMMAND_ARGV)
+        kept = {(name, opt) for name, command in commands.items()
+                for opt in _OPTION_ARGV if opt in command._option_string_actions}
+        assert len(kept) == 24
+        assert kept == {(name, opt) for name in commands for opt in _OPTION_ARGV} - _REMOVED
+
+    @pytest.mark.parametrize("command,option", [(c, o) for c in _COMMAND_ARGV for o in _OPTION_ARGV],
+                             ids=lambda v: v)
+    def test_a_command_takes_only_its_own_options(self, capsys, command, option):
+        argv = [command, *_COMMAND_ARGV[command], *_OPTION_ARGV[option]]
+        if (command, option) in _REMOVED:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        else:
+            args = cli.build_parser()[0].parse_args(argv)
+            assert args.command == command
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_parallel_below_one_is_refused(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--field", "3^2", "--function", "x", "--parallel", value])
+        assert exc.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+
+
+class TestParallel:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The max_workers of every pool pmap starts, on a 3-CPU machine;
+        the stand-in pool maps serially and starts no thread."""
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+        return sizes
+
+    def test_pool_is_bounded_by_the_cpu_count(self, pools):
+        assert parallel.pmap(abs, range(-5000, 0), 10 ** 6) == list(range(5000, 0, -1))
+        assert parallel.pmap(abs, [-1, -2], 10 ** 6) == [1, 2]
+        assert parallel.pmap(abs, [-1, -2], 1) == [1, 2]
+        assert pools == [3, 2]
+
+    def test_large_parallel_on_a_report(self, capsys, pools):
+        args = ["analyze", "--field", "3^4", "--function", "x^5 + x^2"]
+        _, serial, _ = run_cli(capsys, *args)
+        code, out, _ = run_cli(capsys, *args, "--parallel", "100000")
+        assert code == 0 and out == serial
+        assert pools == [3]
+
+
 class TestDeterminismAndConfig:
     def test_parallelism_does_not_change_bytes(self, capsys):
         args = ["analyze", "--field", "3^2", "--function", "x^2 + x^3"]
@@ -372,6 +490,37 @@ class TestDeterminismAndConfig:
         code, out, _ = run_cli(capsys, "analyze", "--field", "5^1",
                                "--function", "x^2", "--config", str(cfg))
         assert code == 0
+
+    def test_config_sets_options_and_the_command_line_wins(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cap": 2, "force": True, "parallel": 2, "format": "human"}))
+        args = ["analyze", "--field", "2^2", "--function", "x", "--config", str(cfg)]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and out.startswith("command: analyze")
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 0 and json.loads(out)["command"] == "analyze"
+        cfg.write_text(json.dumps({"cap": 2}))
+        code, _, err = run_cli(capsys, *args)
+        assert code == 2 and "exceeds the cap 2" in err
+
+    @pytest.mark.parametrize("command,cfg,message", [
+        ("analyze", {"cap": "big"}, "'big' is not a value of --cap"),
+        ("analyze", {"parallel": "2"}, "'2' is not a value of --parallel"),
+        ("analyze", {"parallel": 0}, "0 is not a value of --parallel"),
+        ("analyze", {"format": "xml"}, "'xml' is not a value of --format"),
+        ("analyze", {"force": "yes"}, "--force takes true or false"),
+        ("analyze", {"seed": 1}, "cdu analyze takes no option --seed"),
+        ("experiment", {"parallel": 2}, "cdu experiment takes no option --parallel"),
+        ("verify-theorems", {"cap": 9}, "cdu verify-theorems takes no option --cap"),
+        ("verify-theorems", {"suite": "nope"}, "'nope' is not a value of --suite"),
+        ("verify-theorems", {"config": "other.json"}, "takes no option --config"),
+    ])
+    def test_bad_config_value(self, capsys, tmp_path, command, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, command, *_COMMAND_ARGV[command], "--config", str(path))
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_bad_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

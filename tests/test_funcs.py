@@ -13,7 +13,6 @@ from cdu.funcs import (
     is_permutation,
     is_planar,
     is_two_to_one,
-    monomial,
     p_weight,
     parse_function,
     reduce_exponent,
@@ -221,7 +220,7 @@ class TestPredicates:
         exps = sorted({p ** i + p ** j for i in range(n) for j in range(i, n)})
         for e in exps:
             for coeff in range(1, ctx.order):
-                f = monomial(ctx, e, coeff)
+                f = PolyFunc(ctx, {e: coeff})
                 assert is_planar(f) == is_two_to_one(f)
 
     def test_planar_iff_c1_uniformity_one(self):

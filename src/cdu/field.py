@@ -12,7 +12,10 @@ threads: every operation is a pure function of the context and its
 arguments.  Every field multiplies through discrete-log/exponential
 tables.  The exponential table is built by doubling: multiplying by the
 constant g^k is an F_p-linear map, one n x n matrix applied to the
-base-p digits of the first k powers.
+base-p digits of the first k powers.  For p = 2 addition is XOR; for odd
+p an element's spread word writes its base-p digits in base 2p-1, two
+words add as integers without carry, and the sum folds back to an
+element through tables over chunks of digits.
 
 Element I/O accepts the canonical integer form and the symbolic
 ``a*g^2+b*g+c`` polynomial-in-generator form; output is canonical
@@ -42,6 +45,10 @@ from .errors import (
 # (orders above it), so the name and value stay until the benchmark drops
 # the read.
 _SHIFT_CACHE_MAX_ORDER = 1 << 11
+
+# The largest fold table of odd-p addition, in entries: a chunk of k digits
+# folds through a table of (2p-1)^k entries.
+_FOLD_CHUNK_ENTRIES = 1 << 17
 
 
 def is_prime(m: int) -> bool:
@@ -210,10 +217,11 @@ class FieldSpec:
 class FieldContext:
     """A fully materialized finite field F_{p^n}.
 
-    Holds the element tables (discrete-log and exponential tables,
-    half-addition tables for odd p) that the rest of the library computes
-    with.  Construct through :func:`make_field`, which validates and
-    caches contexts.
+    Holds the element tables that the rest of the library computes with:
+    discrete-log and exponential tables, and for odd p the spread words of
+    every element and of its negation, with the fold tables that map a sum
+    of two words back to an element (see _build_add_tables).  Construct
+    through :func:`make_field`, which validates and caches contexts.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -228,7 +236,7 @@ class FieldContext:
 
         self._build_log_tables()
         if p != 2:
-            self._build_half_tables()
+            self._build_add_tables()
 
         self._lock = threading.Lock()
         self._embed_roots: dict[FieldSpec, int] = {}
@@ -299,29 +307,50 @@ class FieldContext:
         log[exp] = np.arange(len(exp), dtype=np.int64)
         self._log = log
 
-    def _build_half_tables(self):
+    def _build_add_tables(self):
         """Carry-free addition tables for odd p.
 
-        An element x splits into halves x = lo + K*hi with K = p^k,
-        k = ceil(n/2).  Digit-wise addition never carries between digits,
-        so each half adds on its own.  _spread writes a half's base-p
-        digits in base 2p-1 (_spread_neg those of its negation), where
-        adding two spread halves is plain integer addition with no carry;
-        _fold maps such a sum back to the half's canonical digits mod p,
-        and _fold_hi to K times them.  The tables hold K or (2p-1)^k
-        entries each (81 and 625 for F_{3^7}), against K^2 for a table of
-        half sums.
+        The n base-p digits of x split into balanced chunks of consecutive
+        digits, a chunk of k digits having (2p-1)^k <= _FOLD_CHUNK_ENTRIES:
+        one chunk for every field up to F_{3^7}, two for F_{3^12}, F_{5^8}
+        or F_{7^6}.  _words[x] writes each chunk's digits in base 2p-1, the
+        chunks in bit fields of their own (_neg_words does the same for
+        -x), so that adding two words is plain integer addition with no
+        carry between digits.  A chunk of a sum folds back to its digits
+        mod p through one table of (2p-1)^k entries, 78,125 for F_{3^7}.
+        Every table is built by broadcast sums over one digit at a time.
         """
-        p, k = self.p, (self.n + 1) // 2
-        self._half = p ** k
+        p, n, q = self.p, self.n, self.order
         radix = 2 * p - 1
-        spread_pow = radix ** np.arange(k, dtype=np.int64)
-        half_digits = self._digits(np.arange(self._half))[:, :k]
-        self._spread = half_digits @ spread_pow
-        self._spread_neg = (-half_digits % p) @ spread_pow
-        sums = np.arange(radix ** k, dtype=np.int64)
-        self._fold = (sums[:, None] // spread_pow % radix % p) @ self._pow_vec[:k]
-        self._fold_hi = self._half * self._fold
+        width = 1
+        while width < n and radix ** (width + 1) <= _FOLD_CHUNK_ENTRIES:
+            width += 1
+        count = -(-n // width)
+        sizes = [n // count + (i < n % count) for i in range(count)]
+        bits = (radix ** sizes[0] - 1).bit_length()
+        top = sum(radix ** k - 1 << c * bits for c, k in enumerate(sizes))  # the largest word
+        word_dtype = np.int32 if top < 2 ** 31 else np.int64
+        elem_dtype = np.int16 if q <= 2 ** 15 else np.int32 if q <= 2 ** 31 else np.int64
+
+        def by_digit(values, place, dtype):
+            """For every index with digits d_i (d_0 varying fastest), the sum
+            of values[d_i] * place[i]."""
+            out = np.zeros(1, dtype=dtype)
+            for w in place:
+                out = np.add.outer(values.astype(dtype) * w, out).ravel()
+            return out
+
+        digits, residues = np.arange(p), np.arange(radix) % p
+        spread, folds, low = [], [], 0
+        for c, k in enumerate(sizes):
+            spread += [radix ** j << c * bits for j in range(k)]
+            table = by_digit(residues, [p ** (low + j) for j in range(k)], elem_dtype)
+            folds.append((c * bits, table))
+            low += k
+        self._words = by_digit(digits, spread, word_dtype)
+        self._neg_words = by_digit(-digits % p, spread, word_dtype)
+        self._folds = folds
+        self._fold_mask = (1 << bits) - 1
 
     # -- scalar arithmetic -------------------------------------------------
 
@@ -380,48 +409,38 @@ class FieldContext:
 
     # -- vector arithmetic (numpy arrays of canonical integers) -----------
 
-    def _spread_halves(self, spread, u):
-        """Low and high halves of u, each written through the table spread
-        (odd p)."""
-        hi, lo = np.divmod(u, self._half)
-        return spread[lo], spread[hi]
+    def words(self, u) -> np.ndarray:
+        """Spread word of each element of u (odd p): its base-p digits
+        written in base 2p-1, a bit field per chunk of digits, so that two
+        words add without carry."""
+        return self._words[u]
 
-    def _join(self, lo_sum, hi_sum):
-        """The element whose halves fold from the spread sums given."""
-        return self._fold[lo_sum] + self._fold_hi[hi_sum]
+    def neg_words(self, u) -> np.ndarray:
+        """Spread word of the negation of each element of u (odd p)."""
+        return self._neg_words[u]
+
+    def fold(self, w) -> np.ndarray:
+        """The elements whose base-p digits are those of the sums of two
+        spread words w, taken mod p (odd p), in the smallest integer type
+        of the fold tables that holds q - 1."""
+        if len(self._folds) == 1:
+            return self._folds[0][1].take(w)
+        return sum(table.take((w >> shift) & self._fold_mask) for shift, table in self._folds)
 
     def vadd(self, u, v):
         if self.p == 2:
             return np.asarray(u) ^ np.asarray(v)
-        ul, uh = self._spread_halves(self._spread, u)
-        vl, vh = self._spread_halves(self._spread, v)
-        return self._join(ul + vl, uh + vh)
+        return self.fold(self._words[u] + self._words[v]).astype(np.int64)
 
     def vsub(self, u, v):
         if self.p == 2:
             return np.asarray(u) ^ np.asarray(v)
-        ul, uh = self._spread_halves(self._spread, u)
-        vl, vh = self._spread_halves(self._spread_neg, v)
-        return self._join(ul + vl, uh + vh)
+        return self.fold(self._words[u] + self._neg_words[v]).astype(np.int64)
 
     def vneg(self, u):
         if self.p == 2:
             return np.asarray(u)
-        return self._join(*self._spread_halves(self._spread_neg, u))
-
-    def gather_add(self, u, v):
-        """A function mapping an index array s to vadd(u[s], v).
-
-        u and v are split into spread halves once, so each call costs a
-        few gathers per element; s may be any shape that broadcasts
-        against v.
-        """
-        u = np.asarray(u, dtype=np.int64)
-        if self.p == 2:
-            return lambda s: u[s] ^ v
-        ul, uh = self._spread_halves(self._spread, u)
-        vl, vh = self._spread_halves(self._spread, v)
-        return lambda s: self._join(ul[s] + vl, uh[s] + vh)
+        return self.fold(self._neg_words[u]).astype(np.int64)
 
     def vmul(self, u, v):
         u = np.asarray(u, dtype=np.int64)
@@ -463,19 +482,7 @@ class FieldContext:
         """Index array of the translation x -> x + a."""
         if a == 0:
             return self._elements
-        return self.shift_rows([a])[0]
-
-    def shift_rows(self, directions) -> np.ndarray:
-        """Row i holds the translation x -> x + directions[i], for all x."""
-        a = np.asarray(directions, dtype=np.int64)
-        if self.p == 2:
-            return a[:, None] ^ self._elements
-        # x = x_lo + K*x_hi, row-major over (x_hi, x_lo): x + a permutes each
-        # axis on its own, so a direction folds only K + q/K half sums
-        al, ah = self._spread_halves(self._spread, a)
-        lo = self._fold[al[:, None] + self._spread]
-        hi = self._fold_hi[ah[:, None] + self._spread[: self.order // self._half]]
-        return (hi[:, :, None] + lo[:, None, :]).reshape(len(a), self.order)
+        return self.vadd(self._elements, a)
 
     def field_sum(self, u) -> int:
         """Sum of an array of elements, as one field element."""
@@ -515,8 +522,10 @@ class FieldContext:
 # module-level operations
 # ---------------------------------------------------------------------------
 
+# the contexts make_field built, least recently used first
 _FIELD_CACHE: dict[tuple, FieldContext] = {}
 _FIELD_CACHE_LOCK = threading.Lock()
+_FIELD_CACHE_SIZE = 16
 
 
 @functools.cache
@@ -527,6 +536,8 @@ def _default_modulus(p: int, n: int) -> tuple[int, ...]:
 
 def make_field(p: int, n: int, modulus=None) -> FieldContext:
     """Construct (or fetch from cache) the field F_{p^n}.
+
+    The cache keeps the _FIELD_CACHE_SIZE (16) fields used most recently.
 
     When no modulus is given, the lexicographically smallest monic
     irreducible of degree n over Z_p is chosen (coefficients compared
@@ -549,11 +560,15 @@ def make_field(p: int, n: int, modulus=None) -> FieldContext:
         mod = _default_modulus(p, n)
     key = (p, n, mod)
     with _FIELD_CACHE_LOCK:
-        ctx = _FIELD_CACHE.get(key)
-    if ctx is None:
-        ctx = FieldContext(FieldSpec(p, n, mod))
-        with _FIELD_CACHE_LOCK:
-            ctx = _FIELD_CACHE.setdefault(key, ctx)
+        ctx = _FIELD_CACHE.pop(key, None)
+        if ctx is not None:
+            _FIELD_CACHE[key] = ctx  # now the most recently used
+            return ctx
+    ctx = FieldContext(FieldSpec(p, n, mod))
+    with _FIELD_CACHE_LOCK:
+        ctx = _FIELD_CACHE.setdefault(key, ctx)
+        if len(_FIELD_CACHE) > _FIELD_CACHE_SIZE:
+            del _FIELD_CACHE[next(iter(_FIELD_CACHE))]
     return ctx
 
 

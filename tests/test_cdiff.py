@@ -24,7 +24,7 @@ from cdu.cdiff import (
     row_directions,
 )
 from cdu.field import make_field
-from cdu.funcs import PolyFunc, is_permutation, parse_function
+from cdu.funcs import PolyFunc, is_permutation, p_weight, parse_function
 from cdu.verify import classical_ddt_direct, random_quadratic
 
 F4 = make_field(2, 2)
@@ -431,6 +431,38 @@ class TestDirectionOrbits:
         f, _ = case
         c = data.draw(st.integers(0, f.ctx.order - 1))
         assert is_relaxed_pcn(f, c) == bool(c_ddt(f, c).counts[1:].max(initial=0) <= 1)
+
+
+def _affine_terms(ctx):
+    """Constant and x^(p^j) terms with nonzero coefficients."""
+    return st.dictionaries(st.sampled_from([0] + [ctx.p ** j for j in range(ctx.n)]),
+                           st.integers(1, ctx.order - 1), min_size=1)
+
+
+class TestAffineTermsAtCOne:
+    """f(x+a) - f(x) = g(x+a) - g(x) + L(a), g being f without its affine
+    terms, so the c = 1 entry counts f's rows over g's directions."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(report_cases(), st.data())
+    def test_affine_terms_keep_the_classical_entry(self, case, data):
+        f, _ = case
+        ctx = f.ctx
+        g = PolyFunc(ctx, {e: a for e, a in f.coeffs.items() if p_weight(e, ctx.p) > 1})
+        f = PolyFunc(ctx, {**g.coeffs, **data.draw(_affine_terms(ctx))})
+        (entry,) = full_report(f, cs=[1]).entries
+        (alone,) = full_report(g, cs=[1]).entries
+        assert entry.delta == c_uniformity(f, 1) == alone.delta
+        assert entry.directions == alone.directions
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(REPORT_FIELDS), st.data())
+    def test_affine_f_is_constant_on_every_row(self, pn, data):
+        ctx = make_field(*pn)
+        f = PolyFunc(ctx, data.draw(_affine_terms(ctx)))
+        (entry,) = full_report(f, cs=[1]).entries
+        assert entry.delta == c_uniformity(f, 1) == ctx.order
+        assert entry.directions == 1
 
 
 class TestClassicalReduction:

@@ -131,6 +131,23 @@ class TestConstruction:
     def test_contexts_are_cached(self):
         assert make_field(3, 2) is make_field(3, 2)
 
+    def test_cache_evicts_the_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(field_module, "_FIELD_CACHE", {})
+        small = [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)] + [
+            (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1), (17, 1)]
+        first = [make_field(p, n) for p, n in small[:16]]
+        assert len(field_module._FIELD_CACHE) == 16
+        # a hit refreshes F_2, so building a 17th field evicts F_4 instead
+        assert make_field(2, 1) is first[0]
+        make_field(*small[16])
+        assert len(field_module._FIELD_CACHE) == 16
+        assert [key[:2] for key in field_module._FIELD_CACHE] == small[2:16] + [(2, 1), (17, 1)]
+        assert make_field(2, 1) is first[0]
+        assert make_field(3, 4) is first[9]
+        rebuilt = make_field(2, 2)
+        assert rebuilt is not first[1] and rebuilt.spec == first[1].spec
+        assert len(field_module._FIELD_CACHE) == 16
+
     def test_warm_call_skips_the_modulus_search(self, monkeypatch):
         ctx = make_field(3, 5)
 

@@ -1,13 +1,13 @@
-"""The blocked c-derivative row kernel and the split-half field addition,
+"""The blocked c-derivative row kernel and the spread-word field addition,
 checked differentially against scalar oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdu import cdiff
+from cdu import cdiff, field
 from cdu.cdiff import c_ddt, c_uniformity, is_pseudo_pcn, is_relaxed_pcn
-from cdu.field import make_field
+from cdu.field import FieldContext, FieldSpec, make_field
 from cdu.funcs import PolyFunc, is_planar
 from cdu.verify import classical_ddt_direct
 
@@ -16,6 +16,8 @@ SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), 
                 (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
 # odd n splits an element into halves of different sizes
 SPLIT_FIELDS = SMALL_FIELDS + [(3, 5), (3, 7), (5, 4), (7, 3), (11, 1), (13, 2)]
+# prime fields, odd n and both halves of more than one digit
+KERNEL_FIELDS = SMALL_FIELDS + [(11, 1), (13, 1), (3, 5), (7, 3)]
 
 
 @st.composite
@@ -85,6 +87,46 @@ class TestRowKernel:
             assert c_uniformity(f, c) == whole[c].delta
             assert is_relaxed_pcn(f, c) == relaxed[c]
 
+    @settings(max_examples=80, deadline=None)
+    @given(functions(KERNEL_FIELDS), st.data())
+    def test_any_direction_set_in_any_block(self, fc, data):
+        # unsorted directions with repeats, fewer or more than the low half
+        # holds (one translate each, or one per low half unless that is
+        # over its budget), in blocks of any size; every row lands at its
+        # direction's position
+        f, c = fc
+        q = f.ctx.order
+        directions = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=30))
+        rows_per_block = data.draw(st.integers(1, 8))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cdiff, "_BLOCK_ELEMS", rows_per_block * q)
+            mp.setattr(cdiff, "_TRANSLATE_ELEMS", data.draw(st.sampled_from([0, 1 << 20])))
+            blocks = list(cdiff._row_block_counts(f, c, directions))
+        assert [len(b) for b in blocks[:-1]] == [rows_per_block] * (len(blocks) - 1)
+        counts = np.concatenate(blocks)
+        for a, row in zip(directions, counts):
+            assert np.array_equal(row, scalar_row(f, c, a)), (str(f), c, a)
+
+    @pytest.mark.parametrize("p,n,coeffs", [(3, 7, {53: 151, 15: 1, 1: 1}),
+                                            (5, 5, {47: 2, 9: 1, 0: 3})])
+    def test_large_fields(self, p, n, coeffs):
+        ctx = make_field(p, n)
+        q = ctx.order
+        f = PolyFunc(ctx, coeffs)
+        c = ctx.generator
+        # more directions than the low half holds, then a few: the two ways
+        # of translating f give the same rows, and c_ddt keeps direction order
+        many = np.arange(q - 1, 0, -13)
+        few = many[[3, 0, 3]]
+        assert len(many) > ctx.p ** ((n + 1) // 2) > len(few)
+        rows = np.concatenate(list(cdiff._row_block_counts(f, c, many)))
+        assert np.array_equal(np.concatenate(list(cdiff._row_block_counts(f, c, few))),
+                              rows[[3, 0, 3]])
+        counts = c_ddt(f, c).counts
+        assert np.array_equal(counts[many], rows)
+        for a in (0, 1, int(many[3]), q - 1):
+            assert np.array_equal(counts[a], scalar_row(f, c, a))
+
     def test_c1_skips_row_zero(self):
         # x^2 over F_9 is planar, so every nonzero row holds only ones, while
         # the a = 0 row of the classical derivative puts all 9 x on b = 0
@@ -118,11 +160,6 @@ class TestSplitAddition:
         assert list(ctx.vneg(u)) == [ctx.neg(int(a)) for a in u]
         a = data.draw(elems)
         assert list(ctx.shift_perm(a)) == [ctx.add(x, a) for x in range(q)]
-        rows = ctx.shift_rows(u)
-        assert rows.shape == (len(u), q)
-        assert all(np.array_equal(rows[i], ctx.shift_perm(int(d))) for i, d in enumerate(u))
-        shifted_plus_v = ctx.gather_add(v, v[:1])
-        assert list(shifted_plus_v(np.arange(len(v)))) == [ctx.add(int(b), int(v[0])) for b in v]
 
     @pytest.mark.parametrize("p,n", [(3, 5), (3, 7), (5, 3), (7, 1)])
     def test_every_sum_is_closed_and_exact(self, p, n):
@@ -135,3 +172,47 @@ class TestSplitAddition:
         assert list(ctx.vadd(xs, a)) == [ctx.add(x, a) for x in range(q)]
         assert list(ctx.vneg(xs)) == [ctx.neg(x) for x in range(q)]
         assert np.array_equal(np.sort(ctx.shift_perm(a)), xs)
+
+
+def chunked_field(monkeypatch, p, n, entries):
+    """F_{p^n} built outside the cache with fold chunks of at most entries."""
+    monkeypatch.setattr(field, "_FOLD_CHUNK_ENTRIES", entries)
+    return FieldContext(FieldSpec(p, n, make_field(p, n).modulus))
+
+
+class TestChunkedFold:
+    @pytest.mark.parametrize("n,entries,chunks", [(4, 25, 2), (5, 25, 3), (6, 25, 3),
+                                                  (4, 125, 2), (5, 125, 2), (6, 125, 2),
+                                                  (6, 5, 6)])
+    def test_chunk_count(self, monkeypatch, n, entries, chunks):
+        ctx = chunked_field(monkeypatch, 3, n, entries)
+        assert len(ctx._folds) == chunks
+        assert all(len(table) <= entries for _, table in ctx._folds)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(4, 25), (5, 25), (6, 25), (5, 125), (6, 125)]), st.data())
+    def test_vector_ops_on_chunks(self, shape, data):
+        n, entries = shape
+        with pytest.MonkeyPatch.context() as mp:
+            ctx = chunked_field(mp, 3, n, entries)
+        q = ctx.order
+        elems = st.integers(0, q - 1)
+        u = np.array(data.draw(st.lists(elems, min_size=1, max_size=40)))
+        v = np.array(data.draw(st.lists(elems, min_size=len(u), max_size=len(u))))
+        assert list(ctx.vadd(u, v)) == [ctx.add(int(a), int(b)) for a, b in zip(u, v)]
+        assert list(ctx.vsub(u, v)) == [ctx.sub(int(a), int(b)) for a, b in zip(u, v)]
+        assert list(ctx.vneg(u)) == [ctx.neg(int(a)) for a in u]
+        assert ctx.vadd(u, v).dtype == np.int64
+        a = data.draw(elems)
+        assert list(ctx.shift_perm(a)) == [ctx.add(x, a) for x in range(q)]
+
+    @pytest.mark.parametrize("n,entries", [(4, 25), (5, 25), (6, 125)])
+    def test_rows_on_chunks(self, monkeypatch, n, entries):
+        whole = make_field(3, n)
+        ctx = chunked_field(monkeypatch, 3, n, entries)
+        coeffs = {whole.order // 3 + 5: 2, 7: 1, 1: 1}
+        directions = [5, 0, whole.order - 1, 5]
+        for c in (0, 1, 2, whole.generator):
+            expect = cdiff._row_block_counts(PolyFunc(whole, coeffs), c, directions)
+            got = cdiff._row_block_counts(PolyFunc(ctx, coeffs), c, directions)
+            assert np.array_equal(np.concatenate(list(expect)), np.concatenate(list(got)))

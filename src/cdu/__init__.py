@@ -39,7 +39,6 @@ from .funcs import (
     PolyFunc,
     ShapeFlags,
     classify_shape,
-    classify_unreduced,
     is_permutation,
     is_planar,
     is_two_to_one,
@@ -50,7 +49,6 @@ from .monomial import (
     MonomialAnalysis,
     ValueDistribution,
     exceptionality_sweep,
-    gcd_necessity,
     min_s,
     root_in_fps,
     singular_points,
@@ -80,11 +78,9 @@ __all__ = [
     "check_quadratic_characterization",
     "classify_c",
     "classify_shape",
-    "classify_unreduced",
     "embed",
     "exceptionality_sweep",
     "full_report",
-    "gcd_necessity",
     "is_permutation",
     "is_planar",
     "is_pseudo_pcn",

@@ -233,22 +233,23 @@ class ClassificationReport:
         }
 
 
-def orbit_reps(ctx, cs, k: int) -> list[int]:
+def orbit_reps(ctx, cs, i: int) -> list[int]:
     """For each c of cs, the smallest element of its orbit under
-    c -> c^(p^k) and c -> 1/c (0 is its own orbit).
+    c -> c^(p^i) and c -> 1/c (0 is its own orbit), i being the first
+    entry of f.semilinear_twist.
 
     Substituting y = x + a turns f(x+a) - c*f(x) = b into
     f(y-a) - f(y)/c = -b/c, a bijection on (a, b) that keeps a = 0, so
-    delta_c = delta_{1/c} for every f.  With k = f.frobenius_degree,
-    raising f(x+a) - c*f(x) = b to the power p^k maps the solutions for
-    (a, b, c) onto those for (a^(p^k), b^(p^k), c^(p^k)), so the whole
-    orbit shares one delta.
+    delta_c = delta_{1/c} for every f.  With f(g^s * x^(p^i)) =
+    mu * f(x)^(p^i), substituting x -> g^s * x^(p^i) maps the solutions
+    for c onto those for c' with c'^(p^i) = c (see row_directions), so the
+    whole orbit shares one delta.
     """
     c = np.asarray(cs, dtype=np.int64)
     rep = c
-    for _ in range(ctx.n // k):
+    for _ in range(ctx.n // i):
         rep = np.minimum(rep, np.minimum(c, ctx.vpow_const(c, ctx.order - 2)))
-        c = ctx.vpow_const(c, ctx.p ** k)
+        c = ctx.vpow_const(c, ctx.p ** i)
     return rep.tolist()
 
 
@@ -314,10 +315,11 @@ def full_report(f: PolyFunc, workers: int = 1, cs=None) -> ClassificationReport:
 
     cs restricts the multipliers (e.g. to a subfield); default is all of
     F_q including c = 1, which is reported as the classical uniformity.
-    delta is counted once per orbit of c (see orbit_reps), for the orbit's
-    smallest element, over direction 0 alone when c = 0 and otherwise over
-    the directions row_directions picks, plus direction 0 unless c = 1;
-    the result equals c_uniformity(f, c) for every c.
+    delta is counted once per orbit of c under f's semilinear twist and
+    c -> 1/c (see orbit_reps), for the orbit's smallest element, over
+    direction 0 alone when c = 0 and otherwise over the directions
+    row_directions picks, plus direction 0 unless c = 1; the result equals
+    c_uniformity(f, c) for every c.
 
     At c = 1 the directions come from g, f without its constant term and
     its terms x^(p^j): f(x+a) - f(x) = g(x+a) - g(x) + L(a) with L
@@ -329,7 +331,7 @@ def full_report(f: PolyFunc, workers: int = 1, cs=None) -> ClassificationReport:
     ctx = f.ctx
     cs = sorted(cs) if cs is not None else range(ctx.order)
     m, twist = f.scaling_order, f.semilinear_twist
-    reps = orbit_reps(ctx, cs, f.frobenius_degree)
+    reps = orbit_reps(ctx, cs, twist[0])
     g = f
     if 1 in reps and any(p_weight(e, ctx.p) <= 1 for e in f.coeffs):
         g = PolyFunc(ctx, {e: a for e, a in f.coeffs.items() if p_weight(e, ctx.p) > 1})

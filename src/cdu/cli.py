@@ -291,8 +291,9 @@ def _check_report_cap(args, p: int, n: int, s: int):
     _check_cap(args, args.cap, p, n,
                f"the report evaluates at most {_power(p, s)} multipliers x {q} directions"
                f" = {_power(p, s + n)} c-derivative rows of {q} elements each, an upper"
-               " bound that the c = 0 fiber, the orbits of c and the orbits of directions"
-               " (x -> lambda*x scaling, Frobenius, a -> -a) lower")
+               " bound that the c = 0 fiber, the orbits of c (semilinear twist, c -> 1/c) and"
+               " the orbits of directions (semilinear twist, x -> lambda*x scaling, a -> -a)"
+               " lower")
 
 
 def cmd_analyze(args) -> tuple[dict, int]:

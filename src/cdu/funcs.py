@@ -155,15 +155,6 @@ class PolyFunc:
         return max(self.coeffs, default=-1)
 
     @functools.cached_property
-    def frobenius_degree(self) -> int:
-        """The smallest k with every coefficient in F_{p^k}, so that
-        f(x)^(p^k) = f(x^(p^k))."""
-        ctx = self.ctx
-        return next(k for k in range(1, ctx.n + 1)
-                    if ctx.n % k == 0 and all(ctx.in_subfield(v, ctx.p ** k)
-                                              for v in self.coeffs.values()))
-
-    @functools.cached_property
     def scaling_order(self) -> int:
         """m = gcd(q-1, d_i - d_j over the exponents d_i), so that
         f(lambda*x) = lambda^d * f(x) for every lambda with lambda^m = 1,
@@ -180,8 +171,7 @@ class PolyFunc:
         Comparing the coefficients of x^(d*p^i) on both sides, this holds
         iff s*(d - d0) = (p^i - 1)*(log alpha_d - log alpha_d0) mod q-1 for
         every term alpha_d*x^d.  The valid i form the multiples of one
-        divisor of n, since i = n always holds with s = 0; i divides
-        frobenius_degree, where s = 0.
+        divisor of n, since i = n always holds with s = 0.
         """
         ctx = self.ctx
         qm1 = ctx.order - 1
@@ -264,16 +254,6 @@ def parse_function(text: str, ctx: FieldContext) -> PolyFunc:
     return PolyFunc(ctx, parse_poly_text(ctx, text, allow_x=True))
 
 
-def _shape_from_exponents(exponents, p: int) -> ShapeFlags:
-    weights = {p_weight(e, p) for e in exponents if e > 0}
-    has_const = any(e == 0 for e in exponents)
-    is_linearized = weights <= {1} and not has_const
-    is_affine = weights <= {1}
-    is_do = weights <= {2} and not has_const
-    is_quadratic = all(w <= 2 for w in weights)
-    return ShapeFlags(is_linearized, is_affine, is_do, is_quadratic)
-
-
 def classify_shape(f: PolyFunc) -> ShapeFlags:
     """Shape flags of the reduced polynomial, from exponent p-weights.
 
@@ -282,17 +262,12 @@ def classify_shape(f: PolyFunc) -> ShapeFlags:
     most 2: quadratic.  For p = 2 an exponent 2^(i+1) = 2^i + 2^i has
     base-2 weight 1, so the i < j restriction on DO terms is automatic.
     """
-    return _shape_from_exponents(f.coeffs.keys(), f.ctx.p)
-
-
-def classify_unreduced(text: str, ctx: FieldContext) -> ShapeFlags:
-    """Shape flags computed from the raw exponents of the text form.
-
-    Reduction mod x^q - x can change the shape (e.g. x^11 over F_9
-    reduces to x^3), so callers wanting the written shape use this.
-    """
-    raw = parse_poly_text(ctx, text, allow_x=True)
-    return _shape_from_exponents(raw.keys(), ctx.p)
+    weights = {p_weight(e, f.ctx.p) for e in f.coeffs if e > 0}
+    has_const = 0 in f.coeffs
+    return ShapeFlags(is_linearized=weights <= {1} and not has_const,
+                      is_affine=weights <= {1},
+                      is_do=weights <= {2} and not has_const,
+                      is_quadratic=all(w <= 2 for w in weights))
 
 
 def is_permutation(f: PolyFunc) -> bool:
@@ -315,7 +290,6 @@ def is_two_to_one(f: PolyFunc) -> bool:
 
 def is_planar(f: PolyFunc) -> bool:
     """True iff x -> f(x+a) - f(x) is a bijection for every a != 0."""
-    from .cdiff import _row_block_counts  # cdiff imports this module
+    from .cdiff import is_relaxed_pcn  # cdiff imports this module
 
-    q = f.ctx.order
-    return all(int(block.max()) <= 1 for block in _row_block_counts(f, 1, range(1, q)))
+    return is_relaxed_pcn(f, 1)

@@ -67,12 +67,6 @@ def root_in_fps(p: int, h: int, d: int, c: int) -> bool:
     return base.pow(c, (ps - 1) // (d - 1)) == 1 if d > 2 else True
 
 
-def gcd_necessity(q: int, d: int) -> bool:
-    """True iff gcd(d, q-1) <= 2; otherwise x^d is more than 2-to-1 on
-    the zero-direction row and cannot be APcN for any c != 1."""
-    return math.gcd(d, q - 1) <= 2
-
-
 def root_of_unity(ctx: FieldContext, m: int) -> int:
     """A primitive m-th root of unity, located by exhaustion.
 

@@ -17,10 +17,13 @@ rows per orbit of c, took 2.8 ms at one worker and 4.2 ms at two.  The
 same small work is why the verification suites run serially: on the
 same machine, in five alternating pairs of runs, `cdu verify-theorems`
 took a median of 1.39 s with its suites on two workers against 1.26 s on
-one, slower in four pairs.  A sweep gains little: the x^5 sweep of the
-3^3 tower to r = 4, in eight alternating pairs of fresh processes, was
-faster on two workers in five pairs, at a median of 0.405 s against
-0.385 s on one.
+one, slower in four pairs.  A sweep gains a few percent at most.  In two
+sets of ten alternating pairs of fresh `cdu monomial` processes on 2 cores,
+the x^5 sweep up to F_{3^12} (`--p 3 --h 3 --d 5 --c 7 --rmax 4`) was
+faster on two workers in 7 and 8 pairs, at medians of 0.672 -> 0.663 s and
+0.833 -> 0.802 s; the x^3 sweep up to F_{5^8} (`--p 5 --h 2 --d 3 --c 7
+--rmax 4`) was faster in 3 and 5 pairs, at medians of 0.465 -> 0.467 s and
+0.558 -> 0.556 s.
 """
 
 from __future__ import annotations

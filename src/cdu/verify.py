@@ -532,7 +532,7 @@ def relaxed_pcn_suite(seed: int = 0, random_count: int = 10000) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# registry and combined report
+# registry
 # ---------------------------------------------------------------------------
 
 # each suite is looked up when it runs, so a wrapper set on this module
@@ -548,11 +548,3 @@ SUITES = {
     "monomial-sweep": lambda seed: monomial_sweep_report(),
     "relaxed-pcn": lambda seed: relaxed_pcn_suite(seed),
 }
-
-
-def acceptance_report(seed: int = 0) -> dict:
-    """Run every suite at full size; used by the determinism criterion."""
-    report = {name: fn(seed) for name, fn in SUITES.items()}
-    report["passed"] = all(r["passed"] for r in report.values()
-                           if isinstance(r, dict))
-    return report

@@ -1,14 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Every criterion runs at full size with its stated runtime budget; the
-reports come from cdu.verify so the determinism criterion can re-run the
-identical computations.
+reports come from cdu.verify, and the determinism criterion reruns every
+suite through `cdu verify-theorems` and compares its output bytes.
 """
 
 import json
 import time
 
-from cdu import verify
+from cdu import cli, verify
 from cdu.field import make_field
 
 
@@ -140,14 +140,17 @@ def test_criterion_9_relaxed_pcn_implies_pp():
     assert elapsed < 120.0
 
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(capsysbinary):
     t0 = time.monotonic()
-    serial = verify.acceptance_report(seed=0)
-    serial_again = verify.acceptance_report(seed=0)
+    codes, outs = [], []
+    for _ in range(2):
+        codes.append(cli.main(["verify-theorems", "--seed", "0"]))
+        outs.append(capsysbinary.readouterr().out)
     elapsed = time.monotonic() - t0
-    s1 = json.dumps(serial, sort_keys=True)
-    s2 = json.dumps(serial_again, sort_keys=True)
-    passed = s1 == s2 and serial["passed"]
-    _emit(10, passed, f"criteria 1-9 reports byte-identical across reruns ({elapsed:.1f}s)")
-    assert s1 == s2, "serial rerun diverged"
-    assert serial["passed"]
+    report = json.loads(outs[0])
+    passed = outs[0] == outs[1] and codes == [0, 0] and report["passed"]
+    _emit(10, passed, f"verify-theorems stdout byte-identical across reruns ({elapsed:.1f}s)")
+    assert outs[0] == outs[1], "rerun diverged"
+    assert codes == [0, 0]
+    assert report["passed"]
+    assert sorted(report["suites"]) == sorted(verify.SUITES)

@@ -1,6 +1,7 @@
 """c-difference tables, uniformity, classification, identities."""
 
 import io
+import itertools
 import json
 import math
 import random
@@ -25,7 +26,7 @@ from cdu.cdiff import (
 )
 from cdu.field import make_field
 from cdu.funcs import PolyFunc, is_permutation, p_weight, parse_function
-from cdu.verify import classical_ddt_direct, random_quadratic
+from cdu.verify import _derivatives_bijective, classical_ddt_direct, random_quadratic
 
 F4 = make_field(2, 2)
 F5 = make_field(5, 1)
@@ -220,18 +221,26 @@ def report_cases(draw):
     return f, None if scope is None else ctx.subfield_elements(p ** scope)
 
 
-def _scalar_orbit(ctx, c, k):
-    """The orbit of c != 0 under c -> c^(p^k) and c -> 1/c, by scalar powers."""
+def _scalar_orbit(ctx, c, i):
+    """The orbit of c != 0 under c -> c^(p^i) and c -> 1/c, by scalar powers."""
     orbit, x = set(), c
     for _ in range(ctx.n):
         orbit |= {x, ctx.inv(x)}
-        x = ctx.pow(x, ctx.p ** k)
+        x = ctx.pow(x, ctx.p ** i)
     return orbit
+
+
+def _coefficient_degree(f):
+    """The smallest k with every coefficient of f in F_{p^k}, by scalar powers."""
+    ctx = f.ctx
+    return next(k for k in _divisors(ctx.n)
+                if all(ctx.pow(v, ctx.p ** k) == v for v in f.coeffs.values()))
 
 
 class TestReducedReport:
     """full_report's c = 0, orbit and monomial reductions against the
-    generic per-c c_uniformity."""
+    generic per-c c_uniformity; the orbits of c are those of the
+    semilinear twist's c -> c^(p^i) and of c -> 1/c."""
 
     @settings(max_examples=120, deadline=None)
     @given(report_cases())
@@ -259,25 +268,13 @@ class TestReducedReport:
     def test_method_and_representative(self, case):
         f, cs = case
         ctx = f.ctx
-        k = f.frobenius_degree
+        i = f.semilinear_twist[0]
         monomial = len(f.coeffs) == 1 and 0 not in f.coeffs
         for e in full_report(f, cs=cs).entries:
             d = e.to_dict()
             assert d["method"] == ("fiber" if e.c == 0 else "monomial" if monomial else "rows")
-            rep = 0 if e.c == 0 else min(_scalar_orbit(ctx, e.c, k))
+            rep = 0 if e.c == 0 else min(_scalar_orbit(ctx, e.c, i))
             assert d.get("rep") == (rep if rep != e.c else None)
-
-    @settings(max_examples=60, deadline=None)
-    @given(report_cases())
-    def test_frobenius_degree_is_smallest_commuting_power(self, case):
-        f, _ = case
-        ctx = f.ctx
-        xs = ctx.elements()
-        k = f.frobenius_degree
-        for j in _divisors(ctx.n):
-            e = ctx.p ** j
-            commutes = np.array_equal(f.table[ctx.vpow_const(xs, e)], ctx.vpow_const(f.table, e))
-            assert commutes == (j >= k and j % k == 0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(REPORT_FIELDS), st.randoms(use_true_random=False))
@@ -304,15 +301,15 @@ class TestReducedReport:
         assert sorted(rows) == [1, 1] + [2] * (len(reps) - 2)
         assert len(reps) < 81 // 4
         rows.clear()
-        # a primitive coefficient: the orbits of c are {c, 1/c}.  As
-        # gcd(5 - 2, 80) = 1, f(lambda * x^3) = mu * f(x)^3 for some lambda,
-        # so directions reduce by that twist for c in F_3 (along with
-        # a -> -a) and by its square for c in F_9; the 36 orbits of c
-        # outside F_9 count every direction
+        # a primitive coefficient, yet gcd(5 - 2, 80) = 1, so
+        # f(lambda * x^3) = mu * f(x)^3 for some lambda: the orbits of c are
+        # those of c -> c^3 and c -> 1/c, and directions reduce by that
+        # twist for c in F_3 (along with a -> -a) and by its square for c
+        # in F_9; the 10 orbits of c outside F_9 count every direction
         f = PolyFunc(F81, {5: 1, 2: F81.generator})
-        assert f.semilinear_twist[0] == 1 and f.frobenius_degree == 4
+        assert f.semilinear_twist[0] == 1 and _coefficient_degree(f) == 4
         report = full_report(f)
-        assert rows[:3] == [1, 13, 14] and sorted(rows[3:]) == [45] * 3 + [81] * 36
+        assert rows[:3] == [1, 13, 14] and sorted(rows[3:]) == [45] * 2 + [81] * 10
         # each entry records the rows counted for its representative
         by_rep = dict(zip(sorted({e.to_dict().get("rep", e.c) for e in report.entries}), rows))
         assert [e.directions for e in report.entries] == [
@@ -393,7 +390,7 @@ class TestDirectionOrbits:
             return any(np.array_equal(lhs, ctx.vmul_const(mu, rhs)) for mu in range(1, ctx.order))
 
         i, s = f.semilinear_twist
-        assert ctx.n % i == 0 and f.frobenius_degree % i == 0
+        assert ctx.n % i == 0 and _coefficient_degree(f) % i == 0
         assert 0 <= s < (ctx.order - 1) // f.scaling_order
         assert twists(i, s)
         assert not any(twists(i2, s2) for i2 in _divisors(ctx.n) if i2 < i
@@ -416,12 +413,13 @@ class TestDirectionOrbits:
     @settings(max_examples=80, deadline=None)
     @given(report_cases())
     def test_report_where_directions_reduce(self, case):
-        # c = -1 for odd p, and the multipliers of the subfield F_{p^k},
-        # where sigma = x^(p^k) fixes c and reduces the directions
+        # c = -1 for odd p, and the multipliers of the subfield F_{p^i}, i
+        # being the semilinear twist's, where sigma = x^(p^i) fixes c and
+        # the twist itself reduces the directions
         f, _ = case
         ctx = f.ctx
-        k = f.frobenius_degree
-        cs = {1, ctx.neg(1)} | (set(ctx.subfield_elements(ctx.p ** k)) if k < ctx.n else set())
+        i = f.semilinear_twist[0]
+        cs = {1, ctx.neg(1)} | (set(ctx.subfield_elements(ctx.p ** i)) if i < ctx.n else set())
         for e in full_report(f, cs=cs).entries:
             assert e.delta == c_uniformity(f, e.c), (str(f), e)
 
@@ -567,6 +565,25 @@ class TestRelaxedAndPseudo:
         # PPs do appear in 300 random tables only rarely; the assertion
         # above is the point, hits is informational
         assert hits >= 0
+
+    @staticmethod
+    def _oracle_agrees(ctx, table):
+        """verify._derivatives_bijective, the relaxed-pcn suite's scalar
+        oracle, against is_relaxed_pcn for every c != 1."""
+        f = PolyFunc.from_table(ctx, table)
+        for c in range(ctx.order):
+            if c != 1:
+                mul_c = [ctx.mul(c, b) for b in range(ctx.order)]
+                assert _derivatives_bijective(table, mul_c) == is_relaxed_pcn(f, c), (table, c)
+
+    def test_suite_oracle_on_every_map_of_f4(self):
+        for table in itertools.product(range(4), repeat=4):
+            self._oracle_agrees(F4, table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.permutations(range(8)), st.lists(st.integers(0, 7), min_size=8, max_size=8)))
+    def test_suite_oracle_on_f8_tables(self, table):
+        self._oracle_agrees(F8, table)
 
     def test_pseudo_pcn_examples(self):
         assert is_pseudo_pcn(PolyFunc(F8, {}), 1)

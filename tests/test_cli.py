@@ -51,6 +51,7 @@ class TestCaps:
                                "--function", "x", "--cap", "80")
         assert code == 2 and "cap" in err
         assert "81 multipliers x 81 directions = 6561 c-derivative rows" in err
+        assert err.count("semilinear twist") == 2 and "Frobenius" not in err
         code, _, err = run_cli(capsys, "analyze", "--field", "3^4", "--function", "x",
                                "--c-scope", "2", "--cap", "80")
         assert code == 2 and "9 multipliers x 81 directions = 729" in err

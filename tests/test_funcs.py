@@ -9,7 +9,6 @@ from cdu.field import make_field
 from cdu.funcs import (
     PolyFunc,
     classify_shape,
-    classify_unreduced,
     is_permutation,
     is_planar,
     is_two_to_one,
@@ -154,9 +153,8 @@ class TestShapes:
             if s.is_do:
                 assert s.is_quadratic
 
-    def test_classify_unreduced(self):
+    def test_shape_of_the_reduced_exponents(self):
         # x^11 has p-weight 3 over F_9 (11 = 2 + 0*3 + 1*9) but reduces to x^3
-        assert not classify_unreduced("x^11", F9).is_quadratic
         assert classify_shape(parse_function("x^11", F9)).is_linearized
 
     def test_p_weight(self):

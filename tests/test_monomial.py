@@ -13,7 +13,6 @@ from cdu.funcs import PolyFunc
 from cdu.monomial import (
     exceptionality_sweep,
     fiber_members,
-    gcd_necessity,
     min_s,
     root_in_fps,
     root_of_unity,
@@ -170,13 +169,6 @@ class TestValueDistribution:
     def test_rejects_c_one(self):
         with pytest.raises(errors.COne):
             value_distribution(F27, 5, 1)
-
-
-class TestGcdNecessity:
-    def test_examples(self):
-        assert gcd_necessity(8, 3)
-        assert not gcd_necessity(7, 3)
-        assert not gcd_necessity(9, 4)  # gcd(4, 8) = 4
 
 
 class TestRootOfUnity:

@@ -3,98 +3,39 @@
 Compute c-difference distribution tables and PcN/APcN classifications,
 build permutation and 2-to-1 families through the AGW criterion, and run
 exceptionality sweeps for power functions across extension towers.
+
+``import cdu`` loads none of the modules below: each public name imports
+its module on first use (PEP 562), so a command loads only what it runs.
 """
 
-from .cdiff import (
-    CDiffSpectrum,
-    ClassificationReport,
-    c_ddt,
-    c_derivative,
-    c_uniformity,
-    check_quadratic_characterization,
-    classify_c,
-    full_report,
-    is_pseudo_pcn,
-    is_relaxed_pcn,
-)
-from .construct import (
-    AgwParams,
-    JSubspace,
-    build_agw_pp,
-    build_apcn_2to1,
-    build_quad_exponent_pp,
-    subspace_j,
-    validate_preconditions,
-)
-from .field import (
-    FieldContext,
-    FieldSpec,
-    embed,
-    make_field,
-    parse_element,
-    parse_field_spec,
-    relative_trace,
-)
-from .funcs import (
-    PolyFunc,
-    ShapeFlags,
-    classify_shape,
-    is_permutation,
-    is_planar,
-    is_two_to_one,
-    parse_function,
-)
-from .monomial import (
-    ExtensionVerdict,
-    MonomialAnalysis,
-    ValueDistribution,
-    exceptionality_sweep,
-    min_s,
-    root_in_fps,
-    singular_points,
-    value_distribution,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgwParams",
-    "CDiffSpectrum",
-    "ClassificationReport",
-    "ExtensionVerdict",
-    "FieldContext",
-    "FieldSpec",
-    "JSubspace",
-    "MonomialAnalysis",
-    "PolyFunc",
-    "ShapeFlags",
-    "ValueDistribution",
-    "build_agw_pp",
-    "build_apcn_2to1",
-    "build_quad_exponent_pp",
-    "c_ddt",
-    "c_derivative",
-    "c_uniformity",
-    "check_quadratic_characterization",
-    "classify_c",
-    "classify_shape",
-    "embed",
-    "exceptionality_sweep",
-    "full_report",
-    "is_permutation",
-    "is_planar",
-    "is_pseudo_pcn",
-    "is_relaxed_pcn",
-    "is_two_to_one",
-    "make_field",
-    "min_s",
-    "parse_element",
-    "parse_field_spec",
-    "parse_function",
-    "relative_trace",
-    "root_in_fps",
-    "singular_points",
-    "subspace_j",
-    "validate_preconditions",
-    "value_distribution",
-]
+# module -> the public names it defines
+_PUBLIC = {
+    "cdiff": ("CDiffSpectrum", "ClassificationReport", "c_ddt", "c_derivative",
+              "c_uniformity", "check_quadratic_characterization", "classify_c",
+              "full_report", "is_pseudo_pcn", "is_relaxed_pcn"),
+    "construct": ("AgwParams", "JSubspace", "build_agw_pp", "build_apcn_2to1",
+                  "build_quad_exponent_pp", "subspace_j", "validate_preconditions"),
+    "field": ("FieldContext", "FieldSpec", "embed", "make_field", "parse_element",
+              "parse_field_spec", "relative_trace"),
+    "funcs": ("PolyFunc", "ShapeFlags", "classify_shape", "is_permutation", "is_planar",
+              "is_two_to_one", "parse_function"),
+    "monomial": ("ExtensionVerdict", "MonomialAnalysis", "ValueDistribution",
+                 "exceptionality_sweep", "min_s", "root_in_fps", "singular_points",
+                 "value_distribution"),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

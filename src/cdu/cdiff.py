@@ -171,9 +171,11 @@ def c_ddt(f: PolyFunc, c: int) -> CDiffSpectrum:
 
 
 def c_uniformity(f: PolyFunc, c: int) -> int:
-    """delta without materializing the matrix (streams row blocks)."""
+    """delta without materializing the matrix (streams row blocks).  At
+    c = 0 every row counts the fibers of f, translated by a, so direction
+    0 alone gives delta."""
     q = f.ctx.order
-    directions = range(1, q) if c == 1 else range(q)
+    directions = range(1, q) if c == 1 else [0] if c == 0 else range(q)
     return max(int(block.max()) for block in _row_block_counts(f, c, directions))
 
 

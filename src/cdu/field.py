@@ -11,11 +11,11 @@ A FieldContext is immutable once constructed and safe to share across
 threads: every operation is a pure function of the context and its
 arguments.  Every field multiplies through discrete-log/exponential
 tables.  The exponential table is built by doubling: multiplying by the
-constant g^k is an F_p-linear map, one n x n matrix applied to the
-base-p digits of the first k powers.  For p = 2 addition is XOR; for odd
-p an element's spread word writes its base-p digits in base 2p-1, two
-words add as integers without carry, and the sum folds back to an
-element through tables over chunks of digits.
+constant g^k is an F_p-linear map, applied to the first k powers through
+one lookup table per half of an element's digits (see linear_map).  For
+p = 2 addition is XOR; for odd p an element's spread word writes its
+base-p digits in base 2p-1, two words add as integers without carry, and
+the sum folds back to an element through tables over chunks of digits.
 
 Element I/O accepts the canonical integer form and the symbolic
 ``a*g^2+b*g+c`` polynomial-in-generator form; output is canonical
@@ -84,8 +84,8 @@ def prime_factors(m: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over Z_p (coefficient tuples, lowest degree
-# first, trailing zeros trimmed) -- used for modulus validation, the
-# irreducibility test and the scalar steps of the log-table build
+# first, trailing zeros trimmed) -- used for modulus validation and the
+# irreducibility test
 # ---------------------------------------------------------------------------
 
 def _ptrim(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -231,30 +231,23 @@ class FieldContext:
         self.order = spec.order
         self.modulus = spec.modulus
 
-        p, n, q = self.p, self.n, self.order
-        self._pow_vec = np.array([p ** i for i in range(n)], dtype=np.int64)
-
+        if self.p != 2:
+            self._build_add_tables()  # linear_map adds through them
         self._build_log_tables()
-        if p != 2:
-            self._build_add_tables()
 
         self._lock = threading.Lock()
         self._embed_roots: dict[FieldSpec, int] = {}
         self._subfield_cache: dict[int, tuple[int, ...]] = {}
-        self._elements = np.arange(q, dtype=np.int64)
+        self._elements = np.arange(self.order, dtype=np.int64)
 
     # -- representation helpers ------------------------------------------
 
     def __repr__(self):
         return f"FieldContext(F_{self.p}^{self.n}, modulus={list(self.modulus)})"
 
-    def _digits(self, u) -> np.ndarray:
-        """Base-p digits of each element of u, along a new last axis."""
-        return np.asarray(u, dtype=np.int64)[..., None] // self._pow_vec % self.p
-
     def coords(self, x: int) -> tuple[int, ...]:
         """Polynomial-basis coordinates of a canonical integer."""
-        return tuple(int(v) for v in self._digits(x))
+        return tuple(int(x) // self.p ** i % self.p for i in range(self.n))
 
     @property
     def gen_residue(self) -> int:
@@ -272,35 +265,56 @@ class FieldContext:
     def _build_log_tables(self):
         """Generator, exponential and discrete-log tables.
 
-        The generator is the smallest integer whose (q-1)/r-th power is not
-        1 for any prime r dividing q-1.  exp is filled by doubling:
-        exp[k:2k] = exp[:k] * g^k, and multiplying by g^k maps digit
-        vectors through the matrix whose row i holds X^i * g^k mod the
-        modulus.
+        The generator g is the smallest integer whose (q-1)/r-th power is
+        not 1 for any prime r dividing q-1.  The search packs an element's
+        digits into a Python int, `width` bits apart, so that one integer
+        product multiplies two polynomials with no carry between digits
+        (Kronecker substitution); digits of X^n and above fold back through
+        X^n mod the modulus, and floor(v / p) = v * m >> shift reduces every
+        digit v < 2^bits mod p at once.  exp is filled by doubling:
+        exp[k:2k] = exp[:k] * g^k through the linear_map with images
+        X^i * g^k, which also takes these images to those for 2k.
         """
         p, n, q, f = self.p, self.n, self.order, self.modulus
-        factors = prime_factors(q - 1)
+        bits = (n * n * (p - 1) ** 2).bit_length()  # n^2 (p-1)^2 bounds a digit
+        shift = bits + p.bit_length()
+        width, m = bits + shift, -(-(1 << shift) // p)
+        top, factors = width * n, prime_factors(q - 1)
+        quotients = sum((1 << bits) - 1 << width * i for i in range(2 * n))
+        xn = sum(-c % p << width * i for i, c in enumerate(f[:n]))  # X^n mod f
+
+        def reduced(w):
+            return w - p * (w * m >> shift & quotients)
+
+        def mul(a, b):
+            w = a * b
+            while w >> top:  # each pass adds at most (n-1)(p-1)^2 to a digit
+                w = (w & (1 << top) - 1) + reduced(w >> top) * xn
+            return reduced(w)
+
+        def power(x, e):
+            out = 1
+            while e:
+                out, x, e = mul(out, x) if e & 1 else out, mul(x, x), e >> 1
+            return out
+
+        def pack(x):
+            return sum(d << width * i for i, d in enumerate(self.coords(x)))
+
+        def unpack(w):
+            return sum((w >> width * i & (1 << width) - 1) * p ** i for i in range(n))
+
         self.generator = next(
-            (c for c in range(2, q)
-             if all(_ppowmod(_ptrim(self.coords(c)), (q - 1) // r, f, p) != (1,)
-                    for r in factors)),
+            (c for c in range(2, q) if all(power(pack(c), (q - 1) // r) != 1 for r in factors)),
             1)  # F_2: the only unit generates
+        images = [unpack(mul(pack(self.generator), 1 << width * i)) for i in range(n)]
         exp = np.empty(q - 1, dtype=np.int64)
         exp[0] = 1
-        gk = _ptrim(self.coords(self.generator))
         k = 1
         while k < q - 1:
-            mat = np.zeros((n, n), dtype=np.int64)
-            row = gk
-            for i in range(n):
-                mat[i, : len(row)] = row
-                row = _pmulmod(row, (0, 1), f, p)
-            # in chunks, so that the int64 digit temporaries stay small
-            m, chunk = min(k, q - 1 - k), 1 << 16
-            for lo in range(0, m, chunk):
-                hi = min(lo + chunk, m)
-                exp[k + lo:k + hi] = self._digits(exp[lo:hi]) @ mat % p @ self._pow_vec
-            gk = _pmulmod(gk, gk, f, p)
+            times = self.linear_map(images)  # multiplication by g^k
+            exp[k:2 * k] = times(exp[:min(k, q - 1 - k)])
+            images = times(images)
             k *= 2
         self._exp2 = np.concatenate([exp, exp])
         log = np.zeros(q, dtype=np.int64)
@@ -351,6 +365,36 @@ class FieldContext:
         self._neg_words = by_digit(-digits % p, spread, word_dtype)
         self._folds = folds
         self._fold_mask = (1 << bits) - 1
+
+    def linear_map(self, images):
+        """The F_p-linear map of the field that sends X^i to images[i], as
+        a function of an array of elements (or of one element).
+
+        x = x_lo + K*x_hi splits into halves, K = p^ceil(n/2), so a map is
+        two tables, one per half, of the image of every value of that half,
+        each built a digit at a time from the multiples of that digit's
+        image.  For p = 2 the tables hold elements, at most 2^10 entries
+        each up to F_{2^20}, and the two lookups XOR; for odd p they hold
+        spread words, which add once and fold.
+        """
+        p, half = self.p, (self.n + 1) // 2
+        low, images = p ** half, np.asarray(images, dtype=np.int64)
+        multiples = [np.zeros_like(images)]  # d * images for d in F_p
+        for _ in range(p - 1):
+            multiples.append(self.vadd(multiples[-1], images))
+        digits = np.array(multiples).T
+
+        def table(columns):
+            t = np.zeros(1, dtype=np.int64)
+            for column in columns:  # each digit is more significant than t's
+                t = self.vadd(column[:, None], t).ravel()
+            return t if p == 2 else self._words[t]
+
+        lows, highs = table(digits[:half]), table(digits[half:])
+        if p == 2:
+            return lambda u: lows[np.bitwise_and(u, low - 1)] ^ highs[np.right_shift(u, half)]
+        return lambda u: self.fold(lows[np.remainder(u, low)]
+                                   + highs[np.floor_divide(u, low)]).astype(np.int64)
 
     # -- scalar arithmetic -------------------------------------------------
 
@@ -485,9 +529,17 @@ class FieldContext:
         return self.vadd(self._elements, a)
 
     def field_sum(self, u) -> int:
-        """Sum of an array of elements, as one field element."""
-        d = self._digits(u).sum(axis=0) % self.p
-        return int(d @ self._pow_vec)
+        """Sum of an array of elements, as one field element.  Digit j of
+        the sum is the sum of floor(u / p^j) mod p, for floor(u / p^j) is
+        digit j of u plus p times the digits above it."""
+        u = np.asarray(u, dtype=np.int64)
+        if self.p == 2:
+            return int(np.bitwise_xor.reduce(u, axis=None))
+        out = 0
+        for j in range(self.n):
+            out += int(u.sum()) % self.p * self.p ** j
+            u = u // self.p
+        return out
 
     # -- subfields ---------------------------------------------------------
 
@@ -604,31 +656,24 @@ def embed(sub: FieldContext, sup: FieldContext, x: int) -> int:
 
 def relative_trace(ctx: FieldContext, sub_degree: int, x: int) -> int:
     """Trace of x onto the subfield of order p^sub_degree."""
-    if sub_degree < 1 or ctx.n % sub_degree:
-        raise BadSubfieldDegree(
-            f"{sub_degree} does not divide the extension degree {ctx.n}")
-    q0 = ctx.p ** sub_degree
-    k = ctx.n // sub_degree
-    acc = cur = x
-    for _ in range(k - 1):
-        cur = ctx.pow(cur, q0)
-        acc = ctx.add(acc, cur)
-    return acc
+    return int(trace_table(ctx, sub_degree, x))
 
 
 def trace_table(ctx: FieldContext, sub_degree: int, values) -> np.ndarray:
-    """Vectorized relative_trace over an array of elements."""
+    """Vectorized relative_trace over an array of elements.
+
+    The trace x + x^q0 + ... + x^(q0^(k-1)) is F_p-linear, so it is the
+    linear_map with the traces of the basis X^i as its images.
+    """
     if sub_degree < 1 or ctx.n % sub_degree:
         raise BadSubfieldDegree(
             f"{sub_degree} does not divide the extension degree {ctx.n}")
     q0 = ctx.p ** sub_degree
-    k = ctx.n // sub_degree
-    acc = np.asarray(values, dtype=np.int64).copy()
-    cur = acc
-    for _ in range(k - 1):
+    images = cur = ctx.p ** np.arange(ctx.n, dtype=np.int64)
+    for _ in range(ctx.n // sub_degree - 1):
         cur = ctx.vpow_const(cur, q0)
-        acc = ctx.vadd(acc, cur)
-    return acc
+        images = ctx.vadd(images, cur)
+    return ctx.linear_map(images)(values)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Results always come back in input order, so a computation partitioned
 across workers produces byte-identical reports to a serial run.  Threads
 are used rather than processes, so contexts and tables are shared without
 copying, and a pool never starts more threads than there are CPUs.
+concurrent.futures, the pool's module, is imported only when a call
+uses more than one worker, so a serial command never loads it.
 
 Two callers use it: cdiff.full_report, one verdict per orbit of c, and
 monomial.exceptionality_sweep, one extension field per worker.  Threads
@@ -29,7 +31,6 @@ faster on two workers in 7 and 8 pairs, at medians of 0.672 -> 0.663 s and
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def pmap(fn, items, workers: int = 1) -> list:
@@ -37,5 +38,7 @@ def pmap(fn, items, workers: int = 1) -> list:
     workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

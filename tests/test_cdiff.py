@@ -276,6 +276,13 @@ class TestReducedReport:
             rep = 0 if e.c == 0 else min(_scalar_orbit(ctx, e.c, i))
             assert d.get("rep") == (rep if rep != e.c else None)
 
+    @settings(max_examples=100, deadline=None)
+    @given(report_cases())
+    def test_c_zero_counts_direction_zero_alone(self, case):
+        # every c = 0 row is the fiber histogram of f, translated by a
+        f, _ = case
+        assert c_uniformity(f, 0) == c_ddt(f, 0).delta
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(REPORT_FIELDS), st.randoms(use_true_random=False))
     def test_inverse_multiplier_on_random_tables(self, pn, rng):

@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
+import concurrent.futures
+import importlib
 import json
 import os
 import subprocess
@@ -460,7 +462,8 @@ class TestParallel:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor", Pool)
+        # pmap imports the pool class when it runs, so it is patched at its source
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
         return sizes
 
@@ -476,6 +479,37 @@ class TestParallel:
         code, out, _ = run_cli(capsys, *args, "--parallel", "100000")
         assert code == 0 and out == serial
         assert pools == [3]
+
+
+class TestColdStart:
+    def test_cli_imports_only_the_computing_core(self):
+        src = os.path.dirname(os.path.dirname(cdu.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, cdu.cli; print(' '.join(sorted(m for m in sys.modules"
+                " if m.startswith('cdu') or m == 'concurrent.futures')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stdout.split()) <= {
+            "cdu", "cdu._parse", "cdu.cdiff", "cdu.cli", "cdu.construct", "cdu.errors",
+            "cdu.field", "cdu.funcs", "cdu.parallel"}
+
+    def test_public_names_resolve(self):
+        star = {}
+        exec("from cdu import *", star)
+        for name in cdu.__all__:
+            value = getattr(cdu, name)
+            assert star[name] is value
+            assert getattr(importlib.import_module(value.__module__), name) is value
+        with pytest.raises(AttributeError):
+            cdu.no_such_name
+
+    def test_suite_choices_are_the_verify_suites(self):
+        from cdu import verify
+
+        _, commands = cli.build_parser()
+        suite = next(a for a in commands["verify-theorems"]._actions if a.dest == "suite")
+        assert list(suite.choices) == sorted(verify.SUITES)
 
 
 class TestDeterminismAndConfig:

@@ -1,5 +1,6 @@
 """Field construction, arithmetic, embeddings, traces."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -81,6 +82,62 @@ def poly_pow(ctx, a, e):
 
 # every F_{p^n} with p in {2, 3, 5, 7} and q <= 3^7
 SMALL_FIELDS = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 12) if p ** n <= 3 ** 7]
+
+# SHA-256 of the generator, _exp2 and _log of the field with the default
+# modulus (see _table_digest), recorded from an independent digit-matrix
+# build, so that a faster build keeps every table: every field with p in
+# {2, 3, 5, 7} and q <= 3^10, then F_{2^16}, F_{2^20}, F_{3^12}, F_{3^13}
+# and F_{5^8}
+PINNED_TABLES = {
+    (2, 1): "e369096b9eb0ad1bf1e08b2610cb005053a9b9d9c44f89e7286813d17aa49099",
+    (2, 2): "6c4ea257b768785ad09ae6ca843a078cd8da7344688ad19dbe52733ed515c49d",
+    (2, 3): "921ce9529ed9744d2adf3938d0b378ba12aa21a4fe633316683d0e92c1d03b2f",
+    (2, 4): "e9699be0e1ae48ef932672196318a59fd9af802890927ea508c18ca178593480",
+    (2, 5): "4f867e8ab38c14b67d8d698d3f02a0cfa21cf8044779f58e8b63f7d6f58dd3cf",
+    (2, 6): "53cb4799e82739db1e936864cd66978e14883763ba89ea280f1527266452c543",
+    (2, 7): "a30b0b93fcd3798f84490039c5c2ccdfbb90c981a690aa1aec9ce3f81151b7e3",
+    (2, 8): "334e00d54bb7314fa65a5fd8a0077b00b73e61086b0752ef6817a0be404f117c",
+    (2, 9): "808a640800adcd44ac34ce631c183e4bb51cc40df28c022004bcf59c0ef19b75",
+    (2, 10): "1a9b61b14217934e7fd9c4893f3b44c1a043e5a8d2c2656263b0728248426b9e",
+    (2, 11): "5cf79bfa2a013c82fd3932900a8c2109e473d8f047fa88efe46d5766609a523b",
+    (2, 12): "5d15ef1a2582d71cd70cd154792a8831b46d3926bb084709d10e5548d0f8abe4",
+    (2, 13): "ed81a6b77cd8fdd88696b936a0080f77b97f428b78cb73d5d1a3d8bf8eb5378a",
+    (2, 14): "0d35d169a57b37c366dad052b2e94aae4c169aa0b36e580561bd50c30421e556",
+    (2, 15): "aba1b83242be8bc50084a82bb9a9b1fa2bf0d3b5f6644715d2f81140adfc4236",
+    (3, 1): "cd8cefb6bae48b7f3ec4926f546a04516b0e597ef5c6418ecc6c5cfd2dc14979",
+    (3, 2): "4632b71dd8ff34ec656de0638ee9984ed5da2f78e37583fa5487c237a7b00666",
+    (3, 3): "583ef1d9f35d87dd73ffe3ef3bc1859e286ff900202ef293e09be149aedf6966",
+    (3, 4): "9d586ddadd6897874cf34ddb4dd2128eeb61644a5c3a0d9fbfd170f832264c5c",
+    (3, 5): "0080d212acc659ea8350ce879493ce1480140c6302456a56721be5b16e5611e7",
+    (3, 6): "79c490458df968dbc1a81e724d73ee3c9753d3b4febbf12794d71ac3932d897a",
+    (3, 7): "c6f7824a8de79dee3f6242cf210cb8eacd90242d48dddc1dc894eed2cc4fb7e5",
+    (3, 8): "91a406b0a783b404de2520a7e3d84d987695ae227943a5fd0227eeb95790b047",
+    (3, 9): "a126d8c80f982cdfbc1044ad7605a9de30a7d26c65fdf1cfdbe7e89589a1432a",
+    (3, 10): "5dcd686e40cf0af4a39d30509b334b9f991bd17b6941cab946cbafccb5b839dd",
+    (5, 1): "749c5399b78c9eb3d2c8161b04daecbc163adc4b6dadd064784f6d94a84785ec",
+    (5, 2): "4f58e96a258638476cfef9844c774172a3222bc493d03fbcf49831f8c94d60a1",
+    (5, 3): "f7b5beba57e2618f673b20c796f6e783908ae58ca0dec36ba2096efff6fa16d7",
+    (5, 4): "7142df7cad75b847120db83e821dccea39fe1f4873930e672a5eda12a32f8d4e",
+    (5, 5): "49c92fdbc394b4f1647e6922360e012d6ecba26a8a1e2a5498216e8141aec5d9",
+    (5, 6): "4fc0e13a2e8031743ed30497daa812b9ffd17cc9f0b8f7dc274147aa29528213",
+    (7, 1): "eb43f28c5d1c1c99ad820cd4641aed1ff8a79c1166cb21555c3d12e3cb48b54e",
+    (7, 2): "08da6ac41f956f49e9c2a7f719a6e064bc6171778f6fd4e03361caf54ffe9a2b",
+    (7, 3): "a2dcb017621c12b1329d6f5f11bd6c3aa8ef418f5cd1e05bd51adfff7da4edae",
+    (7, 4): "5fa96c2c9a44be456fc1e09c7fb323a9521b371652a6ab63626a6aa50599da03",
+    (7, 5): "eed796de94162fcb8da9c4aaad67ce8cf2f316458ac8ae5e7a4d680cf1cbe701",
+    (2, 16): "f11907901df6277dcaf397cd8a3c75913e84b5cd97e25d57482ec62a6c56e20e",
+    (2, 20): "44a6de08fc4d6f321fe5c4ee8e5102599155b1887f025ec6b1b88071e9b542d0",
+    (3, 12): "75c3a8c31e39eb3c9a0aedb647147b7d831b233a47976757dfe6f5219bbfba95",
+    (3, 13): "f158057e4f348cd221510ad6af5629793cd7ac3c8bea6184988ee86bff440d65",
+    (5, 8): "72346a8af5a762ddeb1df1a71b4a25b54ff8b9a61c08d6fdf6e2ed8fd12ed63c",
+}
+
+
+def _table_digest(ctx):
+    h = hashlib.sha256(str(ctx.generator).encode())
+    h.update(np.ascontiguousarray(ctx._exp2, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(ctx._log, dtype="<i8").tobytes())
+    return h.hexdigest()
 
 
 class TestConstruction:
@@ -253,6 +310,12 @@ class TestArithmetic:
             assert exp[k + 1] == poly_mul(ctx, int(exp[k]), g)
         assert list(ctx._log[exp]) == list(range(q - 1))
 
+    @pytest.mark.parametrize("p,n", list(PINNED_TABLES))
+    def test_tables_match_pinned_digests(self, p, n):
+        # built outside the cache, so that the large fields do not stay
+        spec = field_module.FieldSpec(p, n, field_module._default_modulus(p, n))
+        assert _table_digest(field_module.FieldContext(spec)) == PINNED_TABLES[(p, n)]
+
     def test_generator_has_full_order(self):
         for p, n in [(2, 3), (3, 2), (5, 2), (2, 1)]:
             ctx = make_field(p, n)
@@ -287,6 +350,35 @@ class TestArithmetic:
             v = (u * 2 + 1) % q
             assert list(ctx.vmul(u, v)) == [poly_mul(ctx, int(a), int(b)) for a, b in zip(u, v)]
             assert list(ctx.vpow_const(u, 7)) == [poly_pow(ctx, int(a), 7) for a in u]
+
+
+class TestLinearMap:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(SMALL_FIELDS), st.data())
+    def test_multiplication_maps_match_scalar_products(self, field, data):
+        ctx = make_field(*field)
+        q, p = ctx.order, ctx.p
+        c = data.draw(st.integers(0, q - 1))
+        xs = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=40))
+        times_c = ctx.linear_map([poly_mul(ctx, c, p ** i) for i in range(ctx.n)])
+        assert times_c(np.array(xs)).tolist() == [poly_mul(ctx, c, x) for x in xs]
+        assert times_c(xs[0]) == poly_mul(ctx, c, xs[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(SMALL_FIELDS), st.data())
+    def test_random_maps_match_scalar_sums(self, field, data):
+        ctx = make_field(*field)
+        q = ctx.order
+        images = data.draw(st.lists(st.integers(0, q - 1), min_size=ctx.n, max_size=ctx.n))
+        xs = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=40))
+        expect = []
+        for x in xs:
+            acc = 0
+            for image, digit in zip(images, _poly(x, ctx.p)):
+                for _ in range(digit):
+                    acc = ctx.add(acc, image)
+            expect.append(acc)
+        assert ctx.linear_map(images)(np.array(xs)).tolist() == expect
 
 
 class TestElemPow:
@@ -431,6 +523,22 @@ class TestRelativeTrace:
         F64 = make_field(2, 6)
         xs = np.arange(64)
         assert list(trace_table(F64, 2, xs)) == [relative_trace(F64, 2, x) for x in range(64)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SMALL_FIELDS), st.data())
+    def test_matches_the_sum_of_conjugates(self, field, data):
+        ctx = make_field(*field)
+        m = data.draw(st.sampled_from([m for m in range(1, ctx.n + 1) if ctx.n % m == 0]))
+        xs = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=40))
+        expect = []
+        for x in xs:
+            acc = cur = x
+            for _ in range(ctx.n // m - 1):
+                cur = ctx.pow(cur, ctx.p ** m)
+                acc = ctx.add(acc, cur)
+            expect.append(acc)
+        assert trace_table(ctx, m, xs).tolist() == expect
+        assert relative_trace(ctx, m, xs[0]) == expect[0]
 
 
 class TestElementIO:

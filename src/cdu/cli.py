@@ -352,14 +352,20 @@ def cmd_construct(args) -> tuple[dict, int]:
         recipe = json.loads(raw)
     except ValueError as exc:
         raise ConfigError(f"recipe is not valid JSON: {exc}") from None
+    if not isinstance(recipe, dict):
+        raise ConfigError("the recipe must be a JSON object")
     for key in ("theorem", "q", "n"):
         if key not in recipe:
             raise ConfigError(f"recipe is missing {key!r}")
+
+    def integer(key, value):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"the recipe's {key} must be an integer, got {value!r}") from None
+
     theorem = recipe["theorem"]
-    try:
-        q0, n = int(recipe["q"]), int(recipe["n"])
-    except (TypeError, ValueError):
-        raise ConfigError("the recipe's q and n must be integers") from None
+    q0, n = integer("q", recipe["q"]), integer("n", recipe["n"])
     # the cap comes first: factoring a large q would take longer than refusing it
     _check_report_cap(args, q0, n, n)
     factors = prime_factors(q0)
@@ -385,27 +391,34 @@ def cmd_construct(args) -> tuple[dict, int]:
         else:
             params = construct.AgwParams(ctx=ctx, q=q0, phi=phi, g=g,
                                          h=parse_function(str(h_or_b), ctx), kind=kind)
-        validation = construct.validate_preconditions(params).to_dict()
-        f = construct.build_agw_pp(params, validate=True)
+        report = construct.validate_preconditions(params)
+        report.require_pp()
+        validation = report.to_dict()
+        f = construct.build_agw_pp(params, validate=False)
         extra = {"is_permutation": is_permutation(f)}
     elif theorem == "quad":
         phi = fparse("phi", "x")
-        b = int(recipe.get("h_or_b", 1))
-        terms = [(parse_function(str(t["g"]), ctx), int(t["s"]))
-                 for t in recipe.get("terms", [])]
-        if not terms:
-            raise ConfigError("recipe needs a nonempty 'terms' list for theorem=quad")
+        b = integer("h_or_b", recipe.get("h_or_b", 1))
+        terms = recipe.get("terms")
+        if not (isinstance(terms, list) and terms
+                and all(isinstance(t, dict) and {"g", "s"} <= t.keys() for t in terms)):
+            raise ConfigError("recipe needs a nonempty 'terms' list of objects "
+                              "with keys 'g' and 's' for theorem=quad")
+        terms = [(parse_function(str(t["g"]), ctx), integer("s", t["s"])) for t in terms]
         f = construct.build_quad_exponent_pp(ctx, q0, phi, b, terms)
         validation = {"terms": len(terms)}
         extra = {"is_permutation": is_permutation(f)}
     elif theorem == "apcnagw":
         phi = fparse("phi")
         g = fparse("g", "0")
-        b = int(recipe.get("h_or_b", 1))
+        b = integer("h_or_b", recipe.get("h_or_b", 1))
         kind = recipe.get("kind", "f1")
         params = construct.AgwParams(ctx=ctx, q=q0, phi=phi, g=g, b=b, kind=kind)
-        validation = construct.validate_preconditions(params, two_to_one=True).to_dict()
-        f = construct.build_apcn_2to1(params, validate=True)
+        report = construct.validate_preconditions(params, two_to_one=True)
+        validation = report.to_dict()
+        # the builder's own checks (characteristic, parity of n, b) fail first
+        f = construct.build_apcn_2to1(params, validate=False)
+        report.require_two_to_one()
         extra = {"is_two_to_one": is_two_to_one(f)}
     else:
         raise ConfigError(f"unknown theorem {theorem!r}; use pcn1 | quad | apcnagw")

@@ -16,6 +16,7 @@ Every hypothesis is decided by finite exhaustion, never assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,14 +123,8 @@ class AgwParams:
             i = 0
             while ctx.p ** i < e:
                 i += 1
-            g = _gcd(g, i)
-        return _gcd(g, ctx.n) if g else ctx.n
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+            g = math.gcd(g, i)
+        return math.gcd(g, ctx.n) if g else ctx.n
 
 
 @dataclass
@@ -166,6 +161,19 @@ class PreconditionReport:
         needed = ("phi_additive", "h_image_in_base_units",
                   "phi_two_to_one_on_base", "h_phi_permutes_j")
         return all(self.item(n).passed for n in needed)
+
+    def require_pp(self):
+        """Raise PreconditionFailed unless the permutation hypotheses hold."""
+        if not self.pp_ok:
+            raise PreconditionFailed(self)
+
+    def require_two_to_one(self):
+        """Raise PhiNot2to1 or PhiNotJPermuting unless phi is 2-to-1 on F_q
+        and h*phi permutes J."""
+        for name, error in (("phi_two_to_one_on_base", PhiNot2to1),
+                            ("h_phi_permutes_j", PhiNotJPermuting)):
+            if not self.item(name).passed:
+                raise error(self.item(name).detail)
 
     def to_dict(self):
         return {
@@ -274,9 +282,7 @@ def build_agw_pp(params: AgwParams, validate: bool = True) -> PolyFunc:
     permutation hypotheses are checked first and the result is a PP.
     """
     if validate:
-        report = validate_preconditions(params)
-        if not report.pp_ok:
-            raise PreconditionFailed(report)
+        validate_preconditions(params).require_pp()
     return PolyFunc.from_table(params.ctx, _compose_table(params))
 
 
@@ -296,11 +302,7 @@ def build_apcn_2to1(params: AgwParams, validate: bool = True) -> PolyFunc:
     if not ctx.in_subfield(params.b, params.q):
         raise BadB(f"b={params.b} is not a nonzero element of F_{params.q}")
     if validate:
-        report = validate_preconditions(params, two_to_one=True)
-        if not report.item("phi_two_to_one_on_base").passed:
-            raise PhiNot2to1(report.item("phi_two_to_one_on_base").detail)
-        if not report.item("h_phi_permutes_j").passed:
-            raise PhiNotJPermuting(report.item("h_phi_permutes_j").detail)
+        validate_preconditions(params, two_to_one=True).require_two_to_one()
     return PolyFunc.from_table(ctx, _compose_table(params))
 
 

@@ -9,13 +9,16 @@ directly by element value.
 
 A FieldContext is immutable once constructed and safe to share across
 threads: every operation is a pure function of the context and its
-arguments.  Every field multiplies through discrete-log/exponential
-tables.  The exponential table is built by doubling: multiplying by the
-constant g^k is an F_p-linear map, applied to the first k powers through
-one lookup table per half of an element's digits (see linear_map).  For
-p = 2 addition is XOR; for odd p an element's spread word writes its
-base-p digits in base 2p-1, two words add as integers without carry, and
-the sum folds back to an element through tables over chunks of digits.
+arguments.  One polynomial arithmetic, F_p[X]/(f) on digits packed into
+Python ints (see _ring), serves the irreducibility test, the search for
+the default modulus and the search for the generator.  Every field
+multiplies through discrete-log/exponential tables.  The exponential
+table is built by doubling: multiplying by the constant g^k is an
+F_p-linear map, applied to the first k powers through one lookup table
+per half of an element's digits (see linear_map).  For p = 2 addition is
+XOR; for odd p an element's spread word writes its base-p digits in base
+2p-1, two words add as integers without carry, and the sum folds back to
+an element through tables over chunks of digits.
 
 Element I/O accepts the canonical integer form and the symbolic
 ``a*g^2+b*g+c`` polynomial-in-generator form; output is canonical
@@ -51,22 +54,6 @@ _SHIFT_CACHE_MAX_ORDER = 1 << 11
 _FOLD_CHUNK_ENTRIES = 1 << 17
 
 
-def is_prime(m: int) -> bool:
-    """Trial-division primality test, adequate for desk-scale orders."""
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_factors(m: int) -> list[int]:
     """Distinct prime factors of m, ascending."""
     out = []
@@ -83,79 +70,59 @@ def prime_factors(m: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over Z_p (coefficient tuples, lowest degree
-# first, trailing zeros trimmed) -- used for modulus validation and the
-# irreducibility test
+# F_p[X]/(f) on packed digits: the one polynomial arithmetic, serving the
+# irreducibility test, the modulus search and the generator search
 # ---------------------------------------------------------------------------
 
-def _ptrim(a: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
+def _ring(p: int, f: tuple[int, ...]):
+    """Arithmetic of F_p[X]/(f) for a monic f of degree n >= 1.
 
+    A residue a_0 + a_1 X + ... + a_{n-1} X^(n-1) with digits a_i < p packs
+    into the Python int sum(a_i << width * i), its digits `width` bits
+    apart, so that one integer product multiplies two polynomials with no
+    carry between digits (Kronecker substitution).  Digits of X^n and above
+    fold back through X^n mod f, and floor(v / p) = v * m >> shift reduces
+    every digit v < 2^bits mod p at once.  Returns (mul, power, reduced,
+    width): the product and power of packed residues, the reduction of each
+    digit of a packed word mod p, and the digit spacing.
+    """
+    n = len(f) - 1
+    bits = (n * n * (p - 1) ** 2).bit_length()  # n^2 (p-1)^2 bounds a digit
+    shift = bits + p.bit_length()
+    width, m = bits + shift, -(-(1 << shift) // p)
+    top = width * n
+    quotients = sum((1 << bits) - 1 << width * i for i in range(2 * n))
+    xn = sum(-c % p << width * i for i, c in enumerate(f[:n]))  # X^n mod f
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(tuple(out))
+    def reduced(w):
+        return w - p * (w * m >> shift & quotients)
 
+    def mul(a, b):
+        w = a * b
+        while w >> top:  # each pass adds at most (n-1)(p-1)^2 to a digit
+            w = (w & (1 << top) - 1) + reduced(w >> top) * xn
+        return reduced(w)
 
-def _pmod(a, f, p):
-    a = list(a)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p)
-    while len(a) - 1 >= df and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        coef = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - df
-        for i, fi in enumerate(f):
-            a[shift + i] = (a[shift + i] - coef * fi) % p
-        a.pop()
-    return _ptrim(tuple(a))
+    def power(x, e):
+        out = 1
+        while e:
+            out, x, e = mul(out, x) if e & 1 else out, mul(x, x), e >> 1
+        return out
 
-
-def _pmulmod(a, b, f, p):
-    return _pmod(_pmul(a, b, p), f, p)
-
-
-def _ppowmod(a, e, f, p):
-    result = (1,)
-    base = _pmod(a, f, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
-
-
-def _psub(a, b, p):
-    length = max(len(a), len(b))
-    a = a + (0,) * (length - len(a))
-    b = b + (0,) * (length - len(b))
-    return _ptrim(tuple((x - y) % p for x, y in zip(a, b)))
+    return mul, power, reduced, width
 
 
 def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Rabin's irreducibility test for a monic polynomial over Z_p."""
+    """Rabin's irreducibility test for a monic polynomial over Z_p.
+
+    f of degree n is irreducible iff X^(p^n) = X mod f and, for every prime
+    r dividing n, h = X^(p^(n/r)) - X is prime to f.  Once the first check
+    holds, f divides X^(p^n) - X, so f is squarefree and F_p[X]/(f) is a
+    product of fields F_{p^d} with d | n.  h is prime to f iff it is a unit
+    of that product, that is iff h^(p^n - 1) = 1 mod f: each F_{p^d}^* has
+    order p^d - 1 dividing p^n - 1, and a zero component stays zero.  So
+    the test takes powers in _ring and no gcd.
+    """
     f = tuple(c % p for c in coeffs)
     n = len(f) - 1
     if n < 1 or f[-1] != 1:
@@ -164,19 +131,14 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
         return True
     if f[0] == 0:  # divisible by x
         return False
-    x = (0, 1)
-    # x^(p^k) mod f by iterated p-th powers
-    t = x
-    frob = {}
-    for k in range(1, n + 1):
-        t = _ppowmod(t, p, f, p)
-        frob[k] = t
-    if _psub(frob[n], x, p) != ():
-        return False
-    for r in prime_factors(n):
-        if _pgcd(_psub(frob[n // r], x, p), f, p) != (1,):
-            return False
-    return True
+    _, power, reduced, width = _ring(p, f)
+    x = 1 << width
+    frob = [x]  # X^(p^k) mod f for k = 0..n, by iterated p-th powers
+    for _ in range(n):
+        frob.append(power(frob[-1], p))
+    return frob[n] == x and all(
+        power(reduced(frob[n // r] + (p - 1 << width)), p ** n - 1) == 1
+        for r in prime_factors(n))
 
 
 def smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
@@ -266,37 +228,14 @@ class FieldContext:
         """Generator, exponential and discrete-log tables.
 
         The generator g is the smallest integer whose (q-1)/r-th power is
-        not 1 for any prime r dividing q-1.  The search packs an element's
-        digits into a Python int, `width` bits apart, so that one integer
-        product multiplies two polynomials with no carry between digits
-        (Kronecker substitution); digits of X^n and above fold back through
-        X^n mod the modulus, and floor(v / p) = v * m >> shift reduces every
-        digit v < 2^bits mod p at once.  exp is filled by doubling:
-        exp[k:2k] = exp[:k] * g^k through the linear_map with images
-        X^i * g^k, which also takes these images to those for 2k.
+        not 1 for any prime r dividing q-1, searched on the packed residues
+        of _ring.  exp is filled by doubling: exp[k:2k] = exp[:k] * g^k
+        through the linear_map with images X^i * g^k, which also takes
+        these images to those for 2k.
         """
-        p, n, q, f = self.p, self.n, self.order, self.modulus
-        bits = (n * n * (p - 1) ** 2).bit_length()  # n^2 (p-1)^2 bounds a digit
-        shift = bits + p.bit_length()
-        width, m = bits + shift, -(-(1 << shift) // p)
-        top, factors = width * n, prime_factors(q - 1)
-        quotients = sum((1 << bits) - 1 << width * i for i in range(2 * n))
-        xn = sum(-c % p << width * i for i, c in enumerate(f[:n]))  # X^n mod f
-
-        def reduced(w):
-            return w - p * (w * m >> shift & quotients)
-
-        def mul(a, b):
-            w = a * b
-            while w >> top:  # each pass adds at most (n-1)(p-1)^2 to a digit
-                w = (w & (1 << top) - 1) + reduced(w >> top) * xn
-            return reduced(w)
-
-        def power(x, e):
-            out = 1
-            while e:
-                out, x, e = mul(out, x) if e & 1 else out, mul(x, x), e >> 1
-            return out
+        p, n, q = self.p, self.n, self.order
+        mul, power, _, width = _ring(p, self.modulus)
+        factors = prime_factors(q - 1)
 
         def pack(x):
             return sum(d << width * i for i, d in enumerate(self.coords(x)))
@@ -597,7 +536,7 @@ def make_field(p: int, n: int, modulus=None) -> FieldContext:
     An explicit modulus is validated for degree, monicity and
     irreducibility.
     """
-    if not is_prime(p):
+    if prime_factors(p) != [p]:
         raise NotPrime(p)
     if n < 1:
         raise DegreeMismatch(f"extension degree must be positive, got {n}")

@@ -240,8 +240,7 @@ def _classify_extension(p: int, h: int, d: int, c_base: int, r: int) -> Extensio
     q = ctx.order
     g = math.gcd(d, q - 1)
     vd = value_distribution(ctx, d, c)
-    zero_row_max = g if g > 1 else 1
-    delta = max(zero_row_max, vd.max_fiber)
+    delta = max(g, vd.max_fiber)
 
     violation = None
     if vd.violations:

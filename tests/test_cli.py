@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cdu
-from cdu import cdiff, cli, field, parallel
+from cdu import cdiff, cli, construct, field, parallel
 from cdu.cli import main
 
 
@@ -274,6 +274,39 @@ class TestConstruct:
     def test_bad_recipe_json(self, capsys):
         code, _, err = run_cli(capsys, "construct", "--recipe", "{nope")
         assert code == 2
+
+    @pytest.mark.parametrize("recipe,key", [
+        ({"theorem": "quad", "q": 5, "n": 2, "terms": [{"s": 10}]}, "'g'"),
+        ({"theorem": "quad", "q": 5, "n": 2, "terms": [{"g": "x + 8", "s": "ten"}]}, "s "),
+        ({"theorem": "quad", "q": 5, "n": 2, "h_or_b": "x",
+          "terms": [{"g": "x + 8", "s": 10}]}, "h_or_b"),
+        ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "h_or_b": "two"}, "h_or_b"),
+        ({"theorem": "quad", "q": 5, "n": 2, "terms": 7}, "'terms'"),
+        ({"theorem": "quad", "q": 5, "n": 2, "terms": [3]}, "'terms'"),
+        ("theorem q n", "JSON object"),
+    ])
+    def test_malformed_recipe_is_a_config_error(self, capsys, recipe, key):
+        code, _, err = run_cli(capsys, "construct", "--recipe", json.dumps(recipe))
+        assert code == 2 and err.startswith("error: ") and key in err
+
+    @pytest.mark.parametrize("recipe,failure", [
+        ({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": "x^2"}, None),
+        ({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x^3 + 2*x", "g": "x"}, "PreconditionFailed"),
+        ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "x"}, None),
+        ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x", "g": "x"}, "PhiNot2to1"),
+    ])
+    def test_hypotheses_decided_once(self, capsys, monkeypatch, recipe, failure):
+        calls = []
+        validate = construct.validate_preconditions
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(construct, "validate_preconditions", counted)
+        code, _, err = run_cli(capsys, "construct", "--recipe", json.dumps(recipe))
+        assert len(calls) == 1 and code == (2 if failure else 0)
+        assert failure is None or failure in err
 
 
 class TestMonomialCommand:

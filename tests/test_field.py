@@ -22,26 +22,28 @@ from cdu.field import (
 )
 
 
+def poly_mod(a, f, p):
+    """Remainder of a mod f over Z_p by long division, coefficient lists
+    lowest degree first, trailing zeros trimmed."""
+    a = list(a)
+    df = len(f) - 1
+    while len(a) - 1 >= df:
+        if a[-1] == 0:
+            a.pop()
+            continue
+        coef = a[-1] * pow(f[-1], p - 2, p) % p
+        shift = len(a) - 1 - df
+        for i, fi in enumerate(f):
+            a[shift + i] = (a[shift + i] - coef * fi) % p
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
 def brute_force_irreducible(coeffs, p):
     """Oracle: no monic factor of degree 1..deg/2, by trial division."""
     deg = len(coeffs) - 1
-
-    def poly_mod(a, f):
-        a = list(a)
-        df = len(f) - 1
-        while len(a) - 1 >= df:
-            if a[-1] == 0:
-                a.pop()
-                continue
-            coef = a[-1] * pow(f[-1], p - 2, p) % p
-            shift = len(a) - 1 - df
-            for i, fi in enumerate(f):
-                a[shift + i] = (a[shift + i] - coef * fi) % p
-            a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
     for d in range(1, deg // 2 + 1):
         for m in range(p ** d):
             digs = []
@@ -50,7 +52,7 @@ def brute_force_irreducible(coeffs, p):
                 digs.append(t % p)
                 t //= p
             f = digs + [1]
-            if not poly_mod(list(coeffs), f):
+            if not poly_mod(list(coeffs), f, p):
                 return False
     return True
 
@@ -69,15 +71,22 @@ def _value(poly, p):
 
 
 def poly_mul(ctx, a, b):
-    """Oracle: a*b by the scalar polynomial product mod the modulus."""
+    """Oracle: a*b by the schoolbook product and long division by the modulus."""
     p = ctx.p
-    return _value(field_module._pmulmod(_poly(a, p), _poly(b, p), ctx.modulus, p), p)
+    u, v = _poly(a, p), _poly(b, p)
+    prod = [0] * (len(u) + len(v))
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            prod[i + j] = (prod[i + j] + ui * vj) % p
+    return _value(poly_mod(prod, ctx.modulus, p), p)
 
 
 def poly_pow(ctx, a, e):
-    """Oracle: a^e by scalar square-and-multiply mod the modulus."""
-    p = ctx.p
-    return _value(field_module._ppowmod(_poly(a, p), e, ctx.modulus, p), p)
+    """Oracle: a^e by square-and-multiply on poly_mul."""
+    out = 1
+    while e:
+        out, a, e = poly_mul(ctx, out, a) if e & 1 else out, poly_mul(ctx, a, a), e >> 1
+    return out
 
 
 # every F_{p^n} with p in {2, 3, 5, 7} and q <= 3^7
@@ -233,12 +242,23 @@ class TestConstruction:
         assert [smallest_irreducible(p, n) for p, n in cases] == expected
 
     def test_rabin_matches_bruteforce(self):
+        # every monic of degree 1-8 over F_2, 1-5 over F_3, 1-3 over F_5 and F_7
+        for p, top in [(2, 8), (3, 5), (5, 3), (7, 3)]:
+            for n in range(1, top + 1):
+                for m in range(p ** n):
+                    coeffs = tuple(m // p ** i % p for i in range(n)) + (1,)
+                    assert is_irreducible(coeffs, p) == brute_force_irreducible(coeffs, p), coeffs
         rng = random.Random(0)
         for _ in range(60):
             p = rng.choice([2, 3, 5])
             n = rng.randint(2, 5)
             coeffs = tuple(rng.randrange(p) for _ in range(n)) + (1,)
             assert is_irreducible(coeffs, p) == brute_force_irreducible(coeffs, p)
+        # x^2 + 2 = (x+1)(x+2) passes X^9 = X mod f; only the unit check sees X^3 - X = 0
+        assert not is_irreducible((2, 0, 1), 3)
+        # not monic, or of degree below 1
+        for coeffs, p in [((1, 1, 2), 3), ((1, 0, 1, 0), 2), ((1, 3), 5), ((1,), 2), ((), 3)]:
+            assert not is_irreducible(coeffs, p)
 
 
 class TestArithmetic:

@@ -25,27 +25,14 @@ _INT, _NAME, _CARET, _STAR, _PLUS, _MINUS, _LPAREN, _RPAREN, _END = range(9)
 
 
 def _tokenize(text: str):
+    # group k + 1 of the regex matches token kind k; the last group, any other
+    # character, falls on kind _END
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        pos = m.start()
-        if m.group(1):
-            tokens.append((_INT, int(m.group(1)), pos))
-        elif m.group(2):
-            tokens.append((_NAME, m.group(2), pos))
-        elif m.group(3):
-            tokens.append((_CARET, "^", pos))
-        elif m.group(4):
-            tokens.append((_STAR, "*", pos))
-        elif m.group(5):
-            tokens.append((_PLUS, "+", pos))
-        elif m.group(6):
-            tokens.append((_MINUS, "-", pos))
-        elif m.group(7):
-            tokens.append((_LPAREN, "(", pos))
-        elif m.group(8):
-            tokens.append((_RPAREN, ")", pos))
-        else:
-            raise ParseError(f"unexpected character {m.group(9)!r}", pos)
+        kind, value, pos = m.lastindex - 1, m.group(m.lastindex), m.start()
+        if kind == _END:
+            raise ParseError(f"unexpected character {value!r}", pos)
+        tokens.append((kind, int(value) if kind == _INT else value, pos))
     tokens.append((_END, None, len(text)))
     return tokens
 
@@ -160,9 +147,3 @@ def parse_poly_text(ctx, text: str, allow_x: bool = True) -> dict[int, int]:
     result = parser.parse_poly()
     parser.finish()
     return result
-
-
-def parse_element_text(ctx, text: str) -> int:
-    """Parse an element literal (canonical integer or g-polynomial form)."""
-    raw = parse_poly_text(ctx, text, allow_x=False)
-    return raw.get(0, 0)

@@ -527,13 +527,13 @@ def cmd_experiment(args) -> tuple[dict, int]:
         m = ctx.n // 2
         q0 = p ** m
         j = construct.subspace_j(ctx, q0)
+        phi = PolyFunc(ctx, {1: 1})
+        g = PolyFunc(ctx, {1: 1, 0: j.elements[1] if len(j) > 1 else 0})
+        g_psi = g.table[construct.psi_table(ctx, q0)]
         rows = []
         for k in range(1, 2 * m):
             s = 1 + p ** k  # index 0 deliberately outside the builder's range
-            phi = PolyFunc(ctx, {1: 1})
-            g = PolyFunc(ctx, {1: 1, 0: j.elements[1] if len(j) > 1 else 0})
-            psi = construct.psi_table(ctx, q0)
-            table = ctx.vadd(phi.table, ctx.vpow_const(g.table[psi], s))
+            table = ctx.vadd(phi.table, ctx.vpow_const(g_psi, s))
             f = PolyFunc.from_table(ctx, table)
             rows.append({"s": s, "is_permutation": is_permutation(f)})
         report = {"probe": probe, "field": format_field_spec(ctx),

@@ -621,9 +621,9 @@ def trace_table(ctx: FieldContext, sub_degree: int, values) -> np.ndarray:
 
 def parse_element(ctx: FieldContext, text: str) -> int:
     """Parse an element literal: canonical integer or a*g^2+b*g+c form."""
-    from ._parse import parse_element_text
+    from ._parse import parse_poly_text
 
-    return parse_element_text(ctx, text)
+    return parse_poly_text(ctx, text, allow_x=False).get(0, 0)
 
 
 _FIELD_SPEC_RE = re.compile(r"^(\d+)\^(\d+)(?:/(.+))?$")

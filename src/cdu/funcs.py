@@ -84,8 +84,6 @@ class PolyFunc:
     def _reduce(self, coeffs) -> dict[int, int]:
         ctx = self.ctx
         q = ctx.order
-        if not isinstance(coeffs, dict):
-            coeffs = {e: c for e, c in enumerate(coeffs)}
         out: dict[int, int] = {}
         for e, c in coeffs.items():
             if e < 0:
@@ -149,10 +147,6 @@ class PolyFunc:
         return int(self.table[x])
 
     # -- niceties ------------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return max(self.coeffs, default=-1)
 
     @functools.cached_property
     def scaling_order(self) -> int:

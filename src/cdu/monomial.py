@@ -6,7 +6,10 @@ zero-direction row) and "(x+1)^d - c*x^d = b has at most two solutions"
 (every other direction reduces to a = 1 by substituting x -> ax).  The
 sweep classifies x^d over a tower F_{q^r}, r = 1..r_max, certifying
 PcN/APcN failures with explicit witnesses: a value b hit by >= 3 points,
-or a totally split value t0 hit by exactly d points.
+or a totally split value t0 hit by exactly d points.  It reads one row,
+the values of (x+1)^d - c*x^d, per extension: delta and both witnesses
+come from that row and its fiber counts, and only an a = 0 witness
+evaluates a second row, x^d - c*x^d.
 
 The hypothesis driving the non-existence theory is arithmetic: with s
 the order of p modulo d-1, ask whether c has a (d-1)-th root in
@@ -85,6 +88,12 @@ def root_of_unity(ctx: FieldContext, m: int) -> int:
     raise AssertionError("root of unity not found despite divisibility (unreachable)")
 
 
+def _row(ctx: FieldContext, d: int, c: int, a: int = 1) -> np.ndarray:
+    """Values of (x+a)^d - c*x^d at every x of ctx, indexed by x."""
+    return ctx.vsub(ctx.vpow_const(ctx.shift_perm(a), d),
+                    ctx.vmul_const(c, ctx.vpow_const(ctx.elements(), d)))
+
+
 def singular_points(ctx: FieldContext, d: int, c: int) -> list[tuple[int, int]]:
     """All pairs (x0, y0), x0 != y0, x0*y0 != 0, satisfying the singular
     system, found by exhaustion over the nonzero elements of ctx.
@@ -106,14 +115,12 @@ def singular_points(ctx: FieldContext, d: int, c: int) -> list[tuple[int, int]]:
                 f"search field F_{p}^{ctx.n} does not contain F_{p}^{needed}; "
                 "an empty result only rules out points in the searched field",
                 FieldTooSmallWarning)
-    xs = ctx.elements()[1:]
-    lhs = ctx.vpow_const(ctx.vadd(xs, np.ones_like(xs)), d - 1)
-    powd1 = ctx.vpow_const(xs, d - 1)
-    cands = [int(x) for x in xs[lhs == ctx.vmul_const(c, powd1)]]
-    # third equation (x0/y0)^(d-1) = 1 groups candidates by x^(d-1)
+    # the first two equations: zeros x0 != 0 of (x+1)^(d-1) - c*x^(d-1)
+    cands = np.flatnonzero(_row(ctx, d - 1, c)[1:] == 0) + 1
+    # the third, (x0/y0)^(d-1) = 1, groups candidates by x^(d-1)
     by_power: dict[int, list[int]] = {}
-    for x0 in cands:
-        by_power.setdefault(int(powd1[x0 - 1]), []).append(x0)
+    for x0, w in zip(cands.tolist(), ctx.vpow_const(cands, d - 1).tolist()):
+        by_power.setdefault(w, []).append(x0)
     pairs = []
     for group in by_power.values():
         for i, x0 in enumerate(group):
@@ -133,7 +140,6 @@ class ValueDistribution:
     max_fiber: int
     violations: tuple[tuple[int, int], ...]  # (value, fiber size >= 3)
     splits: tuple[int, ...]  # values with exactly d preimages
-    _values: np.ndarray | None = None
 
     def to_dict(self):
         return {
@@ -151,24 +157,19 @@ def value_distribution(ctx: FieldContext, d: int, c: int) -> ValueDistribution:
     """O(q) histogram of the normalized direction map (x+1)^d - c*x^d."""
     if c == 1:
         raise COne("c = 1 degenerates the leading coefficient; use the classical DDT")
-    xs = ctx.elements()
-    vals = ctx.vsub(ctx.vpow_const(ctx.shift_perm(1), d), ctx.vmul_const(c, ctx.vpow_const(xs, d)))
-    counts = np.bincount(vals, minlength=ctx.order)
+    counts = np.bincount(_row(ctx, d, c), minlength=ctx.order)
     sizes, freq = np.unique(counts[counts > 0], return_counts=True)
     histogram = {int(s): int(f) for s, f in zip(sizes, freq)}
     viol = [(int(t), int(counts[t])) for t in np.nonzero(counts >= 3)[0]]
     splits = tuple(int(t) for t in np.nonzero(counts == d)[0])
     return ValueDistribution(
         q=ctx.order, d=d, c=c, histogram=histogram,
-        max_fiber=int(counts.max()), violations=tuple(viol), splits=splits,
-        _values=vals)
+        max_fiber=int(counts.max()), violations=tuple(viol), splits=splits)
 
 
 def fiber_members(ctx: FieldContext, d: int, c: int, t: int) -> list[int]:
     """Solutions x of (x+1)^d - c*x^d = t, by exhaustion."""
-    xs = ctx.elements()
-    vals = ctx.vsub(ctx.vpow_const(ctx.shift_perm(1), d), ctx.vmul_const(c, ctx.vpow_const(xs, d)))
-    return [int(x) for x in np.nonzero(vals == t)[0]]
+    return np.flatnonzero(_row(ctx, d, c) == t).tolist()
 
 
 @dataclass
@@ -239,26 +240,24 @@ def _classify_extension(p: int, h: int, d: int, c_base: int, r: int) -> Extensio
     c = embed(base, ctx, c_base)
     q = ctx.order
     g = math.gcd(d, q - 1)
-    vd = value_distribution(ctx, d, c)
-    delta = max(g, vd.max_fiber)
+    row = _row(ctx, d, c)
+    counts = np.bincount(row, minlength=q)
+    delta = max(g, int(counts.max()))
 
     violation = None
-    if vd.violations:
-        t, size = vd.violations[0]
-        sols = [int(x) for x in np.nonzero(vd._values == t)[0]]
-        violation = {"a": 1, "b": t, "count": size, "solutions": sols}
+    many = np.flatnonzero(counts >= 3)
+    if many.size:
+        sols = np.flatnonzero(row == many[0]).tolist()
+        violation = {"a": 1, "b": int(many[0]), "count": len(sols), "solutions": sols}
     elif g >= 3:
-        one_minus_c = ctx.sub(1, c)
-        b = one_minus_c  # image of x = 1 under (1-c)*x^d
-        row = ctx.vmul_const(one_minus_c, ctx.vpow_const(ctx.elements(), d))
-        sols = np.nonzero(row == b)[0].tolist()
+        b = ctx.sub(1, c)  # image of x = 1 under x^d - c*x^d
+        sols = np.flatnonzero(_row(ctx, d, c, a=0) == b).tolist()
         violation = {"a": 0, "b": b, "count": len(sols), "solutions": sols}
 
     split = None
-    if vd.splits:
-        t0 = vd.splits[0]
-        sols = [int(x) for x in np.nonzero(vd._values == t0)[0]]
-        split = {"t": t0, "solutions": sols}
+    full = np.flatnonzero(counts == d)
+    if full.size:
+        split = {"t": int(full[0]), "solutions": np.flatnonzero(row == full[0]).tolist()}
 
     return ExtensionVerdict(
         r=r, order=q, modulus=ctx.modulus, c=c,
@@ -277,8 +276,7 @@ def exceptionality_sweep(p: int, h: int, d: int, c: int, r_max: int,
     The sweep certifies the swept range only: it reports where PcN/APcN
     first fails (with witnesses) and never concludes exceptionality.
     """
-    if d < 2 or d % p == 0 or (d - 1) % p == 0:
-        raise BadExponent(f"need d >= 2 with p not dividing d(d-1); got p={p}, d={d}")
+    s = min_s(p, d)
     q0 = p ** h
     if not 0 <= c < q0:
         raise BadC(f"c={c} is not an element of F_{q0}")
@@ -287,7 +285,6 @@ def exceptionality_sweep(p: int, h: int, d: int, c: int, r_max: int,
     if r_max < 1:
         raise BadC(f"r_max must be positive, got {r_max}")
 
-    s = min_s(p, d)
     root = root_in_fps(p, h, d, c)
     verdicts = pmap(lambda r: _classify_extension(p, h, d, c, r),
                     range(1, r_max + 1), workers)

@@ -53,6 +53,12 @@ class TestParsing:
             parse_function("x^(", F9)
         assert exc.value.position == 2
 
+    def test_unexpected_character(self):
+        with pytest.raises(errors.ParseError) as exc:
+            parse_function("x^2 $ x", F9)
+        assert exc.value.position == 4
+        assert "unexpected character '$'" in str(exc.value)
+
     def test_unknown_symbol(self):
         with pytest.raises(errors.ParseError):
             parse_function("x + y", F9)

@@ -3,8 +3,10 @@
 import math
 import random
 import warnings
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdu import errors
 from cdu.cdiff import c_uniformity
@@ -275,3 +277,73 @@ class TestSweep:
         a1 = exceptionality_sweep(3, 3, 5, 3, 2, workers=1)
         a8 = exceptionality_sweep(3, 3, 5, 3, 2, workers=8)
         assert a1.to_dict() == a8.to_dict()
+
+
+# largest extension degree h * r per characteristic, so that q <= 7^3
+_MAX_DEGREE = {3: 5, 5: 3, 7: 3}
+
+
+@st.composite
+def sweep_cases(draw):
+    p = draw(st.sampled_from(sorted(_MAX_DEGREE)))
+    h = draw(st.integers(1, _MAX_DEGREE[p]))
+    r = draw(st.integers(1, _MAX_DEGREE[p] // h))
+    d = draw(st.integers(2, 60).filter(lambda d: d % p and (d - 1) % p))
+    c = draw(st.integers(2, p ** h - 1))
+    return p, h, d, c, r
+
+
+class TestSweepOracle:
+    """Every verdict of the sweep against scalar evaluation of the row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_cases(), st.data())
+    def test_verdicts_match_scalar_rows(self, case, data):
+        p, h, d, c_base, r_max = case
+        base = make_field(p, h)
+        analysis = exceptionality_sweep(p, h, d, c_base, r_max)
+        assert [v.r for v in analysis.per_extension] == list(range(1, r_max + 1))
+        for v in analysis.per_extension:
+            ctx = make_field(p, h * v.r)
+            q = ctx.order
+            c = embed(base, ctx, c_base)
+            assert (v.order, v.modulus, v.c) == (q, ctx.modulus, c)
+            row = [ctx.sub(ctx.pow(ctx.add(x, 1), d), ctx.mul(c, ctx.pow(x, d)))
+                   for x in range(q)]
+            counts = Counter(row)
+            g = math.gcd(d, q - 1)
+            assert (v.gcd_value, v.gcd_ok) == (g, g <= 2)
+            delta = c_uniformity(PolyFunc(ctx, {d: 1}), c)
+            assert v.delta == delta
+            assert (v.is_pcn, v.is_apcn) == (delta == 1, delta == 2)
+
+            many = sorted(t for t, n in counts.items() if n >= 3)
+            if many:
+                b = many[0]
+                sols = [x for x in range(q) if row[x] == b]
+                assert v.violation_witness == {"a": 1, "b": b, "count": len(sols),
+                                               "solutions": sols}
+            elif g >= 3:
+                b = ctx.sub(1, c)
+                sols = [x for x in range(q)
+                        if ctx.sub(ctx.pow(x, d), ctx.mul(c, ctx.pow(x, d))) == b]
+                assert v.violation_witness == {"a": 0, "b": b, "count": len(sols),
+                                               "solutions": sols}
+            else:
+                assert v.violation_witness is None
+            full = sorted(t for t, n in counts.items() if n == d)
+            if full:
+                sols = [x for x in range(q) if row[x] == full[0]]
+                assert v.split_witness == {"t": full[0], "solutions": sols}
+            else:
+                assert v.split_witness is None
+
+            vd = value_distribution(ctx, d, c)
+            assert vd.histogram == dict(Counter(counts.values()))
+            assert vd.max_fiber == max(counts.values())
+            assert vd.violations == tuple((t, counts[t]) for t in many)
+            assert vd.splits == tuple(full)
+            t = data.draw(st.integers(0, q - 1))
+            assert fiber_members(ctx, d, c, t) == [x for x in range(q) if row[x] == t]
+        first = next((v.r for v in analysis.per_extension if v.violation_witness), None)
+        assert analysis.first_violation_r == first

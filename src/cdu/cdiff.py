@@ -33,7 +33,7 @@ def c_derivative(f: PolyFunc, a: int, c: int) -> PolyFunc:
 # large enough to amortize numpy's per-call cost, small enough that a
 # block's index and value arrays stay in cache
 _BLOCK_ELEMS = 1 << 15
-# the most words an odd-p call holds translated by every low half at once
+# the most values or words a function's translate table holds
 _TRANSLATE_ELEMS = 1 << 20
 
 
@@ -43,72 +43,70 @@ def _row_block_counts(f: PolyFunc, c: int, directions, *, extra=None):
     Yields one array per block of consecutive directions; its row i
     counts, for each b, the x with f(x+a) - c*f(x) = b, a being the
     block's i-th direction.  extra, if given, maps a block of directions
-    to a (block, q) array added to the rows, e.g. a term a*x.  A caller
-    that stops iterating skips the remaining blocks.
+    to a (block, q) array added to the rows, e.g. a term a*x.  A block's
+    rows come from _rows with row i offset by i*q, so one bincount counts
+    them all.  A caller that stops iterating skips the remaining blocks.
     """
-    ctx = f.ctx
-    q = ctx.order
+    q = f.ctx.order
     directions = np.asarray(directions, dtype=np.int64)
-    rows_of = _char2_rows(f, c) if ctx.p == 2 else _odd_rows(f, c, len(directions))
     step = max(1, _BLOCK_ELEMS // q)
+    rows_of = _rows(f, c, min(step, len(directions)), extra)
     for lo in range(0, len(directions), step):
         block = directions[lo:lo + step]
         rows = rows_of(block)
-        if extra is not None:
-            rows = ctx.vadd(rows, extra(block))
-        rows += q * np.arange(len(block))[:, None]
         yield np.bincount(rows.ravel(), minlength=len(block) * q).reshape(len(block), q)
 
 
-def _char2_rows(f: PolyFunc, c: int):
-    """A function mapping a block of directions to its rows of
-    f(x+a) + c*f(x), for p = 2, where adding is XOR."""
-    table, cf, xs = f.table, f.ctx.vmul_const(c, f.table), f.ctx.elements()
+def _translate_table(ctx, values) -> tuple[int, np.ndarray]:
+    """(K, runs): the translate table of the function with these values.
 
-    def rows_of(block):
-        # the index outlives the gather: freed before the XOR allocated its
-        # result, the same rows ran up to 1.5x slower in process
-        shifted = block[:, None] ^ xs
-        return table[shifted] ^ cf
-
-    return rows_of
-
-
-def _odd_rows(f: PolyFunc, c: int, count: int):
-    """A function mapping a block of directions to its rows of
-    f(x+a) - c*f(x), for odd p and a call of count directions.
-
-    x = x_lo + K*x_hi splits into halves, K = p^ceil(n/2), and x + a adds
-    each half on its own.  f's spread words, laid out as a (q/K, K) array,
-    are translated along the low half by a_lo, one gather; the row of a
-    then takes the runs of that translate in the order x_hi + a_hi, which
-    copies K contiguous words at a time.  A call of at least K directions
-    translates by every a_lo once, if those q*K words fit _TRANSLATE_ELEMS;
-    otherwise each block translates by its own directions.  The words of
-    -c*f are added and each element folds once.
+    K = p^k, k being the largest value <= ceil(n/2) with q*K <=
+    _TRANSLATE_ELEMS.  runs[a_lo*q/K + x_hi] holds f(x + a_lo) for
+    x = x_lo + K*x_hi, x_lo = 0..K-1: values for p = 2 (int16 when
+    q <= 2^15), spread words for odd p.  The q/K runs of one a_lo sit next
+    to each other.
     """
-    ctx = f.ctx
-    q = ctx.order
-    low = ctx.p ** ((ctx.n + 1) // 2)
-    words = ctx.words(f.table).reshape(q // low, low)
-    minus_cf = ctx.neg_words(ctx.vmul_const(c, f.table))
-    lows, highs = ctx.elements()[:low], ctx.elements()[:q // low]
+    q, p = ctx.order, ctx.p
+    k = (ctx.n + 1) // 2
+    while k and q * p ** k > _TRANSLATE_ELEMS:
+        k -= 1
+    low, lows = p ** k, ctx.elements()[:p ** k]
+    cells = values.astype(np.int16 if q <= 1 << 15 else np.int32) if p == 2 else ctx.words(values)
+    runs = np.empty((low, q // low, low), dtype=cells.dtype)
+    for a_lo, translated in enumerate(ctx.vadd(lows[:, None], lows)):
+        cells.reshape(q // low, low).take(translated, axis=1, out=runs[a_lo])
+    return low, runs.reshape(q, low)
 
-    def translate(a_lo):
-        """The runs of words translated by each a_lo, as (q/K * len(a_lo), K)."""
-        return words[:, ctx.vadd(a_lo[:, None], lows)].reshape(-1, low)
 
-    every_low = translate(lows) if count >= low and q * low <= _TRANSLATE_ELEMS else None
+def _rows(f: PolyFunc, c: int, count: int, extra=None):
+    """A function mapping a block of at most count directions to its rows
+    of f(x+a) - c*f(x) (plus extra), row i offset by i*q.
+
+    x = x_lo + K*x_hi splits into halves, and x + a adds each half on its
+    own, so the row of a copies the q/K runs of a_lo in f.translates, in
+    the order x_hi + a_hi; K = 1 is a plain gather.  For p = 2 the row is
+    one XOR of those values with c*f, to which the offsets were added
+    beforehand: they have no bits below q.  For odd p the words of -c*f are
+    added, each element folds once, and the offsets are added in the call
+    that widens the fold to int64.
+    """
+    ctx, q = f.ctx, f.ctx.order
+    low, runs = f.translates
+    highs = ctx.elements()[:q // low]
+    offsets = q * np.arange(count)[:, None]
+    cf = ctx.vmul_const(c, f.table)
+    cf = cf + offsets if ctx.p == 2 else ctx.neg_words(cf)
 
     def rows_of(block):
         hi, lo = np.divmod(block, low)
-        if every_low is None:
-            runs, width, which = translate(lo), len(block), np.arange(len(block))
-        else:
-            runs, width, which = every_low, low, lo
-        rows = runs[ctx.vadd(hi[:, None], highs) * width + which[:, None]].reshape(len(block), q)
-        rows += minus_cf
-        return ctx.fold(rows).astype(np.int64)
+        copied = runs.take(ctx.vadd(hi[:, None], highs) + (lo * (q // low))[:, None], axis=0)
+        copied = copied.reshape(len(block), q)
+        if ctx.p == 2:  # extra is below q, so XOR adds it before the offsets
+            other = cf[:len(block)] if extra is None else cf[:len(block)] ^ extra(block)
+            return np.bitwise_xor(copied, other, dtype=np.int64)
+        copied += cf
+        folded = ctx.fold(copied) if extra is None else ctx.vadd(ctx.fold(copied), extra(block))
+        return np.add(folded, offsets[:len(block)], dtype=np.int64)
 
     return rows_of
 

@@ -461,22 +461,26 @@ class FieldContext:
             raise ValueError("logarithm of zero")
         return int(self._log[x])
 
+    def vlog(self, u):
+        """Elementwise discrete log of nonzero elements."""
+        return self._log[u]
+
     def shift_perm(self, a: int) -> np.ndarray:
         """Index array of the translation x -> x + a."""
         if a == 0:
             return self._elements
         return self.vadd(self._elements, a)
 
-    def field_sum(self, u) -> int:
-        """Sum of an array of elements, as one field element.  Digit j of
-        the sum is the sum of floor(u / p^j) mod p, for floor(u / p^j) is
-        digit j of u plus p times the digits above it."""
+    def field_sum(self, u) -> np.ndarray:
+        """Sum of the elements along the last axis of u, as field elements.
+        Digit j of a sum is the sum of floor(u / p^j) mod p, for
+        floor(u / p^j) is digit j of u plus p times the digits above it."""
         u = np.asarray(u, dtype=np.int64)
         if self.p == 2:
-            return int(np.bitwise_xor.reduce(u, axis=None))
+            return np.bitwise_xor.reduce(u, axis=-1)
         out = 0
         for j in range(self.n):
-            out += int(u.sum()) % self.p * self.p ** j
+            out = out + u.sum(axis=-1) % self.p * self.p ** j
             u = u // self.p
         return out
 

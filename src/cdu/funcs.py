@@ -57,14 +57,10 @@ class PolyFunc:
     """
 
     def __init__(self, ctx: FieldContext, coeffs=None, *, table=None):
-        if coeffs is None and table is None:
-            coeffs = {}
         self.ctx = ctx
         self._lock = threading.Lock()
-        if coeffs is not None:
-            self._coeffs = self._reduce(coeffs)
-        else:
-            self._coeffs = None
+        self._coeffs = None if coeffs is None and table is not None else self._reduce(coeffs or {})
+        self._table = self._translates = None
         if table is not None:
             arr = np.asarray(table, dtype=np.int64)
             if arr.shape != (ctx.order,):
@@ -74,8 +70,6 @@ class PolyFunc:
                 raise InvalidParams("table values outside the field")
             arr.setflags(write=False)
             self._table = arr
-        else:
-            self._table = None
 
     @classmethod
     def from_table(cls, ctx: FieldContext, values) -> "PolyFunc":
@@ -121,17 +115,25 @@ class PolyFunc:
                     self._table = arr
         return self._table
 
+    @property
+    def translates(self) -> tuple[int, np.ndarray]:
+        """(K, runs): the table every c-derivative row of f copies from
+        (see cdiff._translate_table), built on first use."""
+        if self._translates is None:
+            from .cdiff import _translate_table  # cdiff imports this module
+
+            values = self.table  # taken first: the lock is not reentrant
+            with self._lock:
+                if self._translates is None:
+                    self._translates = _translate_table(self.ctx, values)
+        return self._translates
+
     def _evaluate_all(self) -> np.ndarray:
         ctx = self.ctx
-        xs = ctx.elements()
         vals = np.zeros(ctx.order, dtype=np.int64)
-        for e, c in sorted(self._coeffs.items()):
-            if e == 0:
-                term = np.full(ctx.order, c, dtype=np.int64)
-            else:
-                term = ctx.vmul_const(c, ctx.vpow_const(xs, e))
-            vals = ctx.vadd(vals, term)
-        return np.asarray(vals, dtype=np.int64)
+        for e, c in sorted(self._coeffs.items()):  # x^0 is 1 at x = 0 too
+            vals = ctx.vadd(vals, ctx.vmul_const(c, ctx.vpow_const(ctx.elements(), e)))
+        return vals
 
     # -- evaluation ----------------------------------------------------------
 
@@ -219,28 +221,21 @@ def _interpolate(ctx: FieldContext, values: np.ndarray) -> dict[int, int]:
     """Coefficients of the unique reduced polynomial with the given table.
 
     Uses c_0 = f(0), c_{q-1} = -sum_b f(b), and for 1 <= k <= q-2
-    c_k = -sum_{b != 0} f(b) * b^(q-1-k).
+    c_k = -sum_t f(g^t) * g^(-t*k), over the t in [0, q-1) with
+    f(g^t) != 0.  Each term is g^(log f(g^t) + k*(q-1-t)), so a block of
+    k takes one exponential gather and one field sum per row.
     """
     q = ctx.order
-    out: dict[int, int] = {}
-    c0 = int(values[0])
-    if c0:
-        out[0] = c0
-    top = ctx.neg(ctx.field_sum(values))
-    if top and q > 1:
-        out[q - 1] = top
-    if q > 2:
-        nz = ctx.elements()[1:]
-        fb = values[1:]
-        binv = ctx.vpow_const(nz, q - 2)
-        pw = binv.copy()  # b^(q-1-k) starting at k = 1
-        for k in range(1, q - 1):
-            ck = ctx.neg(ctx.field_sum(ctx.vmul(fb, pw)))
-            if ck:
-                out[k] = ck
-            if k < q - 2:
-                pw = ctx.vmul(pw, binv)
-    return out
+    out = {0: int(values[0]), q - 1: ctx.neg(int(ctx.field_sum(values)))}
+    t = np.arange(q - 1)
+    at_powers = values[ctx.vexp(t)]
+    t, logs = t[at_powers != 0], ctx.vlog(at_powers[at_powers != 0])
+    step = max(1, (1 << 13) // max(1, len(t)))  # about 2^13 terms a block
+    for lo in range(1, q - 1, step):
+        ks = np.arange(lo, min(lo + step, q - 1))
+        sums = ctx.vneg(ctx.field_sum(ctx.vexp(logs + ks[:, None] * (q - 1 - t))))
+        out.update(zip(ks.tolist(), sums.tolist()))
+    return {k: c for k, c in out.items() if c}
 
 
 def parse_function(text: str, ctx: FieldContext) -> PolyFunc:

@@ -552,6 +552,13 @@ class TestDeterminismAndConfig:
         _, out8, _ = run_cli(capsys, *args, "--parallel", "8")
         assert out1 == out8
 
+    def test_threads_sharing_a_translate_table_print_the_same_bytes(self, capsys):
+        args = ["analyze", "--field", "2^10", "--function", "x^43 + x^11 + x", "--c-scope", "5"]
+        code1, out1, _ = run_cli(capsys, *args, "--parallel", "1")
+        code2, out2, _ = run_cli(capsys, *args, "--parallel", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
+
     def test_config_file_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"field": "5^1", "function": "x^2"}))

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdu import cdiff, errors
 from cdu.field import make_field
@@ -19,6 +20,11 @@ from cdu.funcs import (
 
 F8 = make_field(2, 3, [1, 1, 0, 1])
 F9 = make_field(3, 2)
+
+# every field with q <= 125, and 3^5 and 2^7, whose coefficients take
+# several blocks of interpolation
+INTERPOLATION_FIELDS = [(p, n) for p in range(2, 126) if all(p % d for d in range(2, p))
+                        for n in range(1, 8) if p ** n <= 125] + [(3, 5), (2, 7)]
 
 
 class TestParsing:
@@ -115,6 +121,17 @@ class TestTableAndInterpolation:
         table = [rng.randrange(9) for _ in range(9)]
         f = PolyFunc.from_table(F9, table)
         assert [f.evaluate(x) for x in range(9)] == table
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(INTERPOLATION_FIELDS), st.data())
+    def test_interpolation_round_trip(self, field, data):
+        ctx = make_field(*field)
+        q = ctx.order
+        table = data.draw(st.lists(st.integers(0, q - 1), min_size=q, max_size=q))
+        assert PolyFunc(ctx, PolyFunc.from_table(ctx, table).coeffs).table.tolist() == table
+        coeffs = data.draw(st.dictionaries(st.integers(0, q - 1), st.integers(1, q - 1),
+                                           max_size=8))
+        assert PolyFunc.from_table(ctx, PolyFunc(ctx, coeffs).table).coeffs == coeffs
 
     def test_bad_table(self):
         with pytest.raises(errors.InvalidParams):
@@ -258,3 +275,36 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert all(r is results[0] for r in results)
+
+    def test_concurrent_first_translates_build_once(self, monkeypatch):
+        # both lazy sides, the table and then the translate table, are first
+        # asked for by many threads switching every microsecond; the build
+        # sleeps, so that every thread would reach it without the lock
+        import sys
+        import threading
+        import time
+        built = []
+        build = cdiff._translate_table
+
+        def slow_build(ctx, values):
+            built.append(len(values))
+            time.sleep(0.05)
+            return build(ctx, values)
+
+        monkeypatch.setattr(cdiff, "_translate_table", slow_build)
+        f = parse_function("x^5 + 2*x^2 + x", make_field(3, 4))
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: results.append(f.translates))
+                       for _ in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 16 and all(r is results[0] for r in results)
+        assert built == [81]

@@ -16,8 +16,8 @@ SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), 
                 (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
 # odd n splits an element into halves of different sizes
 SPLIT_FIELDS = SMALL_FIELDS + [(3, 5), (3, 7), (5, 4), (7, 3), (11, 1), (13, 2)]
-# prime fields, odd n and both halves of more than one digit
-KERNEL_FIELDS = SMALL_FIELDS + [(11, 1), (13, 1), (3, 5), (7, 3)]
+# prime fields, odd n and both halves of more than one digit, for p = 2 too
+KERNEL_FIELDS = SMALL_FIELDS + [(11, 1), (13, 1), (3, 5), (7, 3), (2, 7), (2, 9)]
 
 
 @st.composite
@@ -90,9 +90,8 @@ class TestRowKernel:
     @settings(max_examples=80, deadline=None)
     @given(functions(KERNEL_FIELDS), st.data())
     def test_any_direction_set_in_any_block(self, fc, data):
-        # unsorted directions with repeats, fewer or more than the low half
-        # holds (one translate each, or one per low half unless that is
-        # over its budget), in blocks of any size; every row lands at its
+        # unsorted directions with repeats, in blocks of any size, on a
+        # translate table of halves or of K = 1; every row lands at its
         # direction's position
         f, c = fc
         q = f.ctx.order
@@ -107,6 +106,43 @@ class TestRowKernel:
         for a, row in zip(directions, counts):
             assert np.array_equal(row, scalar_row(f, c, a)), (str(f), c, a)
 
+    @pytest.mark.parametrize("p,n,ks", [(2, 7, (0, 2, 4)), (3, 5, (0, 1, 3)), (5, 3, (0, 1, 2))])
+    def test_every_split_of_the_translate_table(self, p, n, ks):
+        # the budget picks K = p^k: a plain gather, a low part shorter than
+        # the half, and the split into halves of different sizes
+        ctx = make_field(p, n)
+        q = ctx.order
+        coeffs = {q // p + 5: 2, 7: 1, 3: q - 1, 0: 1}
+        directions = [0, 1, q - 1, p ** 2 + 1, q // 2, q - p]
+        for k in ks:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cdiff, "_TRANSLATE_ELEMS", q * p ** k + p - 1)
+                mp.setattr(cdiff, "_BLOCK_ELEMS", 4 * q)
+                f = PolyFunc(ctx, coeffs)
+                assert f.translates[0] == p ** k
+                for c in (0, 1, ctx.generator):
+                    counts = np.concatenate(list(cdiff._row_block_counts(f, c, directions)))
+                    for a, row in zip(directions, counts):
+                        assert np.array_equal(row, scalar_row(f, c, a)), (k, c, a)
+
+    def test_translate_table_is_built_once_per_function(self, monkeypatch):
+        built = []
+        translate_table = cdiff._translate_table
+
+        def counted(ctx, values):
+            built.append(len(values))
+            return translate_table(ctx, values)
+
+        monkeypatch.setattr(cdiff, "_translate_table", counted)
+        ctx = make_field(2, 6)
+        f = PolyFunc(ctx, {13: 3, 5: 1, 2: 1, 1: 7})
+        report = cdiff.full_report(f, workers=2)
+        spectrum = c_ddt(f, ctx.generator)
+        assert built == [ctx.order]
+        assert spectrum.delta == report.entries[ctx.generator].delta
+        assert c_uniformity(f, 1) == report.entries[1].delta
+        assert built == [ctx.order]
+
     @pytest.mark.parametrize("p,n,coeffs", [(3, 7, {53: 151, 15: 1, 1: 1}),
                                             (5, 5, {47: 2, 9: 1, 0: 3})])
     def test_large_fields(self, p, n, coeffs):
@@ -114,8 +150,8 @@ class TestRowKernel:
         q = ctx.order
         f = PolyFunc(ctx, coeffs)
         c = ctx.generator
-        # more directions than the low half holds, then a few: the two ways
-        # of translating f give the same rows, and c_ddt keeps direction order
+        # more directions than the low half holds, then a few: both copy
+        # their rows from one translate table, and c_ddt keeps direction order
         many = np.arange(q - 1, 0, -13)
         few = many[[3, 0, 3]]
         assert len(many) > ctx.p ** ((n + 1) // 2) > len(few)

@@ -170,10 +170,12 @@ def c_ddt(f: PolyFunc, c: int) -> CDiffSpectrum:
 
 def c_uniformity(f: PolyFunc, c: int) -> int:
     """delta without materializing the matrix (streams row blocks).  At
-    c = 0 every row counts the fibers of f, translated by a, so direction
-    0 alone gives delta."""
+    c = 0 every row counts the fibers of f, translated by a, so the row of
+    direction 0, f's own table, gives delta: its largest fiber."""
+    if c == 0:
+        return int(np.bincount(f.table).max())
     q = f.ctx.order
-    directions = range(1, q) if c == 1 else [0] if c == 0 else range(q)
+    directions = range(1, q) if c == 1 else range(q)
     return max(int(block.max()) for block in _row_block_counts(f, c, directions))
 
 
@@ -345,7 +347,8 @@ def full_report(f: PolyFunc, workers: int = 1, cs=None) -> ClassificationReport:
             directions = row_directions(ctx, c, g.scaling_order, g.semilinear_twist)
         else:
             directions = np.concatenate(([0], row_directions(ctx, c, m, twist)))
-        d = max(int(block.max()) for block in _row_block_counts(f, c, directions))
+        d = c_uniformity(f, 0) if c == 0 else max(
+            int(block.max()) for block in _row_block_counts(f, c, directions))
         return d, label_for_delta(d), len(directions), report_method(f, c)
 
     distinct = sorted(set(reps))
@@ -399,10 +402,6 @@ class Claim:
     consistent: bool | None
     detail: str
 
-    def to_dict(self):
-        return {"name": self.name, "applicable": self.applicable,
-                "consistent": self.consistent, "detail": self.detail}
-
 
 @dataclass
 class QuadCheckResult:
@@ -418,16 +417,6 @@ class QuadCheckResult:
     @property
     def ok(self) -> bool:
         return all(c.consistent is not False for c in self.claims)
-
-    def to_dict(self):
-        return {
-            "function": self.function,
-            "field": self.field,
-            "scope_degree": self.scope_degree,
-            "cs": self.cs,
-            "claims": [c.to_dict() for c in self.claims],
-            "ok": self.ok,
-        }
 
 
 def _is_q_power_do(f: PolyFunc, q0: int) -> bool:

@@ -6,7 +6,7 @@ of a power function), verify-theorems (the cross-module suites), and
 experiment (open-problem probes).  JSON is the canonical output; the
 human format is a projection of it.  Reports embed the field modulus so
 every result is reconstructible, and identical config + seed gives
-byte-identical JSON at any parallelism.
+byte-identical JSON across reruns.  Every command runs serially.
 """
 
 from __future__ import annotations
@@ -47,17 +47,6 @@ EXIT_CONFIG = 2
 EXIT_STRICT_FAILURE = 3
 
 
-def _workers(text: str) -> int:
-    """A --parallel value: a whole number of at least 1."""
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, not {text!r}")
-    return workers
-
-
 @functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The cdu parser, and the parser of each command by name.  Each
@@ -77,10 +66,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                        help=f"field-order cap (default {default_text or default})")
         p.add_argument("--force", action="store_true", help="override the field-order cap")
 
-    def parallel(p, what):
-        p.add_argument("--parallel", type=_workers, default=1,
-                       help=f"worker threads over {what}, at most one per CPU (default 1)")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", parents=[common],
@@ -94,14 +79,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_an.add_argument("--matrix-out", default=None,
                       help="CSV path for the matrix dump (default stdout)")
     capped(p_an, DEFAULT_DDT_CAP)
-    parallel(p_an, "the orbits of c")
 
     p_co = sub.add_parser("construct", parents=[common],
                           help="build, validate and classify a construction recipe")
     p_co.add_argument("--recipe", required=True,
                       help="inline JSON or @file with keys theorem/q/n/phi/g/h_or_b/kind/terms")
     capped(p_co, DEFAULT_DDT_CAP)
-    parallel(p_co, "the orbits of c")
 
     p_mo = sub.add_parser("monomial", parents=[common],
                           help="exceptionality sweep of x^d over a tower")
@@ -111,7 +94,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_mo.add_argument("--c", required=True, help="element of F_{p^h} (integer or g-form)")
     p_mo.add_argument("--rmax", type=int, required=True)
     capped(p_mo, DEFAULT_SWEEP_CAP)
-    parallel(p_mo, "the extensions")
 
     p_ve = sub.add_parser("verify-theorems", parents=[common],
                           help="run the cross-module verification suites")
@@ -152,9 +134,8 @@ def _config_argv(command: argparse.ArgumentParser, cfg: dict) -> list[str]:
 
     Each key is a long option of the running command without its dashes,
     and each value is checked against that option's own argparse action:
-    it must be what the action's type makes of its text (2 for
-    --parallel, not "2") and one of its choices; a flag takes true or
-    false.
+    it must be what the action's type makes of its text (9 for --cap,
+    not "9") and one of its choices; a flag takes true or false.
     """
     actions = {opt[2:]: action for action in command._actions
                for opt in action.option_strings if opt[2:] not in ("", "help", "config")}
@@ -170,7 +151,7 @@ def _config_argv(command: argparse.ArgumentParser, cfg: dict) -> list[str]:
             continue
         try:
             ok = (action.type or str)(str(value)) == value
-        except (ValueError, argparse.ArgumentTypeError):
+        except ValueError:
             ok = False
         if not ok or (action.choices is not None and value not in action.choices):
             raise ConfigError(f"config key {key!r}: {value!r} is not a value of --{key}")
@@ -326,7 +307,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
             except OSError as exc:
                 raise ConfigError(f"cannot write --matrix-out: {exc}") from None
     with matrix_out or contextlib.nullcontext():
-        report = cdiff.full_report(f, workers=args.parallel, cs=cs).to_dict()
+        report = cdiff.full_report(f, cs=cs).to_dict()
         if matrix_c is not None:
             spectrum = cdiff.c_ddt(f, matrix_c)
             if matrix_out:
@@ -423,7 +404,7 @@ def cmd_construct(args) -> tuple[dict, int]:
     else:
         raise ConfigError(f"unknown theorem {theorem!r}; use pcn1 | quad | apcnagw")
 
-    classification = cdiff.full_report(f, workers=args.parallel).to_dict()
+    classification = cdiff.full_report(f).to_dict()
     return {
         "command": "construct",
         "recipe": recipe,
@@ -445,8 +426,7 @@ def cmd_monomial(args) -> tuple[dict, int]:
         c = parse_element(base, args.c)
     except ParseError as exc:
         raise ConfigError(f"cannot parse c: {exc}") from None
-    analysis = monomial.exceptionality_sweep(
-        args.p, args.h, args.d, c, args.rmax, workers=args.parallel)
+    analysis = monomial.exceptionality_sweep(args.p, args.h, args.d, c, args.rmax)
     return {"command": "monomial", "report": analysis.to_dict()}, EXIT_OK
 
 

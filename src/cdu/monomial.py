@@ -31,23 +31,26 @@ import numpy as np
 
 from .errors import BadC, BadExponent, COne, FieldTooSmallWarning, ZeroC
 from .field import FieldContext, embed, make_field, prime_factors
-from .parallel import pmap
 
 
 def min_s(p: int, d: int) -> int:
-    """Multiplicative order of p modulo d-1 (smallest s with d-1 | p^s - 1)."""
+    """Multiplicative order of p modulo d-1 (smallest s with d-1 | p^s - 1).
+
+    The order divides phi(d-1); starting from phi(d-1), each prime r is
+    divided out while p^(s/r) = 1 still holds, so the time grows with the
+    factoring of d-1 and phi(d-1), not with the order itself.
+    """
     if d < 2 or d % p == 0 or (d - 1) % p == 0:
         raise BadExponent(f"need d >= 2 with p not dividing d(d-1); got p={p}, d={d}")
     m = d - 1
     if m == 1:
         return 1
-    s = 1
-    t = p % m
-    while t != 1:
-        t = (t * p) % m
-        s += 1
-        if s > m:
-            raise AssertionError("order search exceeded the modulus (unreachable)")
+    s = m
+    for r in prime_factors(m):
+        s = s // r * (r - 1)
+    for r in prime_factors(s):
+        while s % r == 0 and pow(p, s // r, m) == 1:
+            s //= r
     return s
 
 
@@ -58,16 +61,19 @@ def root_in_fps(p: int, h: int, d: int, c: int) -> bool:
     F_{p^h} ∩ F_{p^s} = F_{p^gcd(h,s)}, which holds iff c^(p^s) = c, and
     satisfy c^((p^s - 1)/(d-1)) = 1.  Both powers are the same computed
     in F_{p^h} or in any field containing it, so F_{p^lcm(h,s)} is never
-    built.
+    built.  Neither is p^s: x -> x^p has order h on F_{p^h}, so
+    c^(p^s) = c^(p^(s mod h)), and as c^(p^h - 1) = 1 the second exponent
+    only matters modulo p^h - 1, which (p^s mod M - 1)/(d-1) gives for
+    M = (d-1)(p^h - 1).
     """
     if c == 0:
         raise ZeroC("c must be nonzero")
     s = min_s(p, d)
     base = make_field(p, h)
-    ps = p ** s
-    if base.pow(c, ps) != c:
+    if base.pow(c, p ** (s % h)) != c:
         return False
-    return base.pow(c, (ps - 1) // (d - 1)) == 1 if d > 2 else True
+    m = d - 1
+    return base.pow(c, (pow(p, s, m * (p ** h - 1)) - 1) // m) == 1 if d > 2 else True
 
 
 def root_of_unity(ctx: FieldContext, m: int) -> int:
@@ -140,17 +146,6 @@ class ValueDistribution:
     max_fiber: int
     violations: tuple[tuple[int, int], ...]  # (value, fiber size >= 3)
     splits: tuple[int, ...]  # values with exactly d preimages
-
-    def to_dict(self):
-        return {
-            "q": self.q,
-            "d": self.d,
-            "c": self.c,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "max_fiber": self.max_fiber,
-            "violations": [list(v) for v in self.violations],
-            "splits": list(self.splits),
-        }
 
 
 def value_distribution(ctx: FieldContext, d: int, c: int) -> ValueDistribution:
@@ -266,8 +261,7 @@ def _classify_extension(p: int, h: int, d: int, c_base: int, r: int) -> Extensio
         violation_witness=violation, split_witness=split)
 
 
-def exceptionality_sweep(p: int, h: int, d: int, c: int, r_max: int,
-                         workers: int = 1) -> MonomialAnalysis:
+def exceptionality_sweep(p: int, h: int, d: int, c: int, r_max: int) -> MonomialAnalysis:
     """Classify x^d over F_{(p^h)^r} for r = 1..r_max.
 
     Builds every field of the tower, so the caller bounds (p^h)^r_max (the
@@ -286,8 +280,7 @@ def exceptionality_sweep(p: int, h: int, d: int, c: int, r_max: int,
         raise BadC(f"r_max must be positive, got {r_max}")
 
     root = root_in_fps(p, h, d, c)
-    verdicts = pmap(lambda r: _classify_extension(p, h, d, c, r),
-                    range(1, r_max + 1), workers)
+    verdicts = [_classify_extension(p, h, d, c, r) for r in range(1, r_max + 1)]
     first_violation = next((v.r for v in verdicts if v.violation_witness), None)
     if first_violation is None:
         message = f"no violation witness up to r = {r_max} (certifies the swept range only)"

@@ -304,8 +304,9 @@ class TestReducedReport:
         F81 = make_field(3, 4)
         report = full_report(parse_function("x^4", F81))
         reps = {e.to_dict().get("rep", e.c) for e in report.entries}
-        # one fiber row for c = 0, one row for c = 1, two rows per other orbit
-        assert sorted(rows) == [1, 1] + [2] * (len(reps) - 2)
+        # c = 0 counts f's table without the row kernel; one row for c = 1,
+        # two rows per other orbit
+        assert sorted(rows) == [1] + [2] * (len(reps) - 2)
         assert len(reps) < 81 // 4
         rows.clear()
         # a primitive coefficient, yet gcd(5 - 2, 80) = 1, so
@@ -316,9 +317,10 @@ class TestReducedReport:
         f = PolyFunc(F81, {5: 1, 2: F81.generator})
         assert f.semilinear_twist[0] == 1 and _coefficient_degree(f) == 4
         report = full_report(f)
-        assert rows[:3] == [1, 13, 14] and sorted(rows[3:]) == [45] * 2 + [81] * 10
-        # each entry records the rows counted for its representative
-        by_rep = dict(zip(sorted({e.to_dict().get("rep", e.c) for e in report.entries}), rows))
+        assert rows[:2] == [13, 14] and sorted(rows[2:]) == [45] * 2 + [81] * 10
+        # each entry records the rows counted for its representative, one for c = 0
+        by_rep = dict(zip(sorted({e.to_dict().get("rep", e.c) for e in report.entries}),
+                          [1, *rows]))
         assert [e.directions for e in report.entries] == [
             by_rep[e.to_dict().get("rep", e.c)] for e in report.entries]
 

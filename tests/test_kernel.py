@@ -55,6 +55,25 @@ class TestRowKernel:
         assert c_uniformity(f, c) == delta
 
     @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SMALL_FIELDS), st.data())
+    def test_c_zero_is_the_largest_fiber_of_every_row(self, pn, data):
+        # c_uniformity(f, 0) counts f's own table; every direction's row,
+        # counted by scalar arithmetic, is the oracle
+        ctx = make_field(*pn)
+        q = ctx.order
+        if data.draw(st.booleans()):
+            f = PolyFunc.from_table(ctx, data.draw(st.lists(st.integers(0, q - 1),
+                                                            min_size=q, max_size=q)))
+        else:
+            f = PolyFunc(ctx, data.draw(st.dictionaries(st.integers(0, 2 * q),
+                                                        st.integers(1, q - 1),
+                                                        min_size=1, max_size=4)))
+        delta = max(int(scalar_row(f, 0, a).max()) for a in range(q))
+        assert c_uniformity(f, 0) == delta
+        assert f._translates is None  # no row was copied from a translate table
+        assert cdiff.full_report(f, cs=[0]).entries[0].delta == delta
+
+    @settings(max_examples=60, deadline=None)
     @given(functions())
     def test_predicates_match_full_counts(self, fc):
         f, c = fc

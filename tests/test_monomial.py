@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdu import errors
 from cdu.cdiff import c_uniformity
-from cdu.field import embed, make_field
+from cdu.field import embed, make_field, prime_factors
 from cdu.funcs import PolyFunc
 from cdu.monomial import (
     exceptionality_sweep,
@@ -24,6 +24,31 @@ from cdu.monomial import (
 
 F27 = make_field(3, 3)
 F25 = make_field(5, 2)
+
+
+def stepped_min_s(p, d):
+    """The order of p modulo d-1, one power of p at a time."""
+    m = d - 1
+    if m == 1:
+        return 1
+    s, t = 1, p % m
+    while t != 1:
+        t = t * p % m
+        s += 1
+    return s
+
+
+def full_power_root_in_fps(p, h, d, c):
+    """root_in_fps with p^s and (p^s - 1)/(d-1) built in full."""
+    base = make_field(p, h)
+    ps = p ** stepped_min_s(p, d)
+    if base.pow(c, ps) != c:
+        return False
+    return base.pow(c, (ps - 1) // (d - 1)) == 1 if d > 2 else True
+
+
+def _admissible(p, bound):
+    return [d for d in range(2, bound) if d % p and (d - 1) % p]
 
 
 class TestMinS:
@@ -47,6 +72,22 @@ class TestMinS:
             for t in range(1, s):
                 assert (p ** t - 1) % m != 0
             found += 1
+
+    def test_matches_the_stepping_loop(self):
+        for p in (3, 5, 7, 11):
+            for d in _admissible(p, 400):
+                assert min_s(p, d) == stepped_min_s(p, d), (p, d)
+        rng = random.Random(21)
+        for p in (3, 5, 7):
+            for d in rng.sample(_admissible(p, 20_000), 10):
+                assert min_s(p, d) == stepped_min_s(p, d), (p, d)
+
+    def test_large_modulus(self):
+        # the stepping loop takes minutes here: the order is 10^9 + 6
+        m = 1_000_000_007
+        s = min_s(5, m + 1)
+        assert s == m - 1 and pow(5, s, m) == 1
+        assert all(pow(5, s // r, m) != 1 for r in prime_factors(s))
 
     def test_bad_exponent(self):
         with pytest.raises(errors.BadExponent):
@@ -81,6 +122,15 @@ class TestRootInFps:
             c_big = embed(f27, f729, c)
             oracle = any(f729.pow(c0, 4) == c_big for c0 in sub9)
             assert root_in_fps(3, 3, 5, c) == oracle
+
+    def test_matches_the_full_powers(self):
+        # every nonzero c of every F_{p^h} of order at most 343
+        for p, h_max in ((3, 5), (5, 3), (7, 3)):
+            for d in _admissible(p, 120):
+                for h in range(1, h_max + 1):
+                    for c in range(1, p ** h):
+                        assert root_in_fps(p, h, d, c) == full_power_root_in_fps(p, h, d, c), \
+                            (p, h, d, c)
 
     def test_zero_c(self):
         with pytest.raises(errors.ZeroC):
@@ -272,11 +322,6 @@ class TestSweep:
             exceptionality_sweep(3, 3, 5, 27, 2)
         with pytest.raises(errors.BadExponent):
             exceptionality_sweep(3, 3, 6, 4, 2)
-
-    def test_deterministic_across_workers(self):
-        a1 = exceptionality_sweep(3, 3, 5, 3, 2, workers=1)
-        a8 = exceptionality_sweep(3, 3, 5, 3, 2, workers=8)
-        assert a1.to_dict() == a8.to_dict()
 
 
 # largest extension degree h * r per characteristic, so that q <= 7^3

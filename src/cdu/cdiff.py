@@ -490,7 +490,8 @@ def is_relaxed_pcn(f: PolyFunc, c: int) -> bool:
 
 def is_pseudo_pcn(f: PolyFunc, c: int) -> bool:
     """Even-characteristic probe: true iff x -> f(x+e) + c*f(x) + e*x is
-    a bijection for every e != 0."""
+    a bijection for every e != 0.  Library API that no command calls,
+    kept while the benchmark's tracer wraps it."""
     ctx = f.ctx
     if ctx.p != 2:
         raise OddCharacteristic("pseudo-PcN is defined in characteristic 2")

@@ -1,12 +1,12 @@
 """Command-line surface: reproducible batch analyses with JSON reports.
 
-Subcommands: analyze (full per-c classification of one function),
+Four subcommands: analyze (full per-c classification of one function),
 construct (build + validate + classify a recipe), monomial (tower sweep
-of a power function), verify-theorems (the cross-module suites), and
-experiment (open-problem probes).  JSON is the canonical output; the
-human format is a projection of it.  Reports embed the field modulus so
-every result is reconstructible, and identical config + seed gives
-byte-identical JSON across reruns.  Every command runs serially.
+of a power function) and verify-theorems (the cross-module suites).
+JSON is the canonical output; the human format is a projection of it.
+Reports embed the field modulus so every result is reconstructible, and
+identical config + seed gives byte-identical JSON across reruns.  Every
+command runs serially.
 """
 
 from __future__ import annotations
@@ -23,18 +23,13 @@ import sys
 from . import cdiff, construct
 from .errors import CapExceeded, CduError, ConfigError, ParseError
 from .field import format_field_spec, make_field, parse_element, prime_factors, split_field_spec
-from .funcs import PolyFunc, is_permutation, is_two_to_one, parse_function
+from .funcs import is_permutation, is_two_to_one, parse_function
 
 DEFAULT_DDT_CAP = 1 << 12
 DEFAULT_SWEEP_CAP = 1 << 20
-# experiment probe -> (default field, default field-order cap); the cap
-# keeps a probe to seconds: pseudo-pcn evaluates about q^3 rows and
-# relaxed-pcn-odd-p --count times q^2, quad-zero-index fewer than n tables
-PROBE_DEFAULTS = {
-    "pseudo-pcn": ("2^3", 1 << 7),
-    "relaxed-pcn-odd-p": ("3^2", 1 << 7),
-    "quad-zero-index": ("5^2", DEFAULT_DDT_CAP),
-}
+# the sweep factors d-1 and phi(d-1) by trial division, with divisors up
+# to about 2^20 each at this bound (about a second)
+MAX_D_BITS = 40
 
 # sorted(verify.SUITES), spelled out so that the parser does not import verify
 SUITE_NAMES = ("classical-ddt", "constructions", "monomial-sweep", "planar-example",
@@ -61,10 +56,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                         help="JSON file of option values, keyed by long option name;"
                              " the command line overrides them")
 
-    def capped(p, default, default_text=None):
+    def capped(p, default):
         p.add_argument("--cap", type=int, default=default,
-                       help=f"field-order cap (default {default_text or default})")
-        p.add_argument("--force", action="store_true", help="override the field-order cap")
+                       help=f"field-order cap (default {default})")
+        p.add_argument("--force", action="store_true", help="override the cap, and monomial's bound on d")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -103,17 +98,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                       help="seed for the randomized suites (default 0)")
     p_ve.add_argument("--strict", action="store_true",
                       help="exit 3 when a suite fails")
-
-    p_ex = sub.add_parser("experiment", parents=[common],
-                          help="open-problem probes (no invariant asserted)")
-    p_ex.add_argument("--probe", required=True, choices=list(PROBE_DEFAULTS))
-    p_ex.add_argument("--field", default=None, help="field spec for the probe")
-    p_ex.add_argument("--count", type=int, default=200,
-                      help="sample size for randomized probes")
-    p_ex.add_argument("--seed", type=int, default=0,
-                      help="seed for the randomized probes (default 0)")
-    capped(p_ex, None, "; ".join(f"{cap} for {probe}"
-                                 for probe, (_, cap) in PROBE_DEFAULTS.items()))
 
     return parser, sub.choices
 
@@ -251,14 +235,9 @@ def _field_spec(spec_text: str):
         raise ConfigError(str(exc)) from None
 
 
-def _short(p: int, e: int) -> bool:
-    """Whether p^e has at most 18 decimal digits."""
-    return e * math.log10(max(p, 1)) <= 18
-
-
 def _power(p: int, e: int) -> str:
-    """p^e in decimal, or written as a power once it is too long to read."""
-    return str(p ** e) if _short(p, e) else f"{p}^{e}"
+    """p^e in decimal, or written as a power once it has more than 18 digits."""
+    return str(p ** e) if e * math.log10(max(p, 1)) <= 18 else f"{p}^{e}"
 
 
 def _check_cap(args, cap: int, p: int, e: int, cost: str):
@@ -421,6 +400,12 @@ def cmd_monomial(args) -> tuple[dict, int]:
 
     _check_cap(args, args.cap, args.p, args.h * args.rmax,
                f"the sweep builds F_{args.p}^({args.h}r) for r = 1..{args.rmax}")
+    bits = (args.d - 1).bit_length()
+    if bits > MAX_D_BITS and not args.force:
+        raise CapExceeded(f"d - 1 has {bits} bits, above the bound of {MAX_D_BITS}: the sweep"
+                          " factors d - 1 and phi(d - 1) by trial division, about"
+                          f" 2^{(bits + 1) // 2} divisions each (2^{MAX_D_BITS // 2} at the"
+                          " bound); pass --force to override")
     base = make_field(args.p, args.h)
     try:
         c = parse_element(base, args.c)
@@ -446,88 +431,11 @@ def cmd_verify(args) -> tuple[dict, int]:
     return report, status
 
 
-def _probe_cost(probe: str, p: int, n: int, count: int) -> str:
-    """The work an experiment probe does over F_{p^n}."""
-    q = _power(p, n)
-    short = _short(p, n)
-    units = str(p ** n - 1) if short else f"{q} - 1"
-    if probe == "pseudo-pcn":
-        rows = (p ** n - 1) ** 2 * p ** n if short else f"about {p}^{3 * n}"
-        return (f"the probe evaluates {units} exponents x {q} multipliers x {units}"
-                f" directions = {rows} rows of {q} elements each")
-    if probe == "relaxed-pcn-odd-p":
-        rows = count * (p ** n - 1) ** 2 if short else f"about {count} x {p}^{2 * n}"
-        return (f"the probe evaluates {count} tables x {units} multipliers x {units}"
-                f" directions = {rows} rows of {q} elements each")
-    return f"the probe evaluates {max(2 * (n // 2) - 1, 0)} functions of {q} values"
-
-
-def cmd_experiment(args) -> tuple[dict, int]:
-    seed = args.seed
-    probe = args.probe
-    default_field, default_cap = PROBE_DEFAULTS[probe]
-    p, n, modulus = _field_spec(args.field or default_field)
-    if probe == "pseudo-pcn" and p != 2:
-        raise ConfigError("the pseudo-PcN probe needs characteristic 2")
-    if probe == "relaxed-pcn-odd-p" and p == 2:
-        raise ConfigError("this probe explores odd characteristic")
-    _check_cap(args, default_cap if args.cap is None else args.cap, p, n,
-               _probe_cost(probe, p, n, args.count))
-    ctx = make_field(p, n, modulus)
-    if probe == "pseudo-pcn":
-        rows = []
-        for d in range(1, ctx.order):
-            f = PolyFunc(ctx, {d: 1})
-            cs = [c for c in range(ctx.order)
-                  if cdiff.is_pseudo_pcn(f, c)]
-            if cs:
-                rows.append({"d": d, "pseudo_pcn_c": cs})
-        report = {"probe": probe, "field": format_field_spec(ctx),
-                  "monomials_with_pseudo_pcn_c": rows}
-    elif probe == "relaxed-pcn-odd-p":
-        import random as _random
-        counterexamples = []
-        relaxed = 0
-        for i in range(args.count):
-            rng = _random.Random(f"{seed}:oddp:{i}")
-            table = [rng.randrange(ctx.order) for _ in range(ctx.order)]
-            f = PolyFunc.from_table(ctx, table)
-            for c in range(ctx.order):
-                if c == 1:
-                    continue
-                if cdiff.is_relaxed_pcn(f, c):
-                    relaxed += 1
-                    if not is_permutation(f):
-                        counterexamples.append({"index": i, "c": c, "table": table})
-        report = {"probe": probe, "field": format_field_spec(ctx), "count": args.count,
-                  "relaxed_instances": relaxed,
-                  "non_pp_counterexamples": counterexamples,
-                  "note": "exploratory: no invariant asserted for odd characteristic"}
-    else:  # quad-zero-index
-        m = ctx.n // 2
-        q0 = p ** m
-        j = construct.subspace_j(ctx, q0)
-        phi = PolyFunc(ctx, {1: 1})
-        g = PolyFunc(ctx, {1: 1, 0: j.elements[1] if len(j) > 1 else 0})
-        g_psi = g.table[construct.psi_table(ctx, q0)]
-        rows = []
-        for k in range(1, 2 * m):
-            s = 1 + p ** k  # index 0 deliberately outside the builder's range
-            table = ctx.vadd(phi.table, ctx.vpow_const(g_psi, s))
-            f = PolyFunc.from_table(ctx, table)
-            rows.append({"s": s, "is_permutation": is_permutation(f)})
-        report = {"probe": probe, "field": format_field_spec(ctx),
-                  "excluded_exponents": rows,
-                  "note": "s = p^0 + p^k lies outside the builder's index range"}
-    return {"command": "experiment", "seed": seed, "report": report}, EXIT_OK
-
-
 _COMMANDS = {
     "analyze": cmd_analyze,
     "construct": cmd_construct,
     "monomial": cmd_monomial,
     "verify-theorems": cmd_verify,
-    "experiment": cmd_experiment,
 }
 
 

@@ -2,10 +2,13 @@
 
 import concurrent.futures
 import importlib
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,28 +98,11 @@ class TestCaps:
         rep = json.loads(out)["report"]
         assert rep["s"] == 5 and rep["root_in_fps"] is False
 
-    @pytest.mark.parametrize("argv,cost", [
-        (["pseudo-pcn", "--field", "2^6", "--cap", "32"],
-         "63 exponents x 64 multipliers x 63 directions = 254016 rows of 64 elements"),
-        (["pseudo-pcn", "--field", "2^8"],
-         "255 exponents x 256 multipliers x 255 directions = 16646400 rows"),
-        (["relaxed-pcn-odd-p", "--field", "3^4", "--count", "5", "--cap", "27"],
-         "5 tables x 80 multipliers x 80 directions = 32000 rows of 81 elements"),
-        (["quad-zero-index", "--field", "5^2", "--cap", "24"],
-         "1 functions of 25 values"),
-    ])
-    def test_experiment_refuses_before_building(self, capsys, no_field_built, argv, cost):
-        code, _, err = run_cli(capsys, "experiment", "--probe", *argv)
-        assert code == 2 and "cap" in err and cost in err
-
     def test_huge_field_is_refused_with_its_cost(self, capsys, no_field_built):
         # 3^10000 has more decimal digits than Python converts to text
         code, _, err = run_cli(capsys, "analyze", "--field", "3^10000", "--function", "x")
         assert code == 2 and "field order 3^10000 exceeds the cap 4096" in err
         assert "3^10000 multipliers x 3^10000 directions = 3^20000 c-derivative rows" in err
-        code, _, err = run_cli(capsys, "experiment", "--probe", "pseudo-pcn", "--field", "2^20000")
-        assert code == 2 and ("2^20000 - 1 exponents x 2^20000 multipliers x 2^20000 - 1"
-                              " directions = about 2^60000 rows of 2^20000 elements") in err
         code, _, err = run_cli(capsys, "analyze", "--field", "3^1000000000", "--function", "x")
         assert code == 2 and "3^1000000000 multipliers x 3^1000000000 directions" in err
 
@@ -136,14 +122,6 @@ class TestCaps:
         recipe = json.dumps({"theorem": "pcn1", "q": q, "n": n})
         code, out, err = run_cli(capsys, "construct", "--recipe", recipe)
         assert code == 2 and out == "" and err.startswith("error: ")
-
-    def test_experiment_force(self, capsys, fields_up_to):
-        fields_up_to(1 << 6)
-        argv = ["experiment", "--probe", "pseudo-pcn", "--field", "2^3"]
-        code, out, _ = run_cli(capsys, *argv, "--cap", "4", "--force")
-        assert code == 0
-        _, plain, _ = run_cli(capsys, *argv)
-        assert out == plain
 
 
 class TestAnalyze:
@@ -335,6 +313,28 @@ class TestMonomialCommand:
                                "--d", "5", "--c", "3", "--rmax", "9")
         assert code == 2 and "CapExceeded" in err
 
+    def test_large_d_is_refused_before_factoring(self, capsys, monkeypatch, no_field_built):
+        from cdu import monomial
+
+        def refuse(m):
+            raise AssertionError(f"factored {m} before the bound on d")
+
+        monkeypatch.setattr(field, "prime_factors", refuse)
+        monkeypatch.setattr(monomial, "prime_factors", refuse)
+        for d, cost in [(10 ** 16 + 62, "54 bits, above the bound of 40: the sweep factors"
+                                        " d - 1 and phi(d - 1) by trial division, about 2^27"),
+                        (2 ** 40 + 1, "41 bits")]:
+            code, out, err = run_cli(capsys, "monomial", "--p", "7", "--h", "2", "--d", str(d),
+                                     "--c", "7", "--rmax", "1")
+            assert code == 2 and out == "" and f"CapExceeded: d - 1 has {cost}" in err
+
+    @pytest.mark.parametrize("p,d,force", [(7, 2 ** 40, []), (5, 2 ** 41 + 1, ["--force"])])
+    def test_d_within_the_bound_or_forced(self, capsys, p, d, force):
+        code, out, err = run_cli(capsys, "monomial", "--p", str(p), "--h", "1", "--d", str(d),
+                                 "--c", "2", "--rmax", "1", *force)
+        assert code == 0, err
+        assert json.loads(out)["report"]["d"] == d
+
 
 class TestVerifyCommand:
     def test_single_suite(self, capsys):
@@ -355,29 +355,6 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify-theorems",
                              "--suite", "planar-example", "--strict")
         assert code == 0
-
-
-class TestExperiments:
-    def test_pseudo_pcn_probe(self, capsys):
-        code, out, _ = run_cli(capsys, "experiment", "--probe", "pseudo-pcn",
-                               "--field", "2^3")
-        assert code == 0
-        rep = json.loads(out)["report"]
-        assert rep["probe"] == "pseudo-pcn"
-
-    def test_relaxed_odd_p_probe(self, capsys):
-        code, out, _ = run_cli(capsys, "experiment", "--probe", "relaxed-pcn-odd-p",
-                               "--field", "3^1", "--count", "50")
-        assert code == 0
-        rep = json.loads(out)["report"]
-        assert "non_pp_counterexamples" in rep
-
-    def test_quad_zero_index_probe(self, capsys):
-        code, out, _ = run_cli(capsys, "experiment", "--probe", "quad-zero-index",
-                               "--field", "5^2")
-        assert code == 0
-        rep = json.loads(out)["report"]
-        assert rep["excluded_exponents"]
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
@@ -433,13 +410,13 @@ _COMMAND_ARGV = {
     "construct": ["--recipe", "{}"],
     "monomial": ["--p", "3", "--h", "1", "--d", "5", "--c", "2", "--rmax", "1"],
     "verify-theorems": [],
-    "experiment": ["--probe", "pseudo-pcn"],
 }
+# commands cdu no longer has, with the arguments each took
+_RETIRED = {"experiment": ["--probe", "pseudo-pcn"]}
 _REMOVED = {
     ("analyze", "--seed"), ("construct", "--seed"), ("monomial", "--seed"),
     ("analyze", "--strict"), ("construct", "--strict"), ("monomial", "--strict"),
     ("verify-theorems", "--cap"), ("verify-theorems", "--force"),
-    ("experiment", "--parallel"), ("experiment", "--strict"),
     ("verify-theorems", "--parallel"),
     ("analyze", "--parallel"), ("construct", "--parallel"), ("monomial", "--parallel"),
 }
@@ -451,12 +428,21 @@ class TestOptions:
         assert set(commands) == set(_COMMAND_ARGV)
         kept = {(name, opt) for name, command in commands.items()
                 for opt in _OPTION_ARGV if opt in command._option_string_actions}
-        assert len(kept) == 21
+        assert len(kept) == 16
         assert kept == {(name, opt) for name in commands for opt in _OPTION_ARGV} - _REMOVED
 
-    @pytest.mark.parametrize("command,option", [(c, o) for c in _COMMAND_ARGV for o in _OPTION_ARGV],
-                             ids=lambda v: v)
+    @pytest.mark.parametrize("command,option", [(c, o) for c in {**_COMMAND_ARGV, **_RETIRED}
+                                                for o in _OPTION_ARGV], ids=lambda v: v)
     def test_a_command_takes_only_its_own_options(self, capsys, command, option):
+        if command in _RETIRED:
+            # a retired command is refused as a whole, with or without an option
+            for argv in ([command, *_RETIRED[command]],
+                         [command, *_RETIRED[command], *_OPTION_ARGV[option]]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+                assert f"invalid choice: '{command}'" in capsys.readouterr().err
+            return
         argv = [command, *_COMMAND_ARGV[command], *_OPTION_ARGV[option]]
         if (command, option) in _REMOVED:
             with pytest.raises(SystemExit) as exc:
@@ -466,6 +452,26 @@ class TestOptions:
         else:
             args = cli.build_parser()[0].parse_args(argv)
             assert args.command == command
+
+
+    def test_readme_option_table_matches_the_parser(self):
+        lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("| option |"))
+        table = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+        # a cell may hold an escaped \|, as in `--format json\|human`
+        header, _, *rows = [[cell.strip() for cell in re.split(r"(?<!\\)\|", line[1:-1])]
+                            for line in table]
+        _, commands = cli.build_parser()
+        assert header[0] == "option" and header[1:] == list(commands)
+        assert rows
+        for option_cell, *marks in rows:
+            options = re.findall(r"--[a-z-]+", option_cell)
+            assert options and len(marks) == len(commands)
+            for command, mark in zip(commands.values(), marks):
+                assert mark in ("", "✓") or mark.startswith("✓ ("), mark
+                for option in options:
+                    assert (option in command._option_string_actions) == bool(mark), \
+                        (command.prog, option)
 
 
 class TestParallel:
@@ -567,7 +573,7 @@ class TestDeterminismAndConfig:
         ("analyze", {"format": "xml"}, "'xml' is not a value of --format"),
         ("analyze", {"force": "yes"}, "--force takes true or false"),
         ("analyze", {"seed": 1}, "cdu analyze takes no option --seed"),
-        ("experiment", {"parallel": 2}, "cdu experiment takes no option --parallel"),
+        ("monomial", {"strict": True}, "cdu monomial takes no option --strict"),
         ("verify-theorems", {"cap": 9}, "cdu verify-theorems takes no option --cap"),
         ("verify-theorems", {"suite": "nope"}, "'nope' is not a value of --suite"),
         ("verify-theorems", {"config": "other.json"}, "takes no option --config"),

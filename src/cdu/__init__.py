@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "cdiff": ("CDiffSpectrum", "ClassificationReport", "c_ddt", "c_derivative",
               "c_uniformity", "check_quadratic_characterization", "classify_c",
-              "full_report", "is_pseudo_pcn", "is_relaxed_pcn"),
+              "full_report", "is_pseudo_pcn", "is_relaxed_pcn", "write_c_ddt_csv"),
     "construct": ("AgwParams", "JSubspace", "build_agw_pp", "build_apcn_2to1",
                   "build_quad_exponent_pp", "subspace_j", "validate_preconditions"),
     "field": ("FieldContext", "FieldSpec", "embed", "make_field", "parse_element",

@@ -126,30 +126,47 @@ class CDiffSpectrum:
     delta: int
 
     def to_csv(self, stream):
-        """Write the header b = 0..q-1, then one line "a,counts[a]" per a.
-
-        A block of rows is encoded at a time: each cell is gathered from
-        a table holding, for every value, its decimal digits, null
-        padding and a comma; the row's last comma becomes a newline and
-        the padding is deleted, giving the bytes of str() per cell.
-        """
+        """Write the header b = 0..q-1, then one line "a,counts[a]" per a
+        (see _write_csv)."""
         counts = self.counts
         q = counts.shape[0]
-        stream.write("a\\b," + ",".join(map(str, range(q))) + "\n")
-        top = max(q - 1, int(counts.max()))
-        digits = np.array([str(v).encode() for v in range(top + 1)])
-        width = digits.itemsize + 1
-        table = np.full((top + 1, width), ord(","), dtype=np.uint8)
-        table[:, :-1] = digits.view(np.uint8).reshape(top + 1, -1)
-        table = table.view(f"V{width}").ravel()
         step = max(1, _BLOCK_ELEMS // q)
-        for lo in range(0, q, step):
-            block = counts[lo:lo + step]
-            cells = np.empty((len(block), q + 1), dtype=table.dtype)
-            cells[:, 0] = table[lo:lo + len(block)]
-            cells[:, 1:] = table[block]
-            cells.view(np.uint8)[:, -1] = ord("\n")
-            stream.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
+        _write_csv(stream, q, (counts[lo:lo + step] for lo in range(0, q, step)))
+
+
+def _write_csv(stream, q: int, blocks):
+    """Write the header b = 0..q-1, then one line "a,counts[a]" per a, the
+    rows of a q x q count matrix coming in consecutive blocks.
+
+    A block of rows is encoded at a time: each cell is gathered from a
+    table holding, for every value up to q, its decimal digits, null
+    padding and a comma; the row's last comma becomes a newline and the
+    padding is deleted, giving the bytes of str() per cell.  A count can
+    reach q: at c = 1, row 0 puts every x on b = 0.
+    """
+    stream.write("a\\b," + ",".join(map(str, range(q))) + "\n")
+    digits = np.array([str(v).encode() for v in range(q + 1)])
+    width = digits.itemsize + 1
+    table = np.full((q + 1, width), ord(","), dtype=np.uint8)
+    table[:, :-1] = digits.view(np.uint8).reshape(q + 1, -1)
+    table = table.view(f"V{width}").ravel()
+    lo = 0
+    for block in blocks:
+        cells = np.empty((len(block), q + 1), dtype=table.dtype)
+        cells[:, 0] = table[lo:lo + len(block)]
+        cells[:, 1:] = table[block]
+        cells.view(np.uint8)[:, -1] = ord("\n")
+        stream.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
+        lo += len(block)
+
+
+def write_c_ddt_csv(f: PolyFunc, c: int, stream):
+    """Write the bytes of c_ddt(f, c).to_csv(stream) without materializing
+    the matrix: each block of rows is written as soon as it is counted, so
+    time stays O(q^2) but at most one block (about _BLOCK_ELEMS counts) and
+    its text are held."""
+    q = f.ctx.order
+    _write_csv(stream, q, _row_block_counts(f, c, range(q)))
 
 
 def c_ddt(f: PolyFunc, c: int) -> CDiffSpectrum:

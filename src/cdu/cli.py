@@ -72,7 +72,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_an.add_argument("--matrix-c", default=None,
                       help="also dump the full count matrix for this c")
     p_an.add_argument("--matrix-out", default=None,
-                      help="CSV path for the matrix dump (default stdout)")
+                      help="CSV path for the --matrix-c dump (default stdout)")
     capped(p_an, DEFAULT_DDT_CAP)
 
     p_co = sub.add_parser("construct", parents=[common],
@@ -266,6 +266,8 @@ def cmd_analyze(args) -> tuple[dict, int]:
     scope = args.c_scope
     if scope is not None and (scope < 1 or n % scope):
         raise ConfigError(f"--c-scope {scope} does not divide the extension degree {n}")
+    if args.matrix_out is not None and args.matrix_c is None:
+        raise ConfigError("--matrix-out needs --matrix-c, the multiplier of the matrix to dump")
     _check_report_cap(args, p, n, n if scope is None else scope)
     ctx = make_field(p, n, modulus)
     try:
@@ -287,16 +289,14 @@ def cmd_analyze(args) -> tuple[dict, int]:
                 raise ConfigError(f"cannot write --matrix-out: {exc}") from None
     with matrix_out or contextlib.nullcontext():
         report = cdiff.full_report(f, cs=cs).to_dict()
-        if matrix_c is not None:
-            spectrum = cdiff.c_ddt(f, matrix_c)
-            if matrix_out:
-                spectrum.to_csv(matrix_out)
-                report["matrix_csv"] = args.matrix_out
-            else:
-                try:
-                    spectrum.to_csv(sys.stdout)
-                except BrokenPipeError:
-                    _drop_stdout()
+        if matrix_out:
+            cdiff.write_c_ddt_csv(f, matrix_c, matrix_out)
+            report["matrix_csv"] = args.matrix_out
+        elif matrix_c is not None:
+            try:
+                cdiff.write_c_ddt_csv(f, matrix_c, sys.stdout)
+            except BrokenPipeError:
+                _drop_stdout()
     return {"command": "analyze", "report": report}, EXIT_OK
 
 
@@ -319,10 +319,12 @@ def cmd_construct(args) -> tuple[dict, int]:
             raise ConfigError(f"recipe is missing {key!r}")
 
     def integer(key, value):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"the recipe's {key} must be an integer, got {value!r}") from None
+        """A JSON integer, or digit text; not a boolean or a float, which
+        int() would truncate."""
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            with contextlib.suppress(ValueError):
+                return int(value)
+        raise ConfigError(f"the recipe's {key} must be an integer, got {value!r}")
 
     theorem = recipe["theorem"]
     q0, n = integer("q", recipe["q"]), integer("n", recipe["n"])
@@ -345,7 +347,10 @@ def cmd_construct(args) -> tuple[dict, int]:
         g = fparse("g", "0")
         h_or_b = recipe.get("h_or_b", 1)
         kind = recipe.get("kind", "f1")
-        if isinstance(h_or_b, (int, str)) and str(h_or_b).lstrip("-").isdigit():
+        if not isinstance(h_or_b, (int, str)) or isinstance(h_or_b, bool):
+            raise ConfigError("the recipe's h_or_b must be an integer or polynomial text,"
+                              f" got {h_or_b!r}")
+        if str(h_or_b).lstrip("-").isdigit():
             params = construct.AgwParams(ctx=ctx, q=q0, phi=phi, g=g,
                                          b=int(h_or_b), kind=kind)
         else:

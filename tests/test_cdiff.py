@@ -125,10 +125,16 @@ class TestSpectrum:
 
         for text in ("x^3 + x", "x^2", "g*x^5 + 1"):
             for c in (0, 1, 2, ctx.order - 1):
-                spec = c_ddt(parse_function(text, ctx), c)
+                f = parse_function(text, ctx)
+                spec = c_ddt(f, c)
+                expected = cell_by_cell(spec.counts)
                 buf = io.StringIO()
                 spec.to_csv(buf)
-                assert buf.getvalue() == cell_by_cell(spec.counts)
+                assert buf.getvalue() == expected
+                # so does the writer that streams the rows as it counts them
+                buf = io.StringIO()
+                cdiff.write_c_ddt_csv(f, c, buf)
+                assert buf.getvalue() == expected
 
 
 class TestClassification:

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import importlib
+import io
 import itertools
 import json
 import os
@@ -16,6 +17,15 @@ from hypothesis import given, settings, strategies as st
 import cdu
 from cdu import cdiff, cli, construct, field, parallel
 from cdu.cli import main
+
+
+def _has_peak_rss() -> bool:
+    """Whether /proc/self/status gives the peak resident set size (Linux)."""
+    try:
+        with open("/proc/self/status") as fh:
+            return "VmHWM" in fh.read()
+    except OSError:
+        return False
 
 
 def run_cli(capsys, *argv):
@@ -178,14 +188,28 @@ class TestAnalyze:
         def refuse(*args, **kwargs):
             raise AssertionError("the report ran before the --matrix-c arguments were checked")
 
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("the dump materialized the count matrix")
+
+        expected = io.StringIO()
+        cdiff.c_ddt(cdu.parse_function("x^2", field.make_field(5, 1)), 1).to_csv(expected)
+        monkeypatch.setattr(cdiff, "c_ddt", no_matrix)
         path = tmp_path / "ddt.csv"
         code, out, _ = run_cli(capsys, "analyze", "--field", "5^1",
                                "--function", "x^2", "--matrix-c", "1",
                                "--matrix-out", str(path))
         assert code == 0
+        assert json.loads(out)["report"]["matrix_csv"] == str(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "a\\b,0,1,2,3,4"
         assert len(lines) == 6
+        assert path.read_text() == expected.getvalue()
+        # without --matrix-out the CSV goes to stdout, before the report
+        code, out, _ = run_cli(capsys, "analyze", "--field", "5^1",
+                               "--function", "x^2", "--matrix-c", "1")
+        assert code == 0
+        assert out.startswith(expected.getvalue())
+        assert "matrix_csv" not in json.loads(out[len(expected.getvalue()):])["report"]
         # an unwritable path is a config error, found before the report
         monkeypatch.setattr(cdiff, "full_report", refuse)
         code, out, err = run_cli(capsys, "analyze", "--field", "2^4",
@@ -196,6 +220,12 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--field", "2^4", "--function", "x^3",
                                "--matrix-c", "h")
         assert code == 2 and err.startswith("error: cannot parse --matrix-c")
+        # --matrix-out alone would dump nothing, so it is refused
+        no_file = tmp_path / "alone.csv"
+        code, out, err = run_cli(capsys, "analyze", "--field", "3^2", "--function", "x^2",
+                                 "--matrix-out", str(no_file))
+        assert code == 2 and out == "" and not no_file.exists()
+        assert err.startswith("error: --matrix-out needs --matrix-c")
 
     def test_human_format(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--field", "5^1",
@@ -265,6 +295,45 @@ class TestConstruct:
     def test_malformed_recipe_is_a_config_error(self, capsys, recipe, key):
         code, _, err = run_cli(capsys, "construct", "--recipe", json.dumps(recipe))
         assert code == 2 and err.startswith("error: ") and key in err
+
+    # int() would truncate a float and read a boolean as 0 or 1
+    @pytest.mark.parametrize("recipe,message", [
+        ({"theorem": "pcn1", "q": 3, "n": 2.7, "phi": "x", "g": "x^2"}, "n must be an integer"),
+        ({"theorem": "pcn1", "q": 3.0, "n": 2}, "q must be an integer"),
+        ({"theorem": "pcn1", "q": 3, "n": True}, "n must be an integer"),
+        ({"theorem": "pcn1", "q": True, "n": 2}, "q must be an integer"),
+        ({"theorem": "quad", "q": 5, "n": 2, "h_or_b": 1.9,
+          "terms": [{"g": "x + 8", "s": 10}]}, "h_or_b must be an integer"),
+        ({"theorem": "quad", "q": 5, "n": 2, "h_or_b": 2,
+          "terms": [{"g": "x + 8", "s": 10.9}]}, "s must be an integer"),
+        ({"theorem": "quad", "q": 5, "n": 2, "h_or_b": 2,
+          "terms": [{"g": "x + 8", "s": False}]}, "s must be an integer"),
+        ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "h_or_b": 1.9},
+         "h_or_b must be an integer"),
+        ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "h_or_b": True},
+         "h_or_b must be an integer"),
+        ({"theorem": "pcn1", "q": 3, "n": 2, "h_or_b": True},
+         "h_or_b must be an integer or polynomial text"),
+        ({"theorem": "pcn1", "q": 3, "n": 2, "h_or_b": 1.9},
+         "h_or_b must be an integer or polynomial text"),
+        ({"theorem": "pcn1", "q": 3, "n": 2, "h_or_b": None},
+         "h_or_b must be an integer or polynomial text"),
+    ], ids=["pcn1-n-float", "pcn1-q-float", "pcn1-n-bool", "pcn1-q-bool", "quad-b-float",
+            "quad-s-float", "quad-s-bool", "apcnagw-b-float", "apcnagw-b-bool",
+            "pcn1-h_or_b-bool", "pcn1-h_or_b-float", "pcn1-h_or_b-null"])
+    def test_recipe_numbers_are_checked_not_truncated(self, capsys, recipe, message):
+        code, out, err = run_cli(capsys, "construct", "--recipe", json.dumps(recipe))
+        assert code == 2 and out == ""
+        assert err.startswith("error: the recipe's ") and message in err
+
+    @pytest.mark.parametrize("recipe", [
+        {"theorem": "pcn1", "q": "3", "n": "2", "phi": "x", "g": "x^2", "h_or_b": "1"},
+        {"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": "x^2", "h_or_b": "x^0"},
+        {"theorem": "quad", "q": 5, "n": 2, "h_or_b": "2", "terms": [{"g": "x + 8", "s": "10"}]},
+    ], ids=["pcn1-digit-text", "pcn1-polynomial", "quad-digit-text"])
+    def test_recipe_digit_and_polynomial_text(self, capsys, recipe):
+        code, out, _ = run_cli(capsys, "construct", "--recipe", json.dumps(recipe))
+        assert code == 0 and json.loads(out)["properties"]["is_permutation"] is True
 
     @pytest.mark.parametrize("recipe,failure", [
         ({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": "x^2"}, None),
@@ -605,6 +674,31 @@ class TestEntryPoint:
             env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["report"]["summary"]["pcn_c"] == [1]
+
+    @pytest.mark.skipif(not _has_peak_rss(), reason="no VmHWM in /proc/self/status")
+    def test_matrix_dump_memory_is_one_block(self, tmp_path):
+        # the F_{2^11} matrix alone would take 16 MiB as int32
+        src = os.path.dirname(os.path.dirname(cdu.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        peak = ("import sys, cdu.cli\n"
+                "code = cdu.cli.main(sys.argv[1:])\n"
+                "status = open('/proc/self/status').read()\n"
+                "print(int(status.split('VmHWM:')[1].split()[0]), file=sys.stderr)\n"
+                "sys.exit(code)")
+        argv = ["analyze", "--field", "2^11", "--function", "x^7"]
+
+        def peak_kib(*extra):
+            proc = subprocess.run([sys.executable, "-c", peak, *argv, *extra],
+                                  capture_output=True, text=True, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": path})
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stderr)
+
+        csv = tmp_path / "ddt.csv"
+        report = peak_kib()
+        dump = peak_kib("--matrix-c", "9", "--matrix-out", str(csv))
+        assert csv.stat().st_size > 2048 * 2048
+        assert dump - report < 4 * 1024, f"the dump added {dump - report} KiB"
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--field", "2^10", "--function", "x^3"],

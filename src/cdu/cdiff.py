@@ -32,7 +32,10 @@ def c_derivative(f: PolyFunc, a: int, c: int) -> PolyFunc:
 # c-derivative rows are counted in blocks of about this many elements:
 # large enough to amortize numpy's per-call cost, small enough that a
 # block's index and value arrays stay in cache
-_BLOCK_ELEMS = 1 << 15
+_BLOCK_ELEMS = 1 << 14
+# the shortest run of a translate table, unless the field is smaller: long
+# enough that a row's q/K run copies cost little more than its elements
+_RUN_ELEMS = 16
 # the most values or words a function's translate table holds
 _TRANSLATE_ELEMS = 1 << 20
 
@@ -53,21 +56,23 @@ def _row_block_counts(f: PolyFunc, c: int, directions, *, extra=None):
     rows_of = _rows(f, c, min(step, len(directions)), extra)
     for lo in range(0, len(directions), step):
         block = directions[lo:lo + step]
-        rows = rows_of(block)
-        yield np.bincount(rows.ravel(), minlength=len(block) * q).reshape(len(block), q)
+        # the rows die here, so a suspended generator holds only the counts
+        counts = np.bincount(rows_of(block).ravel(), minlength=len(block) * q)
+        yield counts.reshape(len(block), q)
 
 
 def _translate_table(ctx, values) -> tuple[int, np.ndarray]:
     """(K, runs): the translate table of the function with these values.
 
-    K = p^k, k being the largest value <= ceil(n/2) with q*K <=
-    _TRANSLATE_ELEMS.  runs[a_lo*q/K + x_hi] holds f(x + a_lo) for
-    x = x_lo + K*x_hi, x_lo = 0..K-1: values for p = 2 (int16 when
-    q <= 2^15), spread words for odd p.  The q/K runs of one a_lo sit next
-    to each other.
+    K = p^k: k starts at the smallest k with p^k >= _RUN_ELEMS (or at n)
+    and is lowered until q*K <= _TRANSLATE_ELEMS, so the q*K cells stay
+    near cache size: 2^16 on F_{2^12}, 3^10 on F_{3^7}.
+    runs[a_lo*q/K + x_hi] holds f(x + a_lo) for x = x_lo + K*x_hi,
+    x_lo = 0..K-1: values for p = 2 (int16 when q <= 2^15), spread words
+    for odd p.  The q/K runs of one a_lo sit next to each other.
     """
     q, p = ctx.order, ctx.p
-    k = (ctx.n + 1) // 2
+    k = next(k for k in range(1, ctx.n + 1) if p ** k >= _RUN_ELEMS or k == ctx.n)
     while k and q * p ** k > _TRANSLATE_ELEMS:
         k -= 1
     low, lows = p ** k, ctx.elements()[:p ** k]
@@ -82,13 +87,13 @@ def _rows(f: PolyFunc, c: int, count: int, extra=None):
     """A function mapping a block of at most count directions to its rows
     of f(x+a) - c*f(x) (plus extra), row i offset by i*q.
 
-    x = x_lo + K*x_hi splits into halves, and x + a adds each half on its
-    own, so the row of a copies the q/K runs of a_lo in f.translates, in
-    the order x_hi + a_hi; K = 1 is a plain gather.  For p = 2 the row is
-    one XOR of those values with c*f, to which the offsets were added
-    beforehand: they have no bits below q.  For odd p the words of -c*f are
-    added, each element folds once, and the offsets are added in the call
-    that widens the fold to int64.
+    x = x_lo + K*x_hi splits into a low and a high part, and x + a adds
+    each part on its own, so the row of a copies the q/K runs of a_lo in
+    f.translates, in the order x_hi + a_hi; K = 1 is a plain gather.  For
+    p = 2 the row is one XOR of those values with c*f, to which the offsets
+    were added beforehand: they have no bits below q.  For odd p the words
+    of -c*f are added, each element folds once, and the offsets are added
+    in the call that widens the fold to int64.
     """
     ctx, q = f.ctx, f.ctx.order
     low, runs = f.translates

@@ -336,26 +336,31 @@ def cmd_construct(args) -> tuple[dict, int]:
     p = factors[0]
     ctx = make_field(p, n * next(m for m in itertools.count(1) if p ** m == q0))
 
+    def text(key, value):
+        """Polynomial text, or a JSON integer as the text of a constant; not
+        a boolean, float, null, list or object, whose str() would not parse
+        or would parse as another polynomial."""
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return str(value)
+        raise ConfigError(f"the recipe's {key} must be an integer or polynomial text,"
+                          f" got {value!r}")
+
     def fparse(key, default=None):
-        text = recipe.get(key, default)
-        if text is None:
+        if key not in recipe and default is None:
             raise ConfigError(f"recipe is missing {key!r}")
-        return parse_function(str(text), ctx)
+        return parse_function(text(key, recipe.get(key, default)), ctx)
 
     if theorem == "pcn1":
         phi = fparse("phi", "x")
         g = fparse("g", "0")
-        h_or_b = recipe.get("h_or_b", 1)
+        h_or_b = text("h_or_b", recipe.get("h_or_b", 1))
         kind = recipe.get("kind", "f1")
-        if not isinstance(h_or_b, (int, str)) or isinstance(h_or_b, bool):
-            raise ConfigError("the recipe's h_or_b must be an integer or polynomial text,"
-                              f" got {h_or_b!r}")
-        if str(h_or_b).lstrip("-").isdigit():
+        if h_or_b.lstrip("-").isdigit():
             params = construct.AgwParams(ctx=ctx, q=q0, phi=phi, g=g,
                                          b=int(h_or_b), kind=kind)
         else:
             params = construct.AgwParams(ctx=ctx, q=q0, phi=phi, g=g,
-                                         h=parse_function(str(h_or_b), ctx), kind=kind)
+                                         h=parse_function(h_or_b, ctx), kind=kind)
         report = construct.validate_preconditions(params)
         report.require_pp()
         validation = report.to_dict()
@@ -369,7 +374,8 @@ def cmd_construct(args) -> tuple[dict, int]:
                 and all(isinstance(t, dict) and {"g", "s"} <= t.keys() for t in terms)):
             raise ConfigError("recipe needs a nonempty 'terms' list of objects "
                               "with keys 'g' and 's' for theorem=quad")
-        terms = [(parse_function(str(t["g"]), ctx), integer("s", t["s"])) for t in terms]
+        terms = [(parse_function(text(f"terms[{i}].g", t["g"]), ctx), integer("s", t["s"]))
+                 for i, t in enumerate(terms)]
         f = construct.build_quad_exponent_pp(ctx, q0, phi, b, terms)
         validation = {"terms": len(terms)}
         extra = {"is_permutation": is_permutation(f)}

@@ -318,9 +318,25 @@ class TestConstruct:
          "h_or_b must be an integer or polynomial text"),
         ({"theorem": "pcn1", "q": 3, "n": 2, "h_or_b": None},
          "h_or_b must be an integer or polynomial text"),
+        # str() would make these the text True, 2.5, None, [1] or {}
+        ({"theorem": "pcn1", "q": 3, "n": 2, "phi": True},
+         "phi must be an integer or polynomial text, got True"),
+        ({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": 2.5},
+         "g must be an integer or polynomial text, got 2.5"),
+        ({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": None},
+         "g must be an integer or polynomial text, got None"),
+        ({"theorem": "quad", "q": 5, "n": 2, "h_or_b": 2,
+          "terms": [{"g": "x + 8", "s": 10}, {"g": None, "s": 10}]},
+         "terms[1].g must be an integer or polynomial text, got None"),
+        ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": [1]},
+         "phi must be an integer or polynomial text, got [1]"),
+        ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": {}},
+         "g must be an integer or polynomial text, got {}"),
     ], ids=["pcn1-n-float", "pcn1-q-float", "pcn1-n-bool", "pcn1-q-bool", "quad-b-float",
             "quad-s-float", "quad-s-bool", "apcnagw-b-float", "apcnagw-b-bool",
-            "pcn1-h_or_b-bool", "pcn1-h_or_b-float", "pcn1-h_or_b-null"])
+            "pcn1-h_or_b-bool", "pcn1-h_or_b-float", "pcn1-h_or_b-null",
+            "pcn1-phi-bool", "pcn1-g-float", "pcn1-g-null", "quad-terms-g-null",
+            "apcnagw-phi-list", "apcnagw-g-object"])
     def test_recipe_numbers_are_checked_not_truncated(self, capsys, recipe, message):
         code, out, err = run_cli(capsys, "construct", "--recipe", json.dumps(recipe))
         assert code == 2 and out == ""
@@ -330,7 +346,8 @@ class TestConstruct:
         {"theorem": "pcn1", "q": "3", "n": "2", "phi": "x", "g": "x^2", "h_or_b": "1"},
         {"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": "x^2", "h_or_b": "x^0"},
         {"theorem": "quad", "q": 5, "n": 2, "h_or_b": "2", "terms": [{"g": "x + 8", "s": "10"}]},
-    ], ids=["pcn1-digit-text", "pcn1-polynomial", "quad-digit-text"])
+        {"theorem": "quad", "q": 5, "n": 2, "h_or_b": 2, "terms": [{"g": 0, "s": 10}]},
+    ], ids=["pcn1-digit-text", "pcn1-polynomial", "quad-digit-text", "quad-g-integer"])
     def test_recipe_digit_and_polynomial_text(self, capsys, recipe):
         code, out, _ = run_cli(capsys, "construct", "--recipe", json.dumps(recipe))
         assert code == 0 and json.loads(out)["properties"]["is_permutation"] is True

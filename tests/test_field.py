@@ -437,6 +437,31 @@ class TestElemPow:
             assert ctx.pow(x, big) == ctx.pow(x, big % 8)
 
 
+class TestLargeOrders:
+    # on F_{2^16} and F_{3^10}, q^2 > 2^31: a log times an exponent passes
+    # the int32 of the tables, so pow and vpow_const must widen it
+    @pytest.mark.parametrize("p,n", [(2, 16), (3, 10)])
+    def test_table_arithmetic_matches_square_and_multiply(self, p, n):
+        ctx = make_field(p, n)
+        q, g = ctx.order, ctx.generator
+        rng = random.Random(q)
+        # g^t for the largest logs t, where log * exponent is largest
+        u = [poly_pow(ctx, g, t) for t in (q - 2, q - 3)] + [rng.randrange(1, q) for _ in range(4)]
+        v = [rng.randrange(1, q) for _ in u]
+        # near q, and above 2^31 with a residue mod q - 1 near q - 1
+        exponents = [q - 2, q + 1, (2 ** 31 // (q - 1) + 1) * (q - 1) - 1, 2 ** 33 + 7]
+        for e in exponents:
+            expect = [poly_pow(ctx, x, e) for x in u]
+            assert [ctx.pow(x, e) for x in u] == expect, e
+            assert ctx.vpow_const(np.array([0] + u), e).tolist() == [0] + expect, e
+        assert ctx.vmul(np.array(u), np.array(v)).tolist() == [
+            poly_mul(ctx, x, y) for x, y in zip(u, v)]
+        assert ctx.vmul_const(u[0], np.array(v)).tolist() == [poly_mul(ctx, u[0], y) for y in v]
+        assert [ctx.inv(x) for x in u] == [poly_pow(ctx, x, q - 2) for x in u]
+        ts = [0, q - 2, q - 1, 2 ** 31 + 3, 2 ** 33 + 7]
+        assert ctx.vexp(np.array(ts)).tolist() == [poly_pow(ctx, g, t) for t in ts]
+
+
 class TestFrobenius:
     @pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (3, 6)])
     def test_additive_and_fixes_prime_subfield(self, p, n):

@@ -180,11 +180,10 @@ class FieldContext:
     """A fully materialized finite field F_{p^n}.
 
     Holds the element tables that the rest of the library computes with:
-    discrete-log and exponential tables and the array of all elements, int32
-    for every q <= 2^30, and for odd p the spread words of every element and
-    of its negation, with the fold tables that map a sum of two words back
-    to an element (see _build_add_tables).  Construct through
-    :func:`make_field`, which validates and caches contexts.
+    discrete-log and exponential tables, and for odd p the spread words of
+    every element and of its negation, with the fold tables that map a sum
+    of two words back to an element (see _build_add_tables).  Construct
+    through :func:`make_field`, which validates and caches contexts.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -201,7 +200,7 @@ class FieldContext:
         self._lock = threading.Lock()
         self._embed_roots: dict[FieldSpec, int] = {}
         self._subfield_cache: dict[int, tuple[int, ...]] = {}
-        self._elements = np.arange(self.order, dtype=self._exp2.dtype)
+        self._elements = np.arange(self.order, dtype=np.int64)
 
     # -- representation helpers ------------------------------------------
 
@@ -248,11 +247,7 @@ class FieldContext:
             (c for c in range(2, q) if all(power(pack(c), (q - 1) // r) != 1 for r in factors)),
             1)  # F_2: the only unit generates
         images = [unpack(mul(pack(self.generator), 1 << width * i)) for i in range(n)]
-        # int32 holds every element and log, and the sum of two logs, while
-        # q <= 2^30; a log times an exponent that could pass 2^31 is taken
-        # in int64 (pow, vpow_const)
-        dtype = np.int32 if q <= 1 << 30 else np.int64
-        exp = np.empty(q - 1, dtype=dtype)
+        exp = np.empty(q - 1, dtype=np.int64)
         exp[0] = 1
         k = 1
         while k < q - 1:
@@ -261,8 +256,8 @@ class FieldContext:
             images = times(images)
             k *= 2
         self._exp2 = np.concatenate([exp, exp])
-        log = np.zeros(q, dtype=dtype)
-        log[exp] = np.arange(len(exp), dtype=dtype)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(len(exp), dtype=np.int64)
         self._log = log
 
     def _build_add_tables(self):
@@ -393,7 +388,7 @@ class FieldContext:
         em = e % qm1
         if em == 0:
             return 1
-        return int(self._exp2[int(self._log[x]) * em % qm1])
+        return int(self._exp2[(self._log[x] * em) % qm1])
 
     # -- vector arithmetic (numpy arrays of canonical integers) -----------
 
@@ -431,31 +426,29 @@ class FieldContext:
         return self.fold(self._neg_words[u]).astype(np.int64)
 
     def vmul(self, u, v):
-        u, v = np.asarray(u), np.asarray(v)
-        # the index is summed as intp, to which a gather would copy an int32 one
-        r = self._exp2[np.add(self._log[u], self._log[v], dtype=np.intp)]
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        r = self._exp2[self._log[u] + self._log[v]]
         return np.where((u == 0) | (v == 0), 0, r)
 
     def vmul_const(self, c: int, u):
-        u = np.asarray(u)
+        u = np.asarray(u, dtype=np.int64)
         if c == 0:
             return np.zeros_like(u)
         if c == 1:
             return u.copy()
-        r = self._exp2[np.add(self._log[u], int(self._log[c]), dtype=np.intp)]
+        r = self._exp2[int(self._log[c]) + self._log[u]]
         return np.where(u == 0, 0, r)
 
     def vpow_const(self, u, e: int):
         """Elementwise u^e for a fixed non-negative exponent."""
         if e < 0:
             raise ValueError("negative exponent")
-        u = np.asarray(u)
+        u = np.asarray(u, dtype=np.int64)
         if e == 0:
             return np.ones_like(u)
-        qm1, logs = self.order - 1, self._log[u]
-        if (e % qm1) * (qm1 - 1) >= 1 << 31:  # a log times e could pass int32
-            logs = logs.astype(np.int64)
-        r = self._exp2[logs * (e % qm1) % qm1]
+        qm1 = self.order - 1
+        r = self._exp2[(self._log[u] * (e % qm1)) % qm1]
         return np.where(u == 0, 0, r)
 
     def vexp(self, t):

@@ -439,7 +439,7 @@ class TestElemPow:
 
 class TestLargeOrders:
     # on F_{2^16} and F_{3^10}, q^2 > 2^31: a log times an exponent passes
-    # the int32 of the tables, so pow and vpow_const must widen it
+    # 2^31, which the table arithmetic must not wrap
     @pytest.mark.parametrize("p,n", [(2, 16), (3, 10)])
     def test_table_arithmetic_matches_square_and_multiply(self, p, n):
         ctx = make_field(p, n)

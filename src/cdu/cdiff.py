@@ -40,20 +40,19 @@ _RUN_ELEMS = 16
 _TRANSLATE_ELEMS = 1 << 20
 
 
-def _row_block_counts(f: PolyFunc, c: int, directions, *, extra=None):
+def _row_block_counts(f: PolyFunc, c: int, directions):
     """Count the c-derivative rows of f, a block of directions at a time.
 
     Yields one array per block of consecutive directions; its row i
     counts, for each b, the x with f(x+a) - c*f(x) = b, a being the
-    block's i-th direction.  extra, if given, maps a block of directions
-    to a (block, q) array added to the rows, e.g. a term a*x.  A block's
-    rows come from _rows with row i offset by i*q, so one bincount counts
-    them all.  A caller that stops iterating skips the remaining blocks.
+    block's i-th direction.  A block's rows come from _rows with row i
+    offset by i*q, so one bincount counts them all.  A caller that stops
+    iterating skips the remaining blocks.
     """
     q = f.ctx.order
     directions = np.asarray(directions, dtype=np.int64)
     step = max(1, _BLOCK_ELEMS // q)
-    rows_of = _rows(f, c, min(step, len(directions)), extra)
+    rows_of = _rows(f, c, min(step, len(directions)))
     for lo in range(0, len(directions), step):
         block = directions[lo:lo + step]
         # the rows die here, so a suspended generator holds only the counts
@@ -83,9 +82,9 @@ def _translate_table(ctx, values) -> tuple[int, np.ndarray]:
     return low, runs.reshape(q, low)
 
 
-def _rows(f: PolyFunc, c: int, count: int, extra=None):
+def _rows(f: PolyFunc, c: int, count: int):
     """A function mapping a block of at most count directions to its rows
-    of f(x+a) - c*f(x) (plus extra), row i offset by i*q.
+    of f(x+a) - c*f(x), row i offset by i*q.
 
     x = x_lo + K*x_hi splits into a low and a high part, and x + a adds
     each part on its own, so the row of a copies the q/K runs of a_lo in
@@ -106,12 +105,10 @@ def _rows(f: PolyFunc, c: int, count: int, extra=None):
         hi, lo = np.divmod(block, low)
         copied = runs.take(ctx.vadd(hi[:, None], highs) + (lo * (q // low))[:, None], axis=0)
         copied = copied.reshape(len(block), q)
-        if ctx.p == 2:  # extra is below q, so XOR adds it before the offsets
-            other = cf[:len(block)] if extra is None else cf[:len(block)] ^ extra(block)
-            return np.bitwise_xor(copied, other, dtype=np.int64)
+        if ctx.p == 2:
+            return np.bitwise_xor(copied, cf[:len(block)], dtype=np.int64)
         copied += cf
-        folded = ctx.fold(copied) if extra is None else ctx.vadd(ctx.fold(copied), extra(block))
-        return np.add(folded, offsets[:len(block)], dtype=np.int64)
+        return np.add(ctx.fold(copied), offsets[:len(block)], dtype=np.int64)
 
     return rows_of
 
@@ -218,23 +215,24 @@ def classify_c(f: PolyFunc, c: int) -> str:
 class CEntry:
     """One multiplier's verdict.  method names the directions delta was
     counted over (see full_report) and directions how many rows that took;
-    rep, when set, is the multiplier whose delta was computed in c's place."""
+    rep, when set, is the multiplier whose delta was computed in c's place.
+    The fields are in the order of the report's keys."""
 
     c: int
     delta: int
     label: str
+    method: str
     directions: int
     note: str | None = None
-    method: str = "rows"
     rep: int | None = None
 
     def to_dict(self):
-        d = {"c": self.c, "delta": self.delta, "label": self.label, "method": self.method,
-             "directions": self.directions}
-        if self.note:
-            d["note"] = self.note
-        if self.rep is not None:
-            d["rep"] = self.rep
+        """The fields as a dict, without note and rep when they are unset."""
+        d = vars(self).copy()
+        if self.note is None:
+            del d["note"]
+        if self.rep is None:
+            del d["rep"]
         return d
 
 
@@ -517,7 +515,7 @@ def is_pseudo_pcn(f: PolyFunc, c: int) -> bool:
     ctx = f.ctx
     if ctx.p != 2:
         raise OddCharacteristic("pseudo-PcN is defined in characteristic 2")
-    xs = ctx.elements()
-    blocks = _row_block_counts(f, c, range(1, ctx.order),
-                               extra=lambda eps: ctx.vmul(eps[:, None], xs))
-    return all(int(block.max()) <= 1 for block in blocks)
+    xs, table = ctx.elements(), f.table
+    cf = ctx.vmul_const(c, table)
+    return all(np.bincount(table[xs ^ e] ^ cf ^ ctx.vmul_const(e, xs)).max() <= 1
+               for e in range(1, ctx.order))

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import cdiff, construct
 from .errors import CapExceeded, CduError, ConfigError, ParseError
@@ -204,14 +205,14 @@ def _emit_human(obj, indent=0):
     pad = "  " * indent
     if isinstance(obj, dict):
         for k, v in obj.items():
-            if isinstance(v, (dict, list)) and v:
+            if isinstance(v, (dict, list, tuple)) and v:
                 print(f"{pad}{k}:")
                 _emit_human(v, indent + 1)
             else:
                 print(f"{pad}{k}: {v}")
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for v in obj:
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, tuple)):
                 _emit_human(v, indent + 1)
                 print()
             else:
@@ -423,7 +424,7 @@ def cmd_monomial(args) -> tuple[dict, int]:
     except ParseError as exc:
         raise ConfigError(f"cannot parse c: {exc}") from None
     analysis = monomial.exceptionality_sweep(args.p, args.h, args.d, c, args.rmax)
-    return {"command": "monomial", "report": analysis.to_dict()}, EXIT_OK
+    return {"command": "monomial", "report": asdict(analysis)}, EXIT_OK
 
 
 def cmd_verify(args) -> tuple[dict, int]:

@@ -17,7 +17,7 @@ Every hypothesis is decided by finite exhaustion, never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .field import FieldContext, trace_table
-from .funcs import PolyFunc, classify_shape, p_weight
+from .funcs import PolyFunc, classify_shape
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,6 @@ class PreconditionItem:
     passed: bool
     detail: str
 
-    def to_dict(self):
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass
 class PreconditionReport:
@@ -176,12 +173,7 @@ class PreconditionReport:
                 raise error(self.item(name).detail)
 
     def to_dict(self):
-        return {
-            "items": [it.to_dict() for it in self.items],
-            "linearity_degree": self.linearity_degree,
-            "pp_ok": self.pp_ok,
-            "two_to_one_ok": self.two_to_one_ok,
-        }
+        return {**asdict(self), "pp_ok": self.pp_ok, "two_to_one_ok": self.two_to_one_ok}
 
 
 def _h_values_on(params: AgwParams, points) -> list[int]:
@@ -330,15 +322,9 @@ def build_quad_exponent_pp(ctx: FieldContext, q0: int, phi: PolyFunc, b: int,
     jset = j.as_set
     p = ctx.p
     for g_i, s_i in terms:
-        digs = []
-        e = s_i
-        pos = 0
-        while e:
-            if e % p:
-                digs.extend([pos] * (e % p))
-            e //= p
-            pos += 1
-        if p_weight(s_i, p) != 2 or len(digs) != 2:
+        # each base-p digit position of s_i, once per unit of its digit (none for s_i <= 0)
+        digs = [i for i in range(max(s_i, 0).bit_length()) for _ in range(s_i // p ** i % p)]
+        if len(digs) != 2:
             raise BadExponent(f"exponent {s_i} is not a sum of two p-powers")
         lo, hi = digs[0], digs[-1]
         if lo < 1 or hi > 2 * m - 1:

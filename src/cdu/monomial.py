@@ -183,21 +183,6 @@ class ExtensionVerdict:
     violation_witness: dict | None
     split_witness: dict | None
 
-    def to_dict(self):
-        return {
-            "r": self.r,
-            "order": self.order,
-            "modulus": list(self.modulus),
-            "c": self.c,
-            "gcd_value": self.gcd_value,
-            "gcd_ok": self.gcd_ok,
-            "delta": self.delta,
-            "is_pcn": self.is_pcn,
-            "is_apcn": self.is_apcn,
-            "violation_witness": self.violation_witness,
-            "split_witness": self.split_witness,
-        }
-
 
 @dataclass
 class MonomialAnalysis:
@@ -213,20 +198,6 @@ class MonomialAnalysis:
     per_extension: tuple[ExtensionVerdict, ...]
     first_violation_r: int | None
     message: str
-
-    def to_dict(self):
-        return {
-            "p": self.p,
-            "h": self.h,
-            "d": self.d,
-            "c": self.c,
-            "s": self.s,
-            "root_in_fps": self.root_in_fps,
-            "gcd_ok": self.gcd_ok,
-            "per_extension": [v.to_dict() for v in self.per_extension],
-            "first_violation_r": self.first_violation_r,
-            "message": self.message,
-        }
 
 
 def _classify_extension(p: int, h: int, d: int, c_base: int, r: int) -> ExtensionVerdict:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import asdict
 
 import numpy as np
 
 from . import cdiff, construct, monomial
-from .field import embed, format_field_spec, make_field
+from .field import embed, format_field_spec, make_field, prime_factors
 from .funcs import PolyFunc, is_permutation, is_planar, is_two_to_one, parse_function
 
 
@@ -188,9 +189,8 @@ def trace_power_pp_suite(seed: int = 0, count: int = 20) -> dict:
     failures = []
 
     def check(q0, n, i):
-        p = 2 if q0 in (2, 4, 8) else q0
-        m = {2: 1, 3: 1, 4: 2, 5: 1}[q0]
-        ctx = make_field(p, m * n)
+        p, = prime_factors(q0)
+        ctx = make_field(p, n * next(m for m in itertools.count(1) if p ** m == q0))
         rng = _rng(seed, "pcn1", q0, n, i)
         base_units = [b for b in ctx.subfield_elements(q0) if b]
         if i % 2 == 0:
@@ -460,7 +460,7 @@ def monomial_sweep_report(c: int = 3) -> dict:
     fast = analysis.per_extension[0].delta
     return {
         "suite": "monomial-sweep",
-        "analysis": analysis.to_dict(),
+        "analysis": asdict(analysis),
         "witness_ok": witness_ok,
         "not_pcn_apcn_at_witness": not_pcn_apcn,
         "generic_delta_r1": generic,

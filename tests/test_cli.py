@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -265,6 +266,25 @@ class TestConstruct:
         rep = json.loads(out)
         assert rep["properties"]["is_permutation"] is True
 
+    @pytest.mark.parametrize("s", [-1, 0, 15])  # 15 = 3*5 has base-5 digit sum 3
+    def test_exponent_not_two_p_powers_exits_2_at_once(self, capsys, s):
+        recipe = json.dumps({"theorem": "quad", "q": 5, "n": 2, "phi": "x", "h_or_b": 2,
+                             "terms": [{"g": "x + 8", "s": s}]})
+
+        def expire(signum, frame):
+            raise TimeoutError("construct ran for a second")
+
+        # a digit loop that never ends on s < 0 would otherwise hang the test
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            code, _, err = run_cli(capsys, "construct", "--recipe", recipe)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        assert f"BadExponent: exponent {s} is not a sum of two p-powers" in err
+
     def test_recipe_from_file(self, capsys, tmp_path):
         path = tmp_path / "recipe.json"
         path.write_text(json.dumps({"theorem": "pcn1", "q": 3, "n": 2,
@@ -483,6 +503,32 @@ class TestJsonEncoding:
         if argv[0] == "analyze":
             entries = reports[0]["report"]["entries"]
             assert any("rep" in e for e in entries) and any("note" in e for e in entries)
+
+    @pytest.mark.parametrize("argv,shown", [
+        (["analyze", "--field", "2^4", "--function", "x^3"], ["  rep: ", "  note: "]),
+        (["construct", "--recipe", json.dumps({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x",
+                                               "g": "x^2", "h_or_b": 1, "kind": "f1"})],
+         ["items:\n", "pp_ok: True"]),
+        (["construct", "--recipe", json.dumps({"theorem": "apcnagw", "q": 4, "n": 3,
+                                               "phi": "x^2 + x", "g": "x", "h_or_b": 1,
+                                               "kind": "f2"})],
+         ["items:\n", "two_to_one_ok: True"]),
+        (["monomial", "--p", "3", "--h", "3", "--d", "5", "--c", "g", "--rmax", "2"],
+         ["modulus:\n", "per_extension:\n", "violation_witness:\n", "split_witness:\n"]),
+        (["verify-theorems", "--suite", "monomial-sweep"],
+         ["modulus:\n", "per_extension:\n", "violation_witness:\n"]),
+    ], ids=["analyze", "construct-pcn1", "construct-apcnagw", "monomial", "monomial-sweep"])
+    def test_human_format_renders_the_json_data(self, capsys, monkeypatch, argv, shown):
+        # the JSON round trip turns tuples into lists and keeps the key order
+        reports = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda report, fmt: (reports.append(report),
+                                                               emit(report, fmt)))
+        code, out, _ = run_cli(capsys, *argv, "--format", "human")
+        assert code == 0
+        cli._emit_human(json.loads(json.dumps(reports[0])))
+        assert out == capsys.readouterr().out
+        assert all(text in out for text in shown)
 
 
 # the options a command could take before each took only its own

@@ -207,16 +207,6 @@ class TestRowKernel:
         assert c_uniformity(f, 1) == 1
         assert is_planar(f)
 
-    def test_extra_term_is_added_to_each_row(self):
-        ctx = make_field(2, 3)
-        f = PolyFunc(ctx, {3: 1})
-        xs = ctx.elements()
-        blocks = cdiff._row_block_counts(f, 5, range(ctx.order),
-                                         extra=lambda a: ctx.vmul(a[:, None], xs))
-        counts = np.concatenate(list(blocks))
-        for a in range(ctx.order):
-            assert np.array_equal(counts[a], scalar_row(f, 5, a, lambda x: ctx.mul(a, x)))
-
 
 class TestTableSizes:
     @pytest.mark.parametrize("p,n", [(3, 7), (2, 12)])

@@ -246,11 +246,13 @@ class ClassificationReport:
     pcn_cs: list[int] = dc_field(default_factory=list)
     apcn_cs: list[int] = dc_field(default_factory=list)
 
-    def to_dict(self):
+    def to_dict(self, records: bool = False):
+        """The report as plain data; with records, the entries stay CEntry
+        records, which the command line writes without a dict each."""
         return {
             "function": self.function,
             "field": self.field,
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": self.entries if records else [e.to_dict() for e in self.entries],
             "summary": {"pcn_c": self.pcn_cs, "apcn_c": self.apcn_cs},
         }
 

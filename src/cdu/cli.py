@@ -17,9 +17,10 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import cdiff, construct
 from .errors import CapExceeded, CduError, ConfigError, ParseError
@@ -144,9 +145,6 @@ def _config_argv(command: argparse.ArgumentParser, cfg: dict) -> list[str]:
     return argv
 
 
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
 @functools.lru_cache(maxsize=None)
 def _flat_encoder(pad: str):
     """The C encoder, with items separated by a newline and pad; one is
@@ -154,55 +152,99 @@ def _flat_encoder(pad: str):
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": ")).encode
 
 
-def _indented_json(obj, pad: str = "") -> str:
-    """Exactly json.dumps(obj, sort_keys=True, indent=2), pad being the
-    indentation of the line obj starts on.
+# entries rendered per piece: about 40 KB of text
+_ENTRY_BLOCK = 256
+
+
+@functools.lru_cache(maxsize=None)
+def _entry_templates(pad: str) -> dict:
+    """For each (note set, rep set), the %-template of a CEntry that starts
+    on a line indented by pad, with its keys sorted as json.dumps sorts
+    them, and a getter of the values it takes in that order."""
+    inner = pad + "  "
+    names = sorted(f.name for f in fields(cdiff.CEntry))
+    templates = {}
+    for note, rep in itertools.product((False, True), repeat=2):
+        keys = [k for k in names if (note or k != "note") and (rep or k != "rep")]
+        template = "{\n" + ",\n".join(f'{inner}"{k}": %s' for k in keys) + f"\n{pad}}}"
+        templates[note, rep] = template, operator.attrgetter(*keys)
+    return templates
+
+
+def _entry_pieces(entries, pad: str):
+    """A list of CEntry records, as json.dumps writes the list of their
+    to_dict(), one piece per block of entries.
+
+    The values of a block are one call of the C encoder, separated by
+    newlines, which no encoded scalar contains; its templates, joined,
+    take them with one %.
+    """
+    templates = _entry_templates(pad + "  ")
+    encode = json.JSONEncoder(separators=("\n", ": ")).encode
+    sep = f",\n{pad}  "
+    head = f"[\n{pad}  "
+    for i in range(0, len(entries), _ENTRY_BLOCK):
+        forms, values = [], []
+        for e in entries[i:i + _ENTRY_BLOCK]:
+            template, get = templates[e.note is not None, e.rep is not None]
+            forms.append(template)
+            values += get(e)
+        yield head + sep.join(forms) % tuple(encode(values)[1:-1].split("\n"))
+        head = sep
+    yield f"\n{pad}]"
+
+
+def _json_pieces(obj, pad: str = ""):
+    """Exactly json.dumps(obj, sort_keys=True, indent=2), in pieces to be
+    written in turn, pad being the indentation of the line obj starts on.
+    A list of CEntry records is written as the list of their to_dict().
 
     With an indent, json.dumps runs its pure-Python encoder.  Here a
     container that nests nothing nonempty is one call of the C encoder,
-    whose item separator carries the newline and indentation, and so is
-    a list of nonempty dicts of scalars; other containers recurse.
+    whose item separator carries the newline and indentation; CEntry
+    records fill %-templates (see _entry_pieces); other containers recurse.
     """
-    if isinstance(obj, dict):
-        values = obj.values()
-    elif isinstance(obj, (list, tuple)):
-        values = obj
-    else:
-        return json.dumps(obj)
-    if not obj:
-        return json.dumps(obj)
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        yield json.dumps(obj)
+        return
     inner = pad + "  "
-    if not any(isinstance(v, (dict, list, tuple)) and v for v in values):
+    values = obj.values() if isinstance(obj, dict) else obj
+    if isinstance(obj, list) and isinstance(obj[0], cdiff.CEntry):
+        yield from _entry_pieces(obj, pad)
+    elif not any(isinstance(v, (dict, list, tuple)) and v for v in values):
         text = _flat_encoder(inner)(obj)
+        yield f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
     elif isinstance(obj, dict):
-        # json.dumps({k: None}) renders a key as the encoder does: 1 -> "1"
-        text = "{" + f",\n{inner}".join(
-            json.dumps({k: None})[1:-7] + ": " + _indented_json(v, inner)
-            for k, v in sorted(obj.items())) + "}"
-    elif ({*map(type, obj)} == {dict} and all(obj)
-          and _SCALARS.issuperset(map(type, itertools.chain.from_iterable(map(dict.values, obj))))):
-        # a list of nonempty dicts of scalars, like a report's entries: a
-        # raw newline only ever comes from a separator, and every item of a
-        # dict starts with its key, so "},\n" + inner2 + "{" is exactly a
-        # boundary between two of the dicts
-        inner2 = inner + "  "
-        text = _flat_encoder(inner2)(obj).replace(
-            f"}},\n{inner2}{{", f"\n{inner}}},\n{inner}{{\n{inner2}")
-        return f"[\n{inner}{{\n{inner2}{text[2:-2]}\n{inner}}}\n{pad}]"
+        sep = "{"
+        for k, v in sorted(obj.items()):
+            # json.dumps({k: None}) renders a key as the encoder does: 1 -> "1"
+            yield f"{sep}\n{inner}{json.dumps({k: None})[1:-7]}: "
+            yield from _json_pieces(v, inner)
+            sep = ","
+        yield f"\n{pad}}}"
     else:
-        text = "[" + f",\n{inner}".join(_indented_json(v, inner) for v in obj) + "]"
-    return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+        sep = "["
+        for v in obj:
+            yield f"{sep}\n{inner}"
+            yield from _json_pieces(v, inner)
+            sep = ","
+        yield f"\n{pad}]"
 
 
 def _emit(report: dict, fmt: str):
     if fmt == "json":
-        print(_indented_json(report))
+        write = sys.stdout.write
+        for piece in _json_pieces(report):
+            write(piece)
+        write("\n")
     else:
         _emit_human(report)
 
 
 def _emit_human(obj, indent=0):
     pad = "  " * indent
+    if isinstance(obj, cdiff.CEntry):
+        obj = obj.to_dict()
     if isinstance(obj, dict):
         for k, v in obj.items():
             if isinstance(v, (dict, list, tuple)) and v:
@@ -212,7 +254,7 @@ def _emit_human(obj, indent=0):
                 print(f"{pad}{k}: {v}")
     elif isinstance(obj, (list, tuple)):
         for v in obj:
-            if isinstance(v, (dict, list, tuple)):
+            if isinstance(v, (dict, list, tuple, cdiff.CEntry)):
                 _emit_human(v, indent + 1)
                 print()
             else:
@@ -289,7 +331,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
             except OSError as exc:
                 raise ConfigError(f"cannot write --matrix-out: {exc}") from None
     with matrix_out or contextlib.nullcontext():
-        report = cdiff.full_report(f, cs=cs).to_dict()
+        report = cdiff.full_report(f, cs=cs).to_dict(records=True)
         if matrix_out:
             cdiff.write_c_ddt_csv(f, matrix_c, matrix_out)
             report["matrix_csv"] = args.matrix_out
@@ -395,7 +437,7 @@ def cmd_construct(args) -> tuple[dict, int]:
     else:
         raise ConfigError(f"unknown theorem {theorem!r}; use pcn1 | quad | apcnagw")
 
-    classification = cdiff.full_report(f).to_dict()
+    classification = cdiff.full_report(f).to_dict(records=True)
     return {
         "command": "construct",
         "recipe": recipe,

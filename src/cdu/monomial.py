@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadC, BadExponent, COne, FieldTooSmallWarning, ZeroC
+from .errors import BadC, BadExponent, COne, FieldTooSmallWarning, InvalidParams, ZeroC
 from .field import FieldContext, embed, make_field, prime_factors
 
 
@@ -54,8 +54,9 @@ def min_s(p: int, d: int) -> int:
     return s
 
 
-def root_in_fps(p: int, h: int, d: int, c: int) -> bool:
-    """Does some c0 in F_{p^s} satisfy c0^(d-1) = c?
+def root_in_fps(p: int, h: int, d: int, c: int, s: int | None = None) -> bool:
+    """Does some c0 in F_{p^s} satisfy c0^(d-1) = c?  s is min_s(p, d),
+    computed here unless given.
 
     Decided inside F_{p^h}: c must lie in F_{p^s}, that is in
     F_{p^h} ∩ F_{p^s} = F_{p^gcd(h,s)}, which holds iff c^(p^s) = c, and
@@ -68,7 +69,8 @@ def root_in_fps(p: int, h: int, d: int, c: int) -> bool:
     """
     if c == 0:
         raise ZeroC("c must be nonzero")
-    s = min_s(p, d)
+    if s is None:
+        s = min_s(p, d)
     base = make_field(p, h)
     if base.pow(c, p ** (s % h)) != c:
         return False
@@ -240,17 +242,18 @@ def exceptionality_sweep(p: int, h: int, d: int, c: int, r_max: int) -> Monomial
 
     The sweep certifies the swept range only: it reports where PcN/APcN
     first fails (with witnesses) and never concludes exceptionality.
+    c and r_max are checked before d - 1 is factored, once, for min_s.
     """
-    s = min_s(p, d)
     q0 = p ** h
     if not 0 <= c < q0:
         raise BadC(f"c={c} is not an element of F_{q0}")
     if c in (0, 1):
         raise BadC("c must avoid 0 and 1 (c = 1 is the classical case)")
     if r_max < 1:
-        raise BadC(f"r_max must be positive, got {r_max}")
+        raise InvalidParams(f"r_max must be positive, got {r_max}")
 
-    root = root_in_fps(p, h, d, c)
+    s = min_s(p, d)
+    root = root_in_fps(p, h, d, c, s)
     verdicts = [_classify_extension(p, h, d, c, r) for r in range(1, r_max + 1)]
     first_violation = next((v.r for v in verdicts if v.violation_witness), None)
     if first_violation is None:

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
 import concurrent.futures
+import contextlib
 import importlib
 import io
 import itertools
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import cdu
 from cdu import cdiff, cli, construct, field, parallel
 from cdu.cli import main
+from cdu.funcs import PolyFunc
 
 
 def _has_peak_rss() -> bool:
@@ -27,6 +29,23 @@ def _has_peak_rss() -> bool:
             return "VmHWM" in fh.read()
     except OSError:
         return False
+
+
+def _peak_kib(*argv) -> int:
+    """The peak resident set size, in KiB, of a fresh process that runs
+    cdu with argv and writes its output to a pipe."""
+    src = os.path.dirname(os.path.dirname(cdu.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    peak = ("import sys, cdu.cli\n"
+            "code = cdu.cli.main(sys.argv[1:])\n"
+            "sys.stdout.flush()\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(int(status.split('VmHWM:')[1].split()[0]), file=sys.stderr)\n"
+            "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", peak, *argv], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr)
 
 
 def run_cli(capsys, *argv):
@@ -434,6 +453,19 @@ class TestMonomialCommand:
                                      "--c", "7", "--rmax", "1")
             assert code == 2 and out == "" and f"CapExceeded: d - 1 has {cost}" in err
 
+    @pytest.mark.parametrize("c,rmax,error", [("1", "1", "BadC"), ("0", "1", "BadC"),
+                                              ("5", "0", "InvalidParams")])
+    def test_bad_c_or_rmax_is_refused_before_factoring(self, capsys, monkeypatch, c, rmax, error):
+        from cdu import monomial
+
+        def refuse(p, d):
+            raise AssertionError(f"factored d - 1 = {d - 1} before checking c and r_max")
+
+        monkeypatch.setattr(monomial, "min_s", refuse)
+        code, out, err = run_cli(capsys, "monomial", "--p", "3", "--h", "2",
+                                 "--d", "70368744177815", "--c", c, "--rmax", rmax, "--force")
+        assert code == 2 and out == "" and f"error: {error}: " in err
+
     @pytest.mark.parametrize("p,d,force", [(7, 2 ** 40, []), (5, 2 ** 41 + 1, ["--force"])])
     def test_d_within_the_bound_or_forced(self, capsys, p, d, force):
         code, out, err = run_cli(capsys, "monomial", "--p", str(p), "--h", "1", "--d", str(d),
@@ -479,11 +511,25 @@ def _json_containers(children):
                        min_size=1, max_size=4))
 
 
+# every F_{p^n} with p in {2, 3, 5, 7} and q <= 81
+_REPORT_FIELDS = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 7) if p ** n <= 81]
+_JSON_TEXT = st.text(alphabet=st.characters(codec="utf-8"), max_size=6) | st.sampled_from(
+    ["quote \" back \\ slash", "tab\tnew\nline", "\x00\x1f\x7f", "é ✓ 𝔽"])
+
+
+def _written(report: dict) -> str:
+    """What the JSON format writes of report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(report, "json")
+    return out.getvalue()
+
+
 class TestJsonEncoding:
     @settings(max_examples=400, deadline=None)
     @given(st.recursive(_JSON_FLAT, _json_containers, max_leaves=30))
     def test_indented_json_is_the_stdlib_encoding(self, obj):
-        assert cli._indented_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+        assert "".join(cli._json_pieces(obj)) == json.dumps(obj, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--field", "3^2", "--function", "x^2 + x^3"],
@@ -499,10 +545,38 @@ class TestJsonEncoding:
                                                                emit(report, fmt)))
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert out == json.dumps(reports[0], sort_keys=True, indent=2) + "\n"
+        # the plain-data form: each CEntry record as its to_dict()
+        assert out == json.dumps(reports[0], sort_keys=True, indent=2,
+                                 default=cdiff.CEntry.to_dict) + "\n"
         if argv[0] == "analyze":
             entries = reports[0]["report"]["entries"]
-            assert any("rep" in e for e in entries) and any("note" in e for e in entries)
+            assert any(e.rep is not None for e in entries)
+            assert any(e.note is not None for e in entries)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_REPORT_FIELDS), st.data())
+    def test_written_report_is_the_stdlib_encoding_of_its_data(self, pn, data):
+        ctx = field.make_field(*pn)
+        q = ctx.order
+        f = PolyFunc(ctx, data.draw(st.dictionaries(st.integers(0, 2 * q), st.integers(1, q - 1),
+                                                    min_size=1, max_size=3)))
+        cs = data.draw(st.none() | st.lists(st.integers(0, q - 1), min_size=1, unique=True))
+        report = cdiff.full_report(f, cs=cs)
+        assert _written({"report": report.to_dict(records=True)}) == json.dumps(
+            {"report": report.to_dict()}, sort_keys=True, indent=2) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.builds(cdiff.CEntry, c=st.integers(0, 10 ** 6), delta=st.integers(0, 99),
+                              label=_JSON_TEXT, method=_JSON_TEXT,
+                              directions=st.integers(0, 10 ** 6),
+                              note=st.none() | _JSON_TEXT, rep=st.none() | st.integers(0, 10 ** 6)),
+                    min_size=1, max_size=6),
+           _JSON_TEXT, st.lists(st.integers(0, 99), max_size=3))
+    def test_any_entries_are_written_as_their_dicts(self, entries, text, cs):
+        report = cdiff.ClassificationReport(function=text, field=text, entries=entries,
+                                            pcn_cs=cs, apcn_cs=cs[::-1])
+        assert _written(report.to_dict(records=True)) == json.dumps(
+            report.to_dict(), sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("argv,shown", [
         (["analyze", "--field", "2^4", "--function", "x^3"], ["  rep: ", "  note: "]),
@@ -526,7 +600,7 @@ class TestJsonEncoding:
                                                                emit(report, fmt)))
         code, out, _ = run_cli(capsys, *argv, "--format", "human")
         assert code == 0
-        cli._emit_human(json.loads(json.dumps(reports[0])))
+        cli._emit_human(json.loads(json.dumps(reports[0], default=cdiff.CEntry.to_dict)))
         assert out == capsys.readouterr().out
         assert all(text in out for text in shown)
 
@@ -741,27 +815,21 @@ class TestEntryPoint:
     @pytest.mark.skipif(not _has_peak_rss(), reason="no VmHWM in /proc/self/status")
     def test_matrix_dump_memory_is_one_block(self, tmp_path):
         # the F_{2^11} matrix alone would take 16 MiB as int32
-        src = os.path.dirname(os.path.dirname(cdu.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        peak = ("import sys, cdu.cli\n"
-                "code = cdu.cli.main(sys.argv[1:])\n"
-                "status = open('/proc/self/status').read()\n"
-                "print(int(status.split('VmHWM:')[1].split()[0]), file=sys.stderr)\n"
-                "sys.exit(code)")
         argv = ["analyze", "--field", "2^11", "--function", "x^7"]
-
-        def peak_kib(*extra):
-            proc = subprocess.run([sys.executable, "-c", peak, *argv, *extra],
-                                  capture_output=True, text=True, timeout=120,
-                                  env={**os.environ, "PYTHONPATH": path})
-            assert proc.returncode == 0, proc.stderr
-            return int(proc.stderr)
-
         csv = tmp_path / "ddt.csv"
-        report = peak_kib()
-        dump = peak_kib("--matrix-c", "9", "--matrix-out", str(csv))
+        report = _peak_kib(*argv)
+        dump = _peak_kib(*argv, "--matrix-c", "9", "--matrix-out", str(csv))
         assert csv.stat().st_size > 2048 * 2048
         assert dump - report < 4 * 1024, f"the dump added {dump - report} KiB"
+
+    @pytest.mark.skipif(not _has_peak_rss(), reason="no VmHWM in /proc/self/status")
+    def test_all_c_report_is_written_as_it_is_rendered(self):
+        # 4,096 entries against 2 (c in F_2): a report held as per-entry
+        # dicts and one document string would add about 5 MiB
+        argv = ["analyze", "--field", "2^12", "--function", "x^7"]
+        all_c = _peak_kib(*argv)
+        scoped = _peak_kib(*argv, "--c-scope", "1")
+        assert all_c - scoped < 2 * 1024, f"the all-c report added {all_c - scoped} KiB"
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--field", "2^10", "--function", "x^3"],

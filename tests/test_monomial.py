@@ -322,6 +322,24 @@ class TestSweep:
             exceptionality_sweep(3, 3, 5, 27, 2)
         with pytest.raises(errors.BadExponent):
             exceptionality_sweep(3, 3, 6, 4, 2)
+        for r_max in (0, -1):
+            with pytest.raises(errors.InvalidParams):
+                exceptionality_sweep(3, 3, 5, 4, r_max)
+
+    def test_one_sweep_factors_d_minus_1_once(self, monkeypatch):
+        from cdu import monomial
+
+        calls = []
+
+        def counted(p, d):
+            calls.append((p, d))
+            return min_s(p, d)
+
+        monkeypatch.setattr(monomial, "min_s", counted)
+        analysis = exceptionality_sweep(3, 2, 1099511627690, 5, 1)
+        assert calls == [(3, 1099511627690)]
+        assert analysis.s == min_s(3, 1099511627690)
+        assert analysis.root_in_fps == root_in_fps(3, 2, 1099511627690, 5)
 
 
 # largest extension degree h * r per characteristic, so that q <= 7^3

@@ -11,7 +11,7 @@ uniformity, which is why the a = 0 row is excluded exactly there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -227,13 +227,18 @@ class CEntry:
     rep: int | None = None
 
     def to_dict(self):
-        """The fields as a dict, without note and rep when they are unset."""
+        """The fields as a dict, without those of CENTRY_OPTIONAL that are
+        unset."""
         d = vars(self).copy()
-        if self.note is None:
-            del d["note"]
-        if self.rep is None:
-            del d["rep"]
+        for k in CENTRY_OPTIONAL:
+            if d[k] is None:
+                del d[k]
         return d
+
+
+# the fields CEntry.to_dict leaves out when they are unset: those that
+# default to None
+CENTRY_OPTIONAL = tuple(f.name for f in fields(CEntry) if f.default is None)
 
 
 @dataclass

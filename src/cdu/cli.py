@@ -158,16 +158,18 @@ _ENTRY_BLOCK = 256
 
 @functools.lru_cache(maxsize=None)
 def _entry_templates(pad: str) -> dict:
-    """For each (note set, rep set), the %-template of a CEntry that starts
-    on a line indented by pad, with its keys sorted as json.dumps sorts
-    them, and a getter of the values it takes in that order."""
+    """For each tuple of which fields of cdiff.CENTRY_OPTIONAL are set, the
+    %-template of a CEntry that starts on a line indented by pad, with its
+    keys sorted as json.dumps sorts them, and a getter of the values it
+    takes in that order."""
     inner = pad + "  "
     names = sorted(f.name for f in fields(cdiff.CEntry))
     templates = {}
-    for note, rep in itertools.product((False, True), repeat=2):
-        keys = [k for k in names if (note or k != "note") and (rep or k != "rep")]
+    for present in itertools.product((False, True), repeat=len(cdiff.CENTRY_OPTIONAL)):
+        unset = {k for k, p in zip(cdiff.CENTRY_OPTIONAL, present) if not p}
+        keys = [k for k in names if k not in unset]
         template = "{\n" + ",\n".join(f'{inner}"{k}": %s' for k in keys) + f"\n{pad}}}"
-        templates[note, rep] = template, operator.attrgetter(*keys)
+        templates[present] = template, operator.attrgetter(*keys)
     return templates
 
 
@@ -180,13 +182,18 @@ def _entry_pieces(entries, pad: str):
     take them with one %.
     """
     templates = _entry_templates(pad + "  ")
+    # which optional fields an entry sets (attrgetter of two or more names
+    # returns a tuple)
+    optional = operator.attrgetter(*cdiff.CENTRY_OPTIONAL)
+    nones = (None,) * len(cdiff.CENTRY_OPTIONAL)
+    is_not = operator.is_not
     encode = json.JSONEncoder(separators=("\n", ": ")).encode
     sep = f",\n{pad}  "
     head = f"[\n{pad}  "
     for i in range(0, len(entries), _ENTRY_BLOCK):
         forms, values = [], []
         for e in entries[i:i + _ENTRY_BLOCK]:
-            template, get = templates[e.note is not None, e.rep is not None]
+            template, get = templates[tuple(map(is_not, optional(e), nones))]
             forms.append(template)
             values += get(e)
         yield head + sep.join(forms) % tuple(encode(values)[1:-1].split("\n"))

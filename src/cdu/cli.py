@@ -145,13 +145,6 @@ def _config_argv(command: argparse.ArgumentParser, cfg: dict) -> list[str]:
     return argv
 
 
-@functools.lru_cache(maxsize=None)
-def _flat_encoder(pad: str):
-    """The C encoder, with items separated by a newline and pad; one is
-    kept per nesting depth."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": ")).encode
-
-
 # entries rendered per piece: about 40 KB of text
 _ENTRY_BLOCK = 256
 
@@ -201,27 +194,29 @@ def _entry_pieces(entries, pad: str):
     yield f"\n{pad}]"
 
 
+def _holds_entries(obj) -> bool:
+    """Whether obj is a nonempty list of CEntry records, or a dict holding one at any depth."""
+    if isinstance(obj, dict):
+        return any(map(_holds_entries, obj.values()))
+    return isinstance(obj, list) and bool(obj) and isinstance(obj[0], cdiff.CEntry)
+
+
 def _json_pieces(obj, pad: str = ""):
     """Exactly json.dumps(obj, sort_keys=True, indent=2), in pieces to be
     written in turn, pad being the indentation of the line obj starts on.
-    A list of CEntry records is written as the list of their to_dict().
+    A list of CEntry records that is a value of dicts at any depth is
+    written as the list of their to_dict().
 
-    With an indent, json.dumps runs its pure-Python encoder.  Here a
-    container that nests nothing nonempty is one call of the C encoder,
-    whose item separator carries the newline and indentation; CEntry
-    records fill %-templates (see _entry_pieces); other containers recurse.
+    Only the dicts that hold such a list are walked here, and the list goes
+    to _entry_pieces.  Any other value is one json.dumps, each of whose
+    newlines takes pad (JSON text holds no raw newline).
     """
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        yield json.dumps(obj)
-        return
-    inner = pad + "  "
-    values = obj.values() if isinstance(obj, dict) else obj
-    if isinstance(obj, list) and isinstance(obj[0], cdiff.CEntry):
+    if not _holds_entries(obj):
+        yield json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+    elif isinstance(obj, list):
         yield from _entry_pieces(obj, pad)
-    elif not any(isinstance(v, (dict, list, tuple)) and v for v in values):
-        text = _flat_encoder(inner)(obj)
-        yield f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
-    elif isinstance(obj, dict):
+    else:
+        inner = pad + "  "
         sep = "{"
         for k, v in sorted(obj.items()):
             # json.dumps({k: None}) renders a key as the encoder does: 1 -> "1"
@@ -229,45 +224,39 @@ def _json_pieces(obj, pad: str = ""):
             yield from _json_pieces(v, inner)
             sep = ","
         yield f"\n{pad}}}"
-    else:
-        sep = "["
-        for v in obj:
-            yield f"{sep}\n{inner}"
-            yield from _json_pieces(v, inner)
-            sep = ","
-        yield f"\n{pad}]"
 
 
-def _emit(report: dict, fmt: str):
-    if fmt == "json":
-        write = sys.stdout.write
-        for piece in _json_pieces(report):
-            write(piece)
-        write("\n")
-    else:
-        _emit_human(report)
-
-
-def _emit_human(obj, indent=0):
-    pad = "  " * indent
+def _human_lines(obj, pad: str = ""):
+    """The human format of obj, line by line: each key of a dict on its
+    own line, a nonempty container indented below its key, and each item
+    of a list on a line of its own or, if it nests, as a block followed by
+    an empty line.  A CEntry is written as its to_dict(), which nests
+    nothing, in one block."""
+    inner = pad + "  "
     if isinstance(obj, cdiff.CEntry):
-        obj = obj.to_dict()
-    if isinstance(obj, dict):
+        yield "".join([f"{pad}{k}: {v}\n" for k, v in obj.to_dict().items()])
+    elif isinstance(obj, dict):
         for k, v in obj.items():
             if isinstance(v, (dict, list, tuple)) and v:
-                print(f"{pad}{k}:")
-                _emit_human(v, indent + 1)
+                yield f"{pad}{k}:\n"
+                yield from _human_lines(v, inner)
             else:
-                print(f"{pad}{k}: {v}")
+                yield f"{pad}{k}: {v}\n"
     elif isinstance(obj, (list, tuple)):
         for v in obj:
             if isinstance(v, (dict, list, tuple, cdiff.CEntry)):
-                _emit_human(v, indent + 1)
-                print()
+                yield from _human_lines(v, inner)
+                yield "\n"
             else:
-                print(f"{pad}- {v}")
+                yield f"{pad}- {v}\n"
     else:
-        print(f"{pad}{obj}")
+        yield f"{pad}{obj}\n"
+
+
+def _emit(report: dict, fmt: str):
+    """Write report to stdout in the format fmt; every report leaves here."""
+    lines = itertools.chain(_json_pieces(report), ["\n"]) if fmt == "json" else _human_lines(report)
+    sys.stdout.writelines(lines)
 
 
 def _drop_stdout():
@@ -395,10 +384,16 @@ def cmd_construct(args) -> tuple[dict, int]:
         raise ConfigError(f"the recipe's {key} must be an integer or polynomial text,"
                           f" got {value!r}")
 
+    def polynomial(key, value):
+        try:
+            return parse_function(text(key, value), ctx)
+        except ParseError as exc:
+            raise ConfigError(f"cannot parse the recipe's {key}: {exc}") from None
+
     def fparse(key, default=None):
         if key not in recipe and default is None:
             raise ConfigError(f"recipe is missing {key!r}")
-        return parse_function(text(key, recipe.get(key, default)), ctx)
+        return polynomial(key, recipe.get(key, default))
 
     if theorem == "pcn1":
         phi = fparse("phi", "x")
@@ -410,7 +405,7 @@ def cmd_construct(args) -> tuple[dict, int]:
                                          b=int(h_or_b), kind=kind)
         else:
             params = construct.AgwParams(ctx=ctx, q=q0, phi=phi, g=g,
-                                         h=parse_function(h_or_b, ctx), kind=kind)
+                                         h=polynomial("h_or_b", h_or_b), kind=kind)
         report = construct.validate_preconditions(params)
         report.require_pp()
         validation = report.to_dict()
@@ -424,7 +419,7 @@ def cmd_construct(args) -> tuple[dict, int]:
                 and all(isinstance(t, dict) and {"g", "s"} <= t.keys() for t in terms)):
             raise ConfigError("recipe needs a nonempty 'terms' list of objects "
                               "with keys 'g' and 's' for theorem=quad")
-        terms = [(parse_function(text(f"terms[{i}].g", t["g"]), ctx), integer("s", t["s"]))
+        terms = [(polynomial(f"terms[{i}].g", t["g"]), integer(f"terms[{i}].s", t["s"]))
                  for i, t in enumerate(terms)]
         f = construct.build_quad_exponent_pp(ctx, q0, phi, b, terms)
         validation = {"terms": len(terms)}
@@ -461,8 +456,9 @@ def cmd_monomial(args) -> tuple[dict, int]:
 
     _check_cap(args, args.cap, args.p, args.h * args.rmax,
                f"the sweep builds F_{args.p}^({args.h}r) for r = 1..{args.rmax}")
+    # the sweep refuses a d below 2 before it factors anything
     bits = (args.d - 1).bit_length()
-    if bits > MAX_D_BITS and not args.force:
+    if args.d >= 2 and bits > MAX_D_BITS and not args.force:
         raise CapExceeded(f"d - 1 has {bits} bits, above the bound of {MAX_D_BITS}: the sweep"
                           " factors d - 1 and phi(d - 1) by trial division, about"
                           f" 2^{(bits + 1) // 2} divisions each (2^{MAX_D_BITS // 2} at the"

@@ -330,6 +330,18 @@ class TestConstruct:
         ({"theorem": "quad", "q": 5, "n": 2, "terms": 7}, "'terms'"),
         ({"theorem": "quad", "q": 5, "n": 2, "terms": [3]}, "'terms'"),
         ("theorem q n", "JSON object"),
+        # named as analyze names an unparsable --function, not as a ParseError
+        ({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x^^2"},
+         "error: cannot parse the recipe's phi: "),
+        ({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": "y"},
+         "error: cannot parse the recipe's g: "),
+        ({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "h_or_b": "x +"},
+         "error: cannot parse the recipe's h_or_b: "),
+        ({"theorem": "quad", "q": 5, "n": 2,
+          "terms": [{"g": "x + 8", "s": 10}, {"g": "x +", "s": 10}]},
+         "error: cannot parse the recipe's terms[1].g: "),
+        ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + z"},
+         "error: cannot parse the recipe's phi: "),
     ])
     def test_malformed_recipe_is_a_config_error(self, capsys, recipe, key):
         code, _, err = run_cli(capsys, "construct", "--recipe", json.dumps(recipe))
@@ -344,9 +356,12 @@ class TestConstruct:
         ({"theorem": "quad", "q": 5, "n": 2, "h_or_b": 1.9,
           "terms": [{"g": "x + 8", "s": 10}]}, "h_or_b must be an integer"),
         ({"theorem": "quad", "q": 5, "n": 2, "h_or_b": 2,
-          "terms": [{"g": "x + 8", "s": 10.9}]}, "s must be an integer"),
+          "terms": [{"g": "x + 8", "s": 10.9}]}, "terms[0].s must be an integer"),
         ({"theorem": "quad", "q": 5, "n": 2, "h_or_b": 2,
-          "terms": [{"g": "x + 8", "s": False}]}, "s must be an integer"),
+          "terms": [{"g": "x + 8", "s": False}]}, "terms[0].s must be an integer"),
+        ({"theorem": "quad", "q": 5, "n": 2, "h_or_b": 2,
+          "terms": [{"g": "x + 8", "s": 10}, {"g": "x", "s": "ten"}]},
+         "terms[1].s must be an integer, got 'ten'"),
         ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "h_or_b": 1.9},
          "h_or_b must be an integer"),
         ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "h_or_b": True},
@@ -372,7 +387,7 @@ class TestConstruct:
         ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": {}},
          "g must be an integer or polynomial text, got {}"),
     ], ids=["pcn1-n-float", "pcn1-q-float", "pcn1-n-bool", "pcn1-q-bool", "quad-b-float",
-            "quad-s-float", "quad-s-bool", "apcnagw-b-float", "apcnagw-b-bool",
+            "quad-s-float", "quad-s-bool", "quad-s-text", "apcnagw-b-float", "apcnagw-b-bool",
             "pcn1-h_or_b-bool", "pcn1-h_or_b-float", "pcn1-h_or_b-null",
             "pcn1-phi-bool", "pcn1-g-float", "pcn1-g-null", "quad-terms-g-null",
             "apcnagw-phi-list", "apcnagw-g-object"])
@@ -453,6 +468,19 @@ class TestMonomialCommand:
                                      "--c", "7", "--rmax", "1")
             assert code == 2 and out == "" and f"CapExceeded: d - 1 has {cost}" in err
 
+    @pytest.mark.parametrize("d", [-2 ** 40, 1])
+    def test_d_below_2_is_a_bad_exponent_at_once(self, capsys, monkeypatch, d):
+        # the bound on d - 1 does not hold back a d the sweep refuses outright
+        from cdu import monomial
+
+        def refuse(m):
+            raise AssertionError(f"factored {m}")
+
+        monkeypatch.setattr(monomial, "prime_factors", refuse)
+        code, out, err = run_cli(capsys, "monomial", "--p", "3", "--h", "2", "--d", str(d),
+                                 "--c", "5", "--rmax", "1")
+        assert code == 2 and out == "" and "error: BadExponent: need d >= 2" in err
+
     @pytest.mark.parametrize("c,rmax,error", [("1", "1", "BadC"), ("0", "1", "BadC"),
                                               ("5", "0", "InvalidParams")])
     def test_bad_c_or_rmax_is_refused_before_factoring(self, capsys, monkeypatch, c, rmax, error):
@@ -501,20 +529,29 @@ _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
 _JSON_FLAT = _JSON_SCALARS | st.just([]) | st.just({})
 
 
+def _json_dicts(children, min_size=0):
+    return (st.dictionaries(st.text(max_size=4), children, min_size=min_size, max_size=4)
+            | st.dictionaries(st.integers(-3, 20), children, min_size=min_size, max_size=3))
+
+
 def _json_containers(children):
-    return (st.lists(children, max_size=4)
-            | st.lists(children, max_size=3).map(tuple)
-            | st.dictionaries(st.text(max_size=4), children, max_size=4)
-            | st.dictionaries(st.integers(-3, 20), children, max_size=3)
-            # a list of nonempty dicts that nest nothing, like a report's entries
-            | st.lists(st.dictionaries(st.text(max_size=3), _JSON_FLAT, min_size=1, max_size=4),
-                       min_size=1, max_size=4))
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+            | _json_dicts(children))
 
 
 # every F_{p^n} with p in {2, 3, 5, 7} and q <= 81
 _REPORT_FIELDS = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 7) if p ** n <= 81]
 _JSON_TEXT = st.text(alphabet=st.characters(codec="utf-8"), max_size=6) | st.sampled_from(
     ["quote \" back \\ slash", "tab\tnew\nline", "\x00\x1f\x7f", "é ✓ 𝔽"])
+_ENTRY = st.builds(cdiff.CEntry, c=st.integers(0, 10 ** 6), delta=st.integers(0, 99),
+                   label=_JSON_TEXT, method=_JSON_TEXT, directions=st.integers(0, 10 ** 6),
+                   note=st.none() | _JSON_TEXT, rep=st.none() | st.integers(0, 10 ** 6))
+# lists of CEntry records as the values of dicts at any depth, beside plain values
+_ENTRY_TREES = st.recursive(
+    st.lists(_ENTRY, min_size=1, max_size=3),
+    lambda children: _json_dicts(children | st.recursive(_JSON_FLAT, _json_containers,
+                                                         max_leaves=6), min_size=1),
+    max_leaves=6)
 
 
 def _written(report: dict) -> str:
@@ -527,9 +564,10 @@ def _written(report: dict) -> str:
 
 class TestJsonEncoding:
     @settings(max_examples=400, deadline=None)
-    @given(st.recursive(_JSON_FLAT, _json_containers, max_leaves=30))
+    @given(st.recursive(_JSON_FLAT, _json_containers, max_leaves=30) | _ENTRY_TREES)
     def test_indented_json_is_the_stdlib_encoding(self, obj):
-        assert "".join(cli._json_pieces(obj)) == json.dumps(obj, sort_keys=True, indent=2)
+        assert "".join(cli._json_pieces(obj)) == json.dumps(obj, sort_keys=True, indent=2,
+                                                            default=cdiff.CEntry.to_dict)
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--field", "3^2", "--function", "x^2 + x^3"],
@@ -566,11 +604,7 @@ class TestJsonEncoding:
             {"report": report.to_dict()}, sort_keys=True, indent=2) + "\n"
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.builds(cdiff.CEntry, c=st.integers(0, 10 ** 6), delta=st.integers(0, 99),
-                              label=_JSON_TEXT, method=_JSON_TEXT,
-                              directions=st.integers(0, 10 ** 6),
-                              note=st.none() | _JSON_TEXT, rep=st.none() | st.integers(0, 10 ** 6)),
-                    min_size=1, max_size=6),
+    @given(st.lists(_ENTRY, min_size=1, max_size=6),
            _JSON_TEXT, st.lists(st.integers(0, 99), max_size=3))
     def test_any_entries_are_written_as_their_dicts(self, entries, text, cs):
         report = cdiff.ClassificationReport(function=text, field=text, entries=entries,
@@ -600,8 +634,8 @@ class TestJsonEncoding:
                                                                emit(report, fmt)))
         code, out, _ = run_cli(capsys, *argv, "--format", "human")
         assert code == 0
-        cli._emit_human(json.loads(json.dumps(reports[0], default=cdiff.CEntry.to_dict)))
-        assert out == capsys.readouterr().out
+        data = json.loads(json.dumps(reports[0], default=cdiff.CEntry.to_dict))
+        assert out == "".join(cli._human_lines(data))
         assert all(text in out for text in shown)
 
 

@@ -227,11 +227,11 @@ def _json_pieces(obj, pad: str = ""):
 
 
 def _human_lines(obj, pad: str = ""):
-    """The human format of obj, line by line: each key of a dict on its
-    own line, a nonempty container indented below its key, and each item
-    of a list on a line of its own or, if it nests, as a block followed by
-    an empty line.  A CEntry is written as its to_dict(), which nests
-    nothing, in one block."""
+    """The human format of obj, in pieces of whole lines: each key of a
+    dict on its own line, a nonempty container indented below its key, and
+    each item of a list on a line of its own or, if it nests, as a block
+    followed by an empty line.  A CEntry is written as its to_dict(), which
+    nests nothing, in one piece."""
     inner = pad + "  "
     if isinstance(obj, cdiff.CEntry):
         yield "".join([f"{pad}{k}: {v}\n" for k, v in obj.to_dict().items()])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import CoefficientNotInField, ParseError
+from .errors import ParseError
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_]\w*)|(\^)|(\*)|(\+)|(-)|(\()|(\))|(\S)")
 
@@ -104,8 +104,8 @@ class _Parser:
         kind, value, pos = self.take()
         if kind == _INT:
             if value >= ctx.order:
-                raise CoefficientNotInField(
-                    f"{value} is not a canonical element of a field of order {ctx.order}")
+                raise ParseError(
+                    f"{value} is not a canonical element of a field of order {ctx.order}", pos)
             return 0, value
         if kind == _NAME:
             if value == "x":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
-from .errors import InvalidParams, NotQuadratic, OddCharacteristic
+from .errors import InvalidParams
 from .field import format_field_spec
 from .funcs import PolyFunc, classify_shape, is_permutation, is_planar, is_two_to_one, p_weight
 from .parallel import pmap
@@ -463,7 +463,7 @@ def check_quadratic_characterization(f: PolyFunc, scope: int = 1) -> QuadCheckRe
     ctx = f.ctx
     shape = classify_shape(f)
     if not shape.is_quadratic:
-        raise NotQuadratic(f"{f} is not quadratic")
+        raise InvalidParams(f"{f} is not quadratic")
     if ctx.n % scope:
         raise InvalidParams(f"scope degree {scope} does not divide {ctx.n}")
     q0 = ctx.p ** scope
@@ -521,7 +521,7 @@ def is_pseudo_pcn(f: PolyFunc, c: int) -> bool:
     kept while the benchmark's tracer wraps it."""
     ctx = f.ctx
     if ctx.p != 2:
-        raise OddCharacteristic("pseudo-PcN is defined in characteristic 2")
+        raise InvalidParams("pseudo-PcN is defined in characteristic 2")
     xs, table = ctx.elements(), f.table
     cf = ctx.vmul_const(c, table)
     return all(np.bincount(table[xs ^ e] ^ cf ^ ctx.vmul_const(e, xs)).max() <= 1

@@ -21,19 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (
-    BadB,
-    BadExponent,
-    BadSubfield,
-    BadSubfieldDegree,
-    EvenN,
-    GNotJStable,
-    InvalidParams,
-    OddCharacteristic,
-    PhiNot2to1,
-    PhiNotJPermuting,
-    PreconditionFailed,
-)
+from .errors import InvalidParams, PreconditionFailed
 from .field import FieldContext, trace_table
 from .funcs import PolyFunc, classify_shape
 
@@ -61,10 +49,7 @@ def psi_table(ctx: FieldContext, q0: int) -> np.ndarray:
 
 def subspace_j(ctx: FieldContext, q0: int) -> JSubspace:
     """Materialize J = {x^q0 - x : x in F_{q0^n}}."""
-    try:
-        ctx.subfield_elements(q0)
-    except BadSubfieldDegree as exc:
-        raise BadSubfield(str(exc)) from None
+    ctx.subfield_elements(q0)  # refuses a q0 that is no subfield order
     values = psi_table(ctx, q0)
     elems = tuple(sorted(set(int(v) for v in values)))
     assert len(elems) == ctx.order // q0
@@ -93,11 +78,11 @@ class AgwParams:
         if (self.h is None) == (self.b is None):
             raise InvalidParams("exactly one of h (polynomial) and b (constant) is required")
         if self.b is not None and not 0 < self.b < self.ctx.order:
-            raise BadB(f"constant h must be a nonzero element, got {self.b}")
+            raise InvalidParams(f"constant h must be a nonzero element, got {self.b}")
         if self.kind not in ("f1", "f2"):
             raise InvalidParams(f"kind must be 'f1' or 'f2', got {self.kind!r}")
         if self.ctx._subfield_degree(self.q) is None:
-            raise BadSubfield(f"{self.q} is not the order of a subfield of the given field")
+            raise InvalidParams(f"{self.q} is not the order of a subfield of the given field")
         if not classify_shape(self.phi).is_linearized:
             raise InvalidParams("phi must be additive (p-power exponents, no constant term)")
 
@@ -127,6 +112,13 @@ class AgwParams:
         return math.gcd(g, ctx.n) if g else ctx.n
 
 
+# the items that the permutation route and the 2-to-1 route each need
+_PP_ROUTE = ("phi_additive", "h_image_in_base_units",
+             "kernel_meets_base_trivially", "h_phi_permutes_j")
+_TWO_TO_ONE_ROUTE = ("phi_additive", "h_image_in_base_units",
+                     "phi_two_to_one_on_base", "h_phi_permutes_j")
+
+
 @dataclass
 class PreconditionItem:
     name: str
@@ -147,30 +139,29 @@ class PreconditionReport:
                 return it
         raise KeyError(name)
 
+    def failed(self, needed) -> list[PreconditionItem]:
+        """The items named in needed that did not pass."""
+        return [self.item(n) for n in needed if not self.item(n).passed]
+
     @property
     def pp_ok(self) -> bool:
-        needed = ("phi_additive", "h_image_in_base_units",
-                  "kernel_meets_base_trivially", "h_phi_permutes_j")
-        return all(self.item(n).passed for n in needed)
+        return not self.failed(_PP_ROUTE)
 
     @property
     def two_to_one_ok(self) -> bool:
-        needed = ("phi_additive", "h_image_in_base_units",
-                  "phi_two_to_one_on_base", "h_phi_permutes_j")
-        return all(self.item(n).passed for n in needed)
+        return not self.failed(_TWO_TO_ONE_ROUTE)
 
     def require_pp(self):
-        """Raise PreconditionFailed unless the permutation hypotheses hold."""
-        if not self.pp_ok:
-            raise PreconditionFailed(self)
+        """Raise PreconditionFailed, naming each failed item, unless the
+        permutation hypotheses hold."""
+        if failed := self.failed(_PP_ROUTE):
+            raise PreconditionFailed(self, failed)
 
     def require_two_to_one(self):
-        """Raise PhiNot2to1 or PhiNotJPermuting unless phi is 2-to-1 on F_q
-        and h*phi permutes J."""
-        for name, error in (("phi_two_to_one_on_base", PhiNot2to1),
-                            ("h_phi_permutes_j", PhiNotJPermuting)):
-            if not self.item(name).passed:
-                raise error(self.item(name).detail)
+        """Raise PreconditionFailed, naming each failed item, unless phi is
+        2-to-1 on F_q and h*phi permutes J."""
+        if failed := self.failed(_TWO_TO_ONE_ROUTE):
+            raise PreconditionFailed(self, failed)
 
     def to_dict(self):
         return {**asdict(self), "pp_ok": self.pp_ok, "two_to_one_ok": self.two_to_one_ok}
@@ -284,15 +275,15 @@ def build_apcn_2to1(params: AgwParams, validate: bool = True) -> PolyFunc:
     extension degree; the result is 2-to-1 and APcN for c in F_q \\ {1}."""
     ctx = params.ctx
     if ctx.p != 2:
-        raise OddCharacteristic("the 2-to-1 builder needs characteristic 2")
+        raise InvalidParams("the 2-to-1 builder needs characteristic 2")
     if params.extension_degree % 2 == 0:
-        raise EvenN(
+        raise InvalidParams(
             "even extension degree: F_q lies inside J, so no additive phi "
             "is both 2-to-1 on F_q and a permutation of J")
     if params.b is None:
         raise InvalidParams("the 2-to-1 builder takes a constant b, not a polynomial h")
     if not ctx.in_subfield(params.b, params.q):
-        raise BadB(f"b={params.b} is not a nonzero element of F_{params.q}")
+        raise InvalidParams(f"b={params.b} is not a nonzero element of F_{params.q}")
     if validate:
         validate_preconditions(params, two_to_one=True).require_two_to_one()
     return PolyFunc.from_table(ctx, _compose_table(params))
@@ -311,11 +302,11 @@ def build_quad_exponent_pp(ctx: FieldContext, q0: int, phi: PolyFunc, b: int,
     """
     m = ctx._subfield_degree(q0)
     if m is None:
-        raise BadSubfield(f"{q0} is not the order of a subfield of the given field")
+        raise InvalidParams(f"{q0} is not the order of a subfield of the given field")
     if ctx.n != 2 * m:
         raise InvalidParams("this builder works over the quadratic extension of F_q")
     if not 0 < b < ctx.order or not ctx.in_subfield(b, q0):
-        raise BadB(f"b={b} is not a nonzero element of F_{q0}")
+        raise InvalidParams(f"b={b} is not a nonzero element of F_{q0}")
     if not classify_shape(phi).is_linearized:
         raise InvalidParams("phi must be additive")
     j = subspace_j(ctx, q0)
@@ -325,15 +316,15 @@ def build_quad_exponent_pp(ctx: FieldContext, q0: int, phi: PolyFunc, b: int,
         # each base-p digit position of s_i, once per unit of its digit (none for s_i <= 0)
         digs = [i for i in range(max(s_i, 0).bit_length()) for _ in range(s_i // p ** i % p)]
         if len(digs) != 2:
-            raise BadExponent(f"exponent {s_i} is not a sum of two p-powers")
+            raise InvalidParams(f"exponent {s_i} is not a sum of two p-powers")
         lo, hi = digs[0], digs[-1]
         if lo < 1 or hi > 2 * m - 1:
-            raise BadExponent(
+            raise InvalidParams(
                 f"exponent {s_i} = {p}^{lo} + {p}^{hi} has an index outside [1, {2*m-1}]")
         if validate:
             gtab = g_i.table
             if any(int(gtab[y]) not in jset for y in j.elements):
-                raise GNotJStable(f"g = {g_i} does not map J into J")
+                raise InvalidParams(f"g = {g_i} does not map J into J")
     psi = psi_table(ctx, q0)
     total = ctx.vmul_const(b, phi.table)
     for g_i, s_i in terms:

@@ -1,42 +1,21 @@
-"""Exception types shared by all cdu modules."""
+"""Exception types shared by all cdu modules.
+
+One class per way a failure is handled or per datum it carries; the
+message names the input or hypothesis that failed.
+"""
 
 
 class CduError(Exception):
     """Base class for all library errors."""
 
 
-# -- field construction --------------------------------------------------
+class InvalidParams(CduError):
+    """An input outside the domain of a field, builder or analysis."""
 
-class NotPrime(CduError):
-    def __init__(self, p):
-        super().__init__(f"{p} is not prime")
-        self.p = p
-
-
-class DegreeMismatch(CduError):
-    pass
-
-
-class ReducibleModulus(CduError):
-    pass
-
-
-class IncompatibleTower(CduError):
-    pass
-
-
-class BadSubfieldDegree(CduError):
-    pass
-
-
-class CapExceeded(CduError):
-    pass
-
-
-# -- parsing -------------------------------------------------------------
 
 class ParseError(CduError):
-    """Syntax error in a polynomial or element expression.
+    """Syntax error in a polynomial or element expression, or a
+    coefficient outside the field.
 
     Carries the 0-based character position of the offending token.
     """
@@ -46,84 +25,23 @@ class ParseError(CduError):
         self.position = position
 
 
-class CoefficientNotInField(CduError):
-    pass
-
-
-# -- classification ------------------------------------------------------
-
-class NotQuadratic(CduError):
-    pass
-
-
-class OddCharacteristic(CduError):
-    pass
-
-
-# -- constructions -------------------------------------------------------
-
-class InvalidParams(CduError):
-    pass
-
-
 class PreconditionFailed(CduError):
-    """A builder hypothesis failed; .report holds the itemized validation."""
+    """A builder hypothesis failed; .report holds the itemized validation,
+    and the message names the failed items of the route with their details."""
 
-    def __init__(self, report):
-        failed = [item.name for item in report.items if not item.passed]
-        super().__init__(f"precondition(s) failed: {', '.join(failed)}")
+    def __init__(self, report, failed):
+        named = "; ".join(f"{item.name} ({item.detail})" for item in failed)
+        super().__init__(f"precondition(s) failed: {named}")
         self.report = report
 
 
-class BadSubfield(CduError):
-    pass
+class CapExceeded(CduError):
+    """Work beyond a command's declared budget."""
 
-
-class BadExponent(CduError):
-    pass
-
-
-class GNotJStable(CduError):
-    pass
-
-
-class BadB(CduError):
-    pass
-
-
-class EvenN(CduError):
-    pass
-
-
-class PhiNot2to1(CduError):
-    pass
-
-
-class PhiNotJPermuting(CduError):
-    pass
-
-
-# -- monomial analysis ---------------------------------------------------
-
-class ZeroC(CduError):
-    pass
-
-
-class BadC(CduError):
-    pass
-
-
-class COne(CduError):
-    pass
-
-
-# -- cli -----------------------------------------------------------------
 
 class ConfigError(CduError):
-    pass
+    """A command-line or recipe input that the CLI names in its own words."""
 
-
-# -- warnings ------------------------------------------------------------
 
 class FieldTooSmallWarning(UserWarning):
     """Search field may not contain all points the analysis is after."""

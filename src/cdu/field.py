@@ -35,13 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadSubfieldDegree,
-    DegreeMismatch,
-    IncompatibleTower,
-    NotPrime,
-    ReducibleModulus,
-)
+from .errors import InvalidParams
 
 # Shift permutations are no longer cached.  The benchmark's tracer still
 # reads this name to select the shift_perm calls it reports as uncached
@@ -493,7 +487,7 @@ class FieldContext:
             return cached
         m = self._subfield_degree(q0)
         if m is None:
-            raise BadSubfieldDegree(f"{q0} is not the order of a subfield of F_{self.p}^{self.n}")
+            raise InvalidParams(f"{q0} is not the order of a subfield of F_{self.p}^{self.n}")
         x = self._elements
         sub = tuple(int(v) for v in x[self.vpow_const(x, q0) == x])
         with self._lock:
@@ -541,16 +535,16 @@ def make_field(p: int, n: int, modulus=None) -> FieldContext:
     irreducibility.
     """
     if prime_factors(p) != [p]:
-        raise NotPrime(p)
+        raise InvalidParams(f"{p} is not prime")
     if n < 1:
-        raise DegreeMismatch(f"extension degree must be positive, got {n}")
+        raise InvalidParams(f"extension degree must be positive, got {n}")
     if modulus is not None:
         mod = tuple(int(c) % p for c in modulus)
         if len(mod) != n + 1 or mod[-1] != 1:
-            raise DegreeMismatch(
+            raise InvalidParams(
                 f"modulus must be monic of degree {n}, got coefficients {list(modulus)}")
         if not is_irreducible(mod, p):
-            raise ReducibleModulus(f"{list(mod)} is reducible over Z_{p}")
+            raise InvalidParams(f"{list(mod)} is reducible over Z_{p}")
     else:
         mod = _default_modulus(p, n)
     key = (p, n, mod)
@@ -576,8 +570,7 @@ def embed(sub: FieldContext, sup: FieldContext, x: int) -> int:
     in sup's subfield of order p^sub.n, so only that subfield is searched.
     """
     if sub.p != sup.p or sup.n % sub.n:
-        raise IncompatibleTower(
-            f"F_{sub.p}^{sub.n} does not embed in F_{sup.p}^{sup.n}")
+        raise InvalidParams(f"F_{sub.p}^{sub.n} does not embed in F_{sup.p}^{sup.n}")
     root = sup._embed_roots.get(sub.spec)
     if root is None:
         xs = np.array(sup.subfield_elements(sup.p ** sub.n), dtype=np.int64)
@@ -609,8 +602,7 @@ def trace_table(ctx: FieldContext, sub_degree: int, values) -> np.ndarray:
     linear_map with the traces of the basis X^i as its images.
     """
     if sub_degree < 1 or ctx.n % sub_degree:
-        raise BadSubfieldDegree(
-            f"{sub_degree} does not divide the extension degree {ctx.n}")
+        raise InvalidParams(f"{sub_degree} does not divide the extension degree {ctx.n}")
     q0 = ctx.p ** sub_degree
     images = cur = ctx.p ** np.arange(ctx.n, dtype=np.int64)
     for _ in range(ctx.n // sub_degree - 1):
@@ -630,7 +622,9 @@ def parse_element(ctx: FieldContext, text: str) -> int:
     return parse_poly_text(ctx, text, allow_x=False).get(0, 0)
 
 
-_FIELD_SPEC_RE = re.compile(r"^(\d+)\^(\d+)(?:/(.+))?$")
+# each modulus coefficient is an integer, as int() reads it
+_COEFF = r"\s*[+-]?\d+\s*"
+_FIELD_SPEC_RE = re.compile(rf"^(\d+)\^(\d+)(?:/({_COEFF}(?:,{_COEFF})*))?$")
 
 
 def split_field_spec(text: str) -> tuple[int, int, list[int] | None]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadC, BadExponent, COne, FieldTooSmallWarning, InvalidParams, ZeroC
+from .errors import FieldTooSmallWarning, InvalidParams
 from .field import FieldContext, embed, make_field, prime_factors
 
 
@@ -41,7 +41,7 @@ def min_s(p: int, d: int) -> int:
     factoring of d-1 and phi(d-1), not with the order itself.
     """
     if d < 2 or d % p == 0 or (d - 1) % p == 0:
-        raise BadExponent(f"need d >= 2 with p not dividing d(d-1); got p={p}, d={d}")
+        raise InvalidParams(f"need d >= 2 with p not dividing d(d-1); got p={p}, d={d}")
     m = d - 1
     if m == 1:
         return 1
@@ -68,7 +68,7 @@ def root_in_fps(p: int, h: int, d: int, c: int, s: int | None = None) -> bool:
     M = (d-1)(p^h - 1).
     """
     if c == 0:
-        raise ZeroC("c must be nonzero")
+        raise InvalidParams("c must be nonzero")
     if s is None:
         s = min_s(p, d)
     base = make_field(p, h)
@@ -86,7 +86,7 @@ def root_of_unity(ctx: FieldContext, m: int) -> int:
     its root of unity inside F_{p^s}.
     """
     if m < 1 or (ctx.order - 1) % m:
-        raise BadExponent(f"no primitive {m}-th root of unity in a field of order {ctx.order}")
+        raise InvalidParams(f"no primitive {m}-th root of unity in a field of order {ctx.order}")
     if m == 1:
         return 1
     factors = prime_factors(m)
@@ -153,7 +153,7 @@ class ValueDistribution:
 def value_distribution(ctx: FieldContext, d: int, c: int) -> ValueDistribution:
     """O(q) histogram of the normalized direction map (x+1)^d - c*x^d."""
     if c == 1:
-        raise COne("c = 1 degenerates the leading coefficient; use the classical DDT")
+        raise InvalidParams("c = 1 degenerates the leading coefficient; use the classical DDT")
     counts = np.bincount(_row(ctx, d, c), minlength=ctx.order)
     sizes, freq = np.unique(counts[counts > 0], return_counts=True)
     histogram = {int(s): int(f) for s, f in zip(sizes, freq)}
@@ -246,9 +246,9 @@ def exceptionality_sweep(p: int, h: int, d: int, c: int, r_max: int) -> Monomial
     """
     q0 = p ** h
     if not 0 <= c < q0:
-        raise BadC(f"c={c} is not an element of F_{q0}")
+        raise InvalidParams(f"c={c} is not an element of F_{q0}")
     if c in (0, 1):
-        raise BadC("c must avoid 0 and 1 (c = 1 is the classical case)")
+        raise InvalidParams("c must avoid 0 and 1 (c = 1 is the classical case)")
     if r_max < 1:
         raise InvalidParams(f"r_max must be positive, got {r_max}")
 

@@ -551,7 +551,7 @@ class TestQuadraticCharacterization:
 
     def test_rejects_non_quadratic(self):
         F27 = make_field(3, 3)
-        with pytest.raises(errors.NotQuadratic):
+        with pytest.raises(errors.InvalidParams, match="is not quadratic"):
             check_quadratic_characterization(PolyFunc(F27, {13: 1}))
 
 
@@ -607,7 +607,7 @@ class TestRelaxedAndPseudo:
         assert not is_pseudo_pcn(parse_function("x^3", F8), 1)
 
     def test_pseudo_pcn_rejects_odd_characteristic(self):
-        with pytest.raises(errors.OddCharacteristic):
+        with pytest.raises(errors.InvalidParams, match="defined in characteristic 2"):
             is_pseudo_pcn(parse_function("x^2", F9), 1)
 
 

@@ -184,6 +184,10 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--field", "nine",
                                "--function", "x")
         assert code == 2
+        # a modulus coefficient that is no integer names the option too
+        code, out, err = run_cli(capsys, "analyze", "--field", "3^2/1,,1", "--function", "x")
+        assert code == 2 and out == ""
+        assert err == "error: bad field spec '3^2/1,,1'; expected 'p^n' or 'p^n/c0,c1,...,cn'\n"
 
     def test_cap_refusal_and_force(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--field", "2^13",
@@ -302,7 +306,7 @@ class TestConstruct:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert code == 2
-        assert f"BadExponent: exponent {s} is not a sum of two p-powers" in err
+        assert f"InvalidParams: exponent {s} is not a sum of two p-powers" in err
 
     def test_recipe_from_file(self, capsys, tmp_path):
         path = tmp_path / "recipe.json"
@@ -315,7 +319,7 @@ class TestConstruct:
         recipe = json.dumps({"theorem": "apcnagw", "q": 4, "n": 2,
                              "phi": "x^2 + x", "g": "x", "h_or_b": 1})
         code, _, err = run_cli(capsys, "construct", "--recipe", recipe)
-        assert code == 2 and "EvenN" in err
+        assert code == 2 and "InvalidParams: even extension degree" in err
 
     def test_bad_recipe_json(self, capsys):
         code, _, err = run_cli(capsys, "construct", "--recipe", "{nope")
@@ -342,6 +346,12 @@ class TestConstruct:
          "error: cannot parse the recipe's terms[1].g: "),
         ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + z"},
          "error: cannot parse the recipe's phi: "),
+        ({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": "10*x"},
+         "error: cannot parse the recipe's g: 10 is not a canonical element of a field of"
+         " order 9 (at position 0)\n"),
+        ({"theorem": "pcn2", "q": 3, "n": 2},
+         "error: unknown theorem 'pcn2'; use pcn1 | quad | apcnagw\n"),
+        ({"theorem": "apcnagw", "q": 4, "n": 3}, "error: recipe is missing 'phi'\n"),
     ])
     def test_malformed_recipe_is_a_config_error(self, capsys, recipe, key):
         code, _, err = run_cli(capsys, "construct", "--recipe", json.dumps(recipe))
@@ -410,7 +420,7 @@ class TestConstruct:
         ({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": "x^2"}, None),
         ({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x^3 + 2*x", "g": "x"}, "PreconditionFailed"),
         ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "x"}, None),
-        ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x", "g": "x"}, "PhiNot2to1"),
+        ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x", "g": "x"}, "phi_two_to_one_on_base"),
     ])
     def test_hypotheses_decided_once(self, capsys, monkeypatch, recipe, failure):
         calls = []
@@ -446,7 +456,7 @@ class TestMonomialCommand:
     def test_c_one_rejected(self, capsys):
         code, _, err = run_cli(capsys, "monomial", "--p", "3", "--h", "3",
                                "--d", "5", "--c", "1", "--rmax", "1")
-        assert code == 2 and "BadC" in err
+        assert code == 2 and "InvalidParams: c must avoid 0 and 1" in err
 
     def test_cap(self, capsys):
         code, _, err = run_cli(capsys, "monomial", "--p", "3", "--h", "3",
@@ -479,10 +489,11 @@ class TestMonomialCommand:
         monkeypatch.setattr(monomial, "prime_factors", refuse)
         code, out, err = run_cli(capsys, "monomial", "--p", "3", "--h", "2", "--d", str(d),
                                  "--c", "5", "--rmax", "1")
-        assert code == 2 and out == "" and "error: BadExponent: need d >= 2" in err
+        assert code == 2 and out == "" and "error: InvalidParams: need d >= 2" in err
 
-    @pytest.mark.parametrize("c,rmax,error", [("1", "1", "BadC"), ("0", "1", "BadC"),
-                                              ("5", "0", "InvalidParams")])
+    @pytest.mark.parametrize("c,rmax,error", [("1", "1", "InvalidParams: c must avoid 0 and 1"),
+                                              ("0", "1", "InvalidParams: c must avoid 0 and 1"),
+                                              ("5", "0", "InvalidParams: r_max must be positive")])
     def test_bad_c_or_rmax_is_refused_before_factoring(self, capsys, monkeypatch, c, rmax, error):
         from cdu import monomial
 
@@ -492,7 +503,7 @@ class TestMonomialCommand:
         monkeypatch.setattr(monomial, "min_s", refuse)
         code, out, err = run_cli(capsys, "monomial", "--p", "3", "--h", "2",
                                  "--d", "70368744177815", "--c", c, "--rmax", rmax, "--force")
-        assert code == 2 and out == "" and f"error: {error}: " in err
+        assert code == 2 and out == "" and f"error: {error}" in err
 
     @pytest.mark.parametrize("p,d,force", [(7, 2 ** 40, []), (5, 2 ** 41 + 1, ["--force"])])
     def test_d_within_the_bound_or_forced(self, capsys, p, d, force):
@@ -500,6 +511,47 @@ class TestMonomialCommand:
                                  "--c", "2", "--rmax", "1", *force)
         assert code == 0, err
         assert json.loads(out)["report"]["d"] == d
+
+
+_NOT_IN_F9 = "10 is not a canonical element of a field of order 9 (at position 0)"
+
+
+class TestRefusals:
+    # each refusal is one stderr line that names the input it could not use
+    @pytest.mark.parametrize("argv,line", [
+        (["analyze", "--field", "3^2", "--function", "10*x"],
+         f"cannot parse function: {_NOT_IN_F9}"),
+        (["analyze", "--field", "3^2", "--function", "x^2", "--matrix-c", "10"],
+         f"cannot parse --matrix-c: {_NOT_IN_F9}"),
+        (["monomial", "--p", "3", "--h", "2", "--d", "5", "--c", "10", "--rmax", "1"],
+         f"cannot parse c: {_NOT_IN_F9}"),
+        (["analyze", "--field", "3^2", "--function", "(g+1"],
+         "cannot parse function: expected ')' (at position 4)"),
+        (["analyze", "--field", "3^2", "--function", "x^2 x"],
+         "cannot parse function: trailing input (at position 4)"),
+        (["monomial", "--p", "3", "--h", "2", "--d", "5", "--c", "x", "--rmax", "1"],
+         "cannot parse c: 'x' not allowed in an element expression (at position 0)"),
+        (["construct", "--recipe", "@missing.json"],
+         "cannot read recipe file: [Errno 2] No such file or directory: 'missing.json'"),
+        (["analyze", "--field", "3^2", "--function", "x", "--config", "missing.json"],
+         "cannot read config file: [Errno 2] No such file or directory: 'missing.json'"),
+        # a refused hypothesis is named with its detail, and only the
+        # hypotheses of the builder's own route are named
+        (["construct", "--recipe", json.dumps({"theorem": "pcn1", "q": 3, "n": 2,
+                                               "phi": "x^3 + 2*x", "g": "x"})],
+         "PreconditionFailed: precondition(s) failed: kernel_meets_base_trivially"
+         " (ker(phi) meets the base subfield in [0, 1, 2])"),
+        (["construct", "--recipe", json.dumps({"theorem": "apcnagw", "q": 4, "n": 3,
+                                               "phi": "x", "g": "x"})],
+         "PreconditionFailed: precondition(s) failed: phi_two_to_one_on_base"
+         " (fiber sizes of phi on F_4: [1])"),
+    ], ids=["function-coefficient", "matrix-c-coefficient", "monomial-c-coefficient",
+            "unclosed-parenthesis", "trailing-input", "x-in-c", "missing-recipe-file",
+            "missing-config-file", "pcn1-kernel", "apcnagw-two-to-one"])
+    def test_refusal_is_one_line(self, capsys, monkeypatch, tmp_path, argv, line):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {line}\n")
 
 
 class TestVerifyCommand:
@@ -845,6 +897,15 @@ class TestEntryPoint:
             env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["report"]["summary"]["pcn_c"] == [1]
+
+    def test_module_prints_what_main_prints(self, capsys):
+        argv = ["analyze", "--field", "3^2", "--function", "x^2"]
+        src = os.path.dirname(os.path.dirname(cdu.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "cdu", *argv], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+        code, out, _ = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
     @pytest.mark.skipif(not _has_peak_rss(), reason="no VmHWM in /proc/self/status")
     def test_matrix_dump_memory_is_one_block(self, tmp_path):

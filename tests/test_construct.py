@@ -37,7 +37,7 @@ class TestJSubspace:
         assert subspace_j(F9, 9).elements == (0,)
 
     def test_bad_subfield(self):
-        with pytest.raises(errors.BadSubfield):
+        with pytest.raises(errors.InvalidParams, match="9 is not the order of a subfield"):
             subspace_j(F27, 9)
 
     def test_closed_under_addition_and_base_scaling(self):
@@ -73,7 +73,7 @@ class TestAgwParams:
 
     def test_rejects_zero_b(self):
         phi = parse_function("x", F9)
-        with pytest.raises(errors.BadB):
+        with pytest.raises(errors.InvalidParams, match="constant h must be a nonzero element"):
             AgwParams(ctx=F9, q=3, phi=phi, g=phi, b=0)
 
     def test_rejects_non_additive_phi(self):
@@ -163,7 +163,11 @@ class TestBuildAgwPP:
                            g=parse_function("x", F32), b=1)
         with pytest.raises(errors.PreconditionFailed) as exc:
             build_agw_pp(params)
-        assert "kernel" in str(exc.value)
+        # only the failed item of the permutation route, with its detail; the
+        # 2-to-1 item is not evaluated on this route
+        assert str(exc.value) == ("precondition(s) failed: kernel_meets_base_trivially"
+                                  " (ker(phi) meets the base subfield in [0, 1])")
+        assert exc.value.report.item("phi_two_to_one_on_base").passed is False
 
     def test_unvalidated_build_still_composes(self):
         params = AgwParams(ctx=F32, q=2, phi=parse_function("x^2 + x", F32),
@@ -193,28 +197,32 @@ class TestBuildApcn2to1:
         F16 = make_field(2, 4)
         params = AgwParams(ctx=F16, q=4, phi=parse_function("x^2 + x", F16),
                            g=parse_function("x", F16), b=1)
-        with pytest.raises(errors.EvenN):
+        with pytest.raises(errors.InvalidParams, match="even extension degree"):
             build_apcn_2to1(params)
 
     def test_odd_characteristic_rejected(self):
         params = AgwParams(ctx=F27, q=3, phi=parse_function("x", F27),
                            g=parse_function("x", F27), b=1)
-        with pytest.raises(errors.OddCharacteristic):
+        with pytest.raises(errors.InvalidParams, match="needs characteristic 2"):
             build_apcn_2to1(params)
 
     def test_phi_not_two_to_one(self):
         # phi = x is injective on F_q, not 2-to-1
         params = AgwParams(ctx=F64, q=4, phi=parse_function("x", F64),
                            g=parse_function("x", F64), b=1)
-        with pytest.raises(errors.PhiNot2to1):
+        with pytest.raises(errors.PreconditionFailed) as exc:
             build_apcn_2to1(params)
+        assert str(exc.value) == ("precondition(s) failed: phi_two_to_one_on_base"
+                                  " (fiber sizes of phi on F_4: [1])")
 
     def test_phi_not_j_permuting(self):
         # phi = x^8 + x on F_64 kills F_8, which meets J nontrivially
         params = AgwParams(ctx=F64, q=4, phi=parse_function("x^8 + x", F64),
                            g=parse_function("x", F64), b=1)
-        with pytest.raises(errors.PhiNotJPermuting):
+        with pytest.raises(errors.PreconditionFailed) as exc:
             build_apcn_2to1(params)
+        assert str(exc.value) == ("precondition(s) failed: h_phi_permutes_j"
+                                  " (h(y)*phi(y) does not permute J)")
 
 
 class TestBuildQuadExponentPP:
@@ -250,21 +258,21 @@ class TestBuildQuadExponentPP:
 
     def test_bad_exponents(self):
         g = PolyFunc(F25, {1: 1})
-        with pytest.raises(errors.BadExponent):
+        with pytest.raises(errors.InvalidParams, match="has an index outside"):
             build_quad_exponent_pp(F25, 5, parse_function("x", F25), 1, [(g, 6)])  # 5^0+5^1
-        with pytest.raises(errors.BadExponent):
+        with pytest.raises(errors.InvalidParams, match="7 is not a sum of two p-powers"):
             build_quad_exponent_pp(F25, 5, parse_function("x", F25), 1, [(g, 7)])  # weight 3
 
     def test_g_not_j_stable(self):
-        with pytest.raises(errors.GNotJStable):
+        with pytest.raises(errors.InvalidParams, match="does not map J into J"):
             build_quad_exponent_pp(F25, 5, parse_function("x", F25), 1,
                                    [(parse_function("x + 1", F25), 10)])
 
     def test_bad_b(self):
         g = PolyFunc(F25, {1: 1})
-        with pytest.raises(errors.BadB):
+        with pytest.raises(errors.InvalidParams, match="b=0 is not a nonzero element of F_5"):
             build_quad_exponent_pp(F25, 5, parse_function("x", F25), 0, [(g, 10)])
-        with pytest.raises(errors.BadB):
+        with pytest.raises(errors.InvalidParams, match="b=5 is not a nonzero element of F_5"):
             # an element outside the base subfield
             build_quad_exponent_pp(F25, 5, parse_function("x", F25), 5, [(g, 10)])
 

@@ -45,6 +45,11 @@ class TestParsing:
         g = F9.gen_residue
         assert f.coeffs == {2: F9.add(g, 1), 1: g}
 
+    def test_leading_sign(self):
+        f = parse_function("-x^2 + x", F9)
+        assert f.coeffs == {2: 2, 1: 1} and str(f) == "2*x^2 + x"
+        assert parse_function("+x^2", F9).coeffs == {2: 1}
+
     def test_minus_and_whitespace(self):
         f = parse_function("  x^2-x ", F9)
         assert f.coeffs == {2: 1, 1: 2}
@@ -70,8 +75,9 @@ class TestParsing:
             parse_function("x + y", F9)
 
     def test_coefficient_not_in_field(self):
-        with pytest.raises(errors.CoefficientNotInField):
-            parse_function("9*x", F9)
+        with pytest.raises(errors.ParseError, match="9 is not a canonical element") as exc:
+            parse_function("x + 9*x", F9)
+        assert exc.value.position == 4
 
     def test_print_parse_roundtrip(self):
         rng = random.Random(2)

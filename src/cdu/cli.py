@@ -23,8 +23,8 @@ import sys
 from dataclasses import asdict, fields
 
 from . import cdiff, construct
-from .errors import CapExceeded, CduError, ConfigError, ParseError
-from .field import format_field_spec, make_field, parse_element, prime_factors, split_field_spec
+from .errors import CapExceeded, CduError, InvalidParams, ParseError
+from .field import format_field_spec, make_field, parse_element, prime_power, split_field_spec
 from .funcs import is_permutation, is_two_to_one, parse_function
 
 DEFAULT_DDT_CAP = 1 << 12
@@ -109,9 +109,9 @@ def _load_config(path: str) -> dict:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
+        raise InvalidParams(f"cannot read config file: {exc}") from None
     if not isinstance(cfg, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise InvalidParams("config file must hold a JSON object")
     return cfg
 
 
@@ -129,10 +129,11 @@ def _config_argv(command: argparse.ArgumentParser, cfg: dict) -> list[str]:
     for key, value in cfg.items():
         action = actions.get(key)
         if action is None:
-            raise ConfigError(f"config key {key!r}: {command.prog} takes no option --{key}")
+            raise InvalidParams(f"config key {key!r}: {command.prog} takes no option --{key}")
         if action.nargs == 0:
             if not isinstance(value, bool):
-                raise ConfigError(f"config key {key!r}: --{key} takes true or false, not {value!r}")
+                raise InvalidParams(
+                    f"config key {key!r}: --{key} takes true or false, not {value!r}")
             argv += [f"--{key}"] * value
             continue
         try:
@@ -140,7 +141,7 @@ def _config_argv(command: argparse.ArgumentParser, cfg: dict) -> list[str]:
         except ValueError:
             ok = False
         if not ok or (action.choices is not None and value not in action.choices):
-            raise ConfigError(f"config key {key!r}: {value!r} is not a value of --{key}")
+            raise InvalidParams(f"config key {key!r}: {value!r} is not a value of --{key}")
         argv.append(f"--{key}={value}")
     return argv
 
@@ -271,7 +272,7 @@ def _field_spec(spec_text: str):
     try:
         return split_field_spec(spec_text)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise InvalidParams(str(exc)) from None
 
 
 def _power(p: int, e: int) -> str:
@@ -304,15 +305,15 @@ def cmd_analyze(args) -> tuple[dict, int]:
     p, n, modulus = _field_spec(args.field)
     scope = args.c_scope
     if scope is not None and (scope < 1 or n % scope):
-        raise ConfigError(f"--c-scope {scope} does not divide the extension degree {n}")
+        raise InvalidParams(f"--c-scope {scope} does not divide the extension degree {n}")
     if args.matrix_out is not None and args.matrix_c is None:
-        raise ConfigError("--matrix-out needs --matrix-c, the multiplier of the matrix to dump")
+        raise InvalidParams("--matrix-out needs --matrix-c, the multiplier of the matrix to dump")
     _check_report_cap(args, p, n, n if scope is None else scope)
     ctx = make_field(p, n, modulus)
     try:
         f = parse_function(args.function, ctx)
     except ParseError as exc:
-        raise ConfigError(f"cannot parse function: {exc}") from None
+        raise InvalidParams(f"cannot parse function: {exc}") from None
     cs = None if scope is None else ctx.subfield_elements(ctx.p ** scope)
     matrix_c, matrix_out = None, None
     if args.matrix_c is not None:
@@ -320,12 +321,12 @@ def cmd_analyze(args) -> tuple[dict, int]:
         try:
             matrix_c = parse_element(ctx, args.matrix_c)
         except ParseError as exc:
-            raise ConfigError(f"cannot parse --matrix-c: {exc}") from None
+            raise InvalidParams(f"cannot parse --matrix-c: {exc}") from None
         if args.matrix_out:
             try:
                 matrix_out = open(args.matrix_out, "w")
             except OSError as exc:
-                raise ConfigError(f"cannot write --matrix-out: {exc}") from None
+                raise InvalidParams(f"cannot write --matrix-out: {exc}") from None
     with matrix_out or contextlib.nullcontext():
         report = cdiff.full_report(f, cs=cs).to_dict(records=True)
         if matrix_out:
@@ -346,16 +347,16 @@ def cmd_construct(args) -> tuple[dict, int]:
             with open(raw[1:]) as fh:
                 raw = fh.read()
         except OSError as exc:
-            raise ConfigError(f"cannot read recipe file: {exc}") from None
+            raise InvalidParams(f"cannot read recipe file: {exc}") from None
     try:
         recipe = json.loads(raw)
     except ValueError as exc:
-        raise ConfigError(f"recipe is not valid JSON: {exc}") from None
+        raise InvalidParams(f"recipe is not valid JSON: {exc}") from None
     if not isinstance(recipe, dict):
-        raise ConfigError("the recipe must be a JSON object")
+        raise InvalidParams("the recipe must be a JSON object")
     for key in ("theorem", "q", "n"):
         if key not in recipe:
-            raise ConfigError(f"recipe is missing {key!r}")
+            raise InvalidParams(f"recipe is missing {key!r}")
 
     def integer(key, value):
         """A JSON integer, or digit text; not a boolean or a float, which
@@ -363,17 +364,14 @@ def cmd_construct(args) -> tuple[dict, int]:
         if isinstance(value, (int, str)) and not isinstance(value, bool):
             with contextlib.suppress(ValueError):
                 return int(value)
-        raise ConfigError(f"the recipe's {key} must be an integer, got {value!r}")
+        raise InvalidParams(f"the recipe's {key} must be an integer, got {value!r}")
 
     theorem = recipe["theorem"]
     q0, n = integer("q", recipe["q"]), integer("n", recipe["n"])
     # the cap comes first: factoring a large q would take longer than refusing it
     _check_report_cap(args, q0, n, n)
-    factors = prime_factors(q0)
-    if len(factors) != 1:
-        raise ConfigError(f"q={q0} is not a prime power")
-    p = factors[0]
-    ctx = make_field(p, n * next(m for m in itertools.count(1) if p ** m == q0))
+    p, m = prime_power(q0)
+    ctx = make_field(p, m * n)
 
     def text(key, value):
         """Polynomial text, or a JSON integer as the text of a constant; not
@@ -381,18 +379,18 @@ def cmd_construct(args) -> tuple[dict, int]:
         or would parse as another polynomial."""
         if isinstance(value, (int, str)) and not isinstance(value, bool):
             return str(value)
-        raise ConfigError(f"the recipe's {key} must be an integer or polynomial text,"
-                          f" got {value!r}")
+        raise InvalidParams(f"the recipe's {key} must be an integer or polynomial text,"
+                            f" got {value!r}")
 
     def polynomial(key, value):
         try:
             return parse_function(text(key, value), ctx)
         except ParseError as exc:
-            raise ConfigError(f"cannot parse the recipe's {key}: {exc}") from None
+            raise InvalidParams(f"cannot parse the recipe's {key}: {exc}") from None
 
     def fparse(key, default=None):
         if key not in recipe and default is None:
-            raise ConfigError(f"recipe is missing {key!r}")
+            raise InvalidParams(f"recipe is missing {key!r}")
         return polynomial(key, recipe.get(key, default))
 
     if theorem == "pcn1":
@@ -407,7 +405,7 @@ def cmd_construct(args) -> tuple[dict, int]:
             params = construct.AgwParams(ctx=ctx, q=q0, phi=phi, g=g,
                                          h=polynomial("h_or_b", h_or_b), kind=kind)
         report = construct.validate_preconditions(params)
-        report.require_pp()
+        report.require()
         validation = report.to_dict()
         f = construct.build_agw_pp(params, validate=False)
         extra = {"is_permutation": is_permutation(f)}
@@ -417,8 +415,8 @@ def cmd_construct(args) -> tuple[dict, int]:
         terms = recipe.get("terms")
         if not (isinstance(terms, list) and terms
                 and all(isinstance(t, dict) and {"g", "s"} <= t.keys() for t in terms)):
-            raise ConfigError("recipe needs a nonempty 'terms' list of objects "
-                              "with keys 'g' and 's' for theorem=quad")
+            raise InvalidParams("recipe needs a nonempty 'terms' list of objects "
+                                "with keys 'g' and 's' for theorem=quad")
         terms = [(polynomial(f"terms[{i}].g", t["g"]), integer(f"terms[{i}].s", t["s"]))
                  for i, t in enumerate(terms)]
         f = construct.build_quad_exponent_pp(ctx, q0, phi, b, terms)
@@ -431,13 +429,13 @@ def cmd_construct(args) -> tuple[dict, int]:
         kind = recipe.get("kind", "f1")
         params = construct.AgwParams(ctx=ctx, q=q0, phi=phi, g=g, b=b, kind=kind)
         report = construct.validate_preconditions(params, two_to_one=True)
-        validation = report.to_dict()
         # the builder's own checks (characteristic, parity of n, b) fail first
         f = construct.build_apcn_2to1(params, validate=False)
-        report.require_two_to_one()
+        report.require()
+        validation = report.to_dict()
         extra = {"is_two_to_one": is_two_to_one(f)}
     else:
-        raise ConfigError(f"unknown theorem {theorem!r}; use pcn1 | quad | apcnagw")
+        raise InvalidParams(f"unknown theorem {theorem!r}; use pcn1 | quad | apcnagw")
 
     classification = cdiff.full_report(f).to_dict(records=True)
     return {
@@ -467,7 +465,7 @@ def cmd_monomial(args) -> tuple[dict, int]:
     try:
         c = parse_element(base, args.c)
     except ParseError as exc:
-        raise ConfigError(f"cannot parse c: {exc}") from None
+        raise InvalidParams(f"cannot parse c: {exc}") from None
     analysis = monomial.exceptionality_sweep(args.p, args.h, args.d, c, args.rmax)
     return {"command": "monomial", "report": asdict(analysis)}, EXIT_OK
 
@@ -508,11 +506,8 @@ def main(argv=None) -> int:
             config_argv = _config_argv(commands[args.command], _load_config(args.config))
             args = parser.parse_args([argv[0], *config_argv, *argv[1:]])
         report, status = _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CduError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover - internal faults
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

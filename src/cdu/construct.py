@@ -37,9 +37,6 @@ class JSubspace:
     def as_set(self) -> frozenset:
         return frozenset(self.elements)
 
-    def __len__(self):
-        return len(self.elements)
-
 
 def psi_table(ctx: FieldContext, q0: int) -> np.ndarray:
     """Value table of psi(x) = x^q0 - x (identical to x^q0 + x for p=2)."""
@@ -112,13 +109,6 @@ class AgwParams:
         return math.gcd(g, ctx.n) if g else ctx.n
 
 
-# the items that the permutation route and the 2-to-1 route each need
-_PP_ROUTE = ("phi_additive", "h_image_in_base_units",
-             "kernel_meets_base_trivially", "h_phi_permutes_j")
-_TWO_TO_ONE_ROUTE = ("phi_additive", "h_image_in_base_units",
-                     "phi_two_to_one_on_base", "h_phi_permutes_j")
-
-
 @dataclass
 class PreconditionItem:
     name: str
@@ -128,43 +118,26 @@ class PreconditionItem:
 
 @dataclass
 class PreconditionReport:
-    """Itemized hypothesis validation, each item decided by exhaustion."""
+    """Itemized validation of the hypotheses of one route, the permutation
+    route or (two_to_one) the 2-to-1 route, each item decided by exhaustion."""
 
     items: list[PreconditionItem]
     linearity_degree: int
-
-    def item(self, name: str) -> PreconditionItem:
-        for it in self.items:
-            if it.name == name:
-                return it
-        raise KeyError(name)
-
-    def failed(self, needed) -> list[PreconditionItem]:
-        """The items named in needed that did not pass."""
-        return [self.item(n) for n in needed if not self.item(n).passed]
+    two_to_one: bool
 
     @property
-    def pp_ok(self) -> bool:
-        return not self.failed(_PP_ROUTE)
+    def ok(self) -> bool:
+        return all(it.passed for it in self.items)
 
-    @property
-    def two_to_one_ok(self) -> bool:
-        return not self.failed(_TWO_TO_ONE_ROUTE)
-
-    def require_pp(self):
-        """Raise PreconditionFailed, naming each failed item, unless the
-        permutation hypotheses hold."""
-        if failed := self.failed(_PP_ROUTE):
-            raise PreconditionFailed(self, failed)
-
-    def require_two_to_one(self):
-        """Raise PreconditionFailed, naming each failed item, unless phi is
-        2-to-1 on F_q and h*phi permutes J."""
-        if failed := self.failed(_TWO_TO_ONE_ROUTE):
+    def require(self):
+        """Raise PreconditionFailed, naming each failed item, unless every item passed."""
+        if failed := [it for it in self.items if not it.passed]:
             raise PreconditionFailed(self, failed)
 
     def to_dict(self):
-        return {**asdict(self), "pp_ok": self.pp_ok, "two_to_one_ok": self.two_to_one_ok}
+        return {"items": [asdict(it) for it in self.items],
+                "linearity_degree": self.linearity_degree,
+                "two_to_one_ok" if self.two_to_one else "pp_ok": self.ok}
 
 
 def _h_values_on(params: AgwParams, points) -> list[int]:
@@ -185,20 +158,15 @@ def _tail_value_map(params: AgwParams) -> np.ndarray:
 
 
 def validate_preconditions(params: AgwParams, two_to_one: bool = False) -> PreconditionReport:
-    """Check every builder hypothesis by exhaustion over the relevant sets:
-    additivity of phi, h-image inside F_q*, trivial kernel intersection
-    (or 2-to-1-ness of phi on F_q), and h*phi permuting J.  The composite
-    AGW map h(y)*phi(y) + psi(T(y)) is checked against J as well."""
+    """Check the hypotheses of one route by exhaustion over the relevant
+    sets: h-image inside F_q*, trivial kernel intersection with F_q (or, on
+    the 2-to-1 route, phi 2-to-1 on F_q) and h*phi permuting J.  The
+    composite AGW map h(y)*phi(y) + psi(T(y)) is checked against J as well.
+    Additivity of phi needs no item: AgwParams refuses any other phi."""
     ctx = params.ctx
     q0 = params.q
     j = subspace_j(ctx, q0)
     items = []
-
-    shape = classify_shape(params.phi)
-    items.append(PreconditionItem(
-        "phi_additive", shape.is_linearized,
-        "all exponents have p-weight 1 and there is no constant term"
-        if shape.is_linearized else "phi is not an additive polynomial"))
 
     hvals = _h_values_on(params, j.elements)
     bad_h = [v for v in hvals if v == 0 or not ctx.in_subfield(v, q0)]
@@ -209,10 +177,16 @@ def validate_preconditions(params: AgwParams, two_to_one: bool = False) -> Preco
 
     phi_table = params.phi.table
     base = ctx.subfield_elements(q0)
-    kernel_in_base = [x for x in base if int(phi_table[x]) == 0]
-    items.append(PreconditionItem(
-        "kernel_meets_base_trivially", kernel_in_base == [0],
-        f"ker(phi) meets the base subfield in {kernel_in_base}"))
+    if two_to_one:
+        sizes = sorted(set(np.unique(phi_table[list(base)], return_counts=True)[1].tolist()))
+        items.append(PreconditionItem(
+            "phi_two_to_one_on_base", sizes == [2],
+            f"fiber sizes of phi on F_{q0}: {sizes}"))
+    else:
+        kernel_in_base = [x for x in base if int(phi_table[x]) == 0]
+        items.append(PreconditionItem(
+            "kernel_meets_base_trivially", kernel_in_base == [0],
+            f"ker(phi) meets the base subfield in {kernel_in_base}"))
 
     image = sorted(ctx.mul(h, int(phi_table[y])) for h, y in zip(hvals, j.elements))
     permutes = image == list(j.elements)
@@ -231,19 +205,8 @@ def validate_preconditions(params: AgwParams, two_to_one: bool = False) -> Preco
         "composite_permutes_j", comp_ok,
         "h(y)*phi(y) + psi(T(y)) permutes J" if comp_ok else "composite map does not permute J"))
 
-    if two_to_one:
-        counts: dict[int, int] = {}
-        for x in base:
-            counts[int(phi_table[x])] = counts.get(int(phi_table[x]), 0) + 1
-        ok221 = all(v == 2 for v in counts.values()) if q0 % 2 == 0 else False
-        items.append(PreconditionItem(
-            "phi_two_to_one_on_base", ok221,
-            f"fiber sizes of phi on F_{q0}: {sorted(set(counts.values()))}"))
-    else:
-        items.append(PreconditionItem(
-            "phi_two_to_one_on_base", False, "not evaluated (permutation route)"))
-
-    return PreconditionReport(items=items, linearity_degree=params.linearity_degree())
+    return PreconditionReport(items=items, linearity_degree=params.linearity_degree(),
+                              two_to_one=two_to_one)
 
 
 def _compose_table(params: AgwParams) -> np.ndarray:
@@ -265,7 +228,7 @@ def build_agw_pp(params: AgwParams, validate: bool = True) -> PolyFunc:
     permutation hypotheses are checked first and the result is a PP.
     """
     if validate:
-        validate_preconditions(params).require_pp()
+        validate_preconditions(params).require()
     return PolyFunc.from_table(params.ctx, _compose_table(params))
 
 
@@ -285,12 +248,12 @@ def build_apcn_2to1(params: AgwParams, validate: bool = True) -> PolyFunc:
     if not ctx.in_subfield(params.b, params.q):
         raise InvalidParams(f"b={params.b} is not a nonzero element of F_{params.q}")
     if validate:
-        validate_preconditions(params, two_to_one=True).require_two_to_one()
+        validate_preconditions(params, two_to_one=True).require()
     return PolyFunc.from_table(ctx, _compose_table(params))
 
 
 def build_quad_exponent_pp(ctx: FieldContext, q0: int, phi: PolyFunc, b: int,
-                           terms, validate: bool = True) -> PolyFunc:
+                           terms) -> PolyFunc:
     """Build f(x) = b*phi(x) + sum_i (g_i(x^q - x))^{s_i} over F_{q^2}.
 
     Each exponent s_i must be a sum of two p-powers p^h + p^k with
@@ -321,10 +284,9 @@ def build_quad_exponent_pp(ctx: FieldContext, q0: int, phi: PolyFunc, b: int,
         if lo < 1 or hi > 2 * m - 1:
             raise InvalidParams(
                 f"exponent {s_i} = {p}^{lo} + {p}^{hi} has an index outside [1, {2*m-1}]")
-        if validate:
-            gtab = g_i.table
-            if any(int(gtab[y]) not in jset for y in j.elements):
-                raise InvalidParams(f"g = {g_i} does not map J into J")
+        gtab = g_i.table
+        if any(int(gtab[y]) not in jset for y in j.elements):
+            raise InvalidParams(f"g = {g_i} does not map J into J")
     psi = psi_table(ctx, q0)
     total = ctx.vmul_const(b, phi.table)
     for g_i, s_i in terms:

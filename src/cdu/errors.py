@@ -10,7 +10,8 @@ class CduError(Exception):
 
 
 class InvalidParams(CduError):
-    """An input outside the domain of a field, builder or analysis."""
+    """An input outside the domain of a field, builder, analysis or
+    command-line option."""
 
 
 class ParseError(CduError):
@@ -37,10 +38,6 @@ class PreconditionFailed(CduError):
 
 class CapExceeded(CduError):
     """Work beyond a command's declared budget."""
-
-
-class ConfigError(CduError):
-    """A command-line or recipe input that the CLI names in its own words."""
 
 
 class FieldTooSmallWarning(UserWarning):

@@ -63,6 +63,17 @@ def prime_factors(m: int) -> list[int]:
     return out
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, m) with q = p^m, p prime and m >= 1."""
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        raise InvalidParams(f"q={q} is not a prime power")
+    p, m = factors[0], 1
+    while p ** m < q:
+        m += 1
+    return p, m
+
+
 # ---------------------------------------------------------------------------
 # F_p[X]/(f) on packed digits: the one polynomial arithmetic, serving the
 # irreducibility test, the modulus search and the generator search

@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import cdiff, construct, monomial
-from .field import embed, format_field_spec, make_field, prime_factors
+from .field import embed, format_field_spec, make_field, prime_power
 from .funcs import PolyFunc, is_permutation, is_planar, is_two_to_one, parse_function
 
 
@@ -189,8 +189,8 @@ def trace_power_pp_suite(seed: int = 0, count: int = 20) -> dict:
     failures = []
 
     def check(q0, n, i):
-        p, = prime_factors(q0)
-        ctx = make_field(p, n * next(m for m in itertools.count(1) if p ** m == q0))
+        p, m = prime_power(q0)
+        ctx = make_field(p, m * n)
         rng = _rng(seed, "pcn1", q0, n, i)
         base_units = [b for b in ctx.subfield_elements(q0) if b]
         if i % 2 == 0:
@@ -201,7 +201,7 @@ def trace_power_pp_suite(seed: int = 0, count: int = 20) -> dict:
                 cand = _random_base_linear(ctx, q0, _rng(seed, "pcn1-phi", q0, n, i, attempt))
                 params_probe = construct.AgwParams(ctx=ctx, q=q0, phi=cand,
                                                    g=PolyFunc(ctx, {}), b=1, kind="f1")
-                if construct.validate_preconditions(params_probe).pp_ok:
+                if construct.validate_preconditions(params_probe).ok:
                     phi = cand
                     break
             if phi is None:
@@ -296,8 +296,8 @@ def two_to_one_suite(seed: int = 0, count: int = 20) -> dict:
     failures = []
 
     def check(q0, n, i):
-        m = 2 if q0 == 4 else 1
-        ctx = make_field(2, m * n)
+        p, m = prime_power(q0)
+        ctx = make_field(p, m * n)
         rng = _rng(seed, "apcn", q0, n, i)
         good_i = [1, 5] if q0 == 4 else [1, 2, 3, 4]
         exp_i = rng.choice(good_i)  # phi = x^(2^i) + x with gcd(i, m*n) = 1

@@ -109,7 +109,8 @@ class TestCaps:
     def test_monomial_refuses_before_building(self, capsys, no_field_built):
         code, _, err = run_cli(capsys, "monomial", "--p", "3", "--h", "3",
                                "--d", "5", "--c", "g", "--rmax", "2", "--cap", "728")
-        assert code == 2 and "CapExceeded" in err and "729" in err
+        assert code == 2 and err == ("error: field order 729 exceeds the cap 728: the sweep"
+                                     " builds F_3^(3r) for r = 1..2; pass --force to override\n")
 
     def test_monomial_force(self, capsys):
         argv = ["monomial", "--p", "3", "--h", "3", "--d", "5", "--c", "g", "--rmax", "1"]
@@ -141,7 +142,7 @@ class TestCaps:
         def refuse(m):
             raise AssertionError(f"factored {m} before the cap check")
 
-        monkeypatch.setattr(cli, "prime_factors", refuse)
+        monkeypatch.setattr(field, "prime_factors", refuse)
         for q, order in [(10000019, "100000380000361"), (2 ** 61 - 1, "2305843009213693951^2")]:
             recipe = json.dumps({"theorem": "pcn1", "q": q, "n": 2})
             code, _, err = run_cli(capsys, "construct", "--recipe", recipe)
@@ -266,7 +267,11 @@ class TestConstruct:
         assert code == 0
         rep = json.loads(out)
         assert rep["properties"]["is_permutation"] is True
-        assert rep["validation"]["pp_ok"] is True
+        # only the permutation route's items, all passed, and its one *_ok key
+        assert rep["validation"]["pp_ok"] is True and "two_to_one_ok" not in rep["validation"]
+        assert [(it["name"], it["passed"]) for it in rep["validation"]["items"]] == [
+            ("h_image_in_base_units", True), ("kernel_meets_base_trivially", True),
+            ("h_phi_permutes_j", True), ("composite_permutes_j", True)]
         assert 0 in rep["classification"]["summary"]["pcn_c"]
         assert 2 in rep["classification"]["summary"]["pcn_c"]
 
@@ -277,6 +282,11 @@ class TestConstruct:
         assert code == 0
         rep = json.loads(out)
         assert rep["properties"]["is_two_to_one"] is True
+        # only the 2-to-1 route's items, all passed, and its one *_ok key
+        assert rep["validation"]["two_to_one_ok"] is True and "pp_ok" not in rep["validation"]
+        assert [(it["name"], it["passed"]) for it in rep["validation"]["items"]] == [
+            ("h_image_in_base_units", True), ("phi_two_to_one_on_base", True),
+            ("h_phi_permutes_j", True), ("composite_permutes_j", True)]
         apcn = set(rep["classification"]["summary"]["apcn_c"])
         assert {0, 56, 57} <= apcn  # F_4 \ {1} inside F_64
 
@@ -306,7 +316,7 @@ class TestConstruct:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert code == 2
-        assert f"InvalidParams: exponent {s} is not a sum of two p-powers" in err
+        assert err == f"error: exponent {s} is not a sum of two p-powers\n"
 
     def test_recipe_from_file(self, capsys, tmp_path):
         path = tmp_path / "recipe.json"
@@ -319,7 +329,9 @@ class TestConstruct:
         recipe = json.dumps({"theorem": "apcnagw", "q": 4, "n": 2,
                              "phi": "x^2 + x", "g": "x", "h_or_b": 1})
         code, _, err = run_cli(capsys, "construct", "--recipe", recipe)
-        assert code == 2 and "InvalidParams: even extension degree" in err
+        assert code == 2 and err == ("error: even extension degree: F_q lies inside J, so no"
+                                     " additive phi is both 2-to-1 on F_q and a permutation"
+                                     " of J\n")
 
     def test_bad_recipe_json(self, capsys):
         code, _, err = run_cli(capsys, "construct", "--recipe", "{nope")
@@ -418,7 +430,8 @@ class TestConstruct:
 
     @pytest.mark.parametrize("recipe,failure", [
         ({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": "x^2"}, None),
-        ({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x^3 + 2*x", "g": "x"}, "PreconditionFailed"),
+        ({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x^3 + 2*x", "g": "x"},
+         "kernel_meets_base_trivially"),
         ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "x"}, None),
         ({"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x", "g": "x"}, "phi_two_to_one_on_base"),
     ])
@@ -456,12 +469,14 @@ class TestMonomialCommand:
     def test_c_one_rejected(self, capsys):
         code, _, err = run_cli(capsys, "monomial", "--p", "3", "--h", "3",
                                "--d", "5", "--c", "1", "--rmax", "1")
-        assert code == 2 and "InvalidParams: c must avoid 0 and 1" in err
+        assert code == 2 and err == "error: c must avoid 0 and 1 (c = 1 is the classical case)\n"
 
     def test_cap(self, capsys):
         code, _, err = run_cli(capsys, "monomial", "--p", "3", "--h", "3",
                                "--d", "5", "--c", "3", "--rmax", "9")
-        assert code == 2 and "CapExceeded" in err
+        assert code == 2 and err == ("error: field order 7625597484987 exceeds the cap 1048576:"
+                                     " the sweep builds F_3^(3r) for r = 1..9; pass --force"
+                                     " to override\n")
 
     def test_large_d_is_refused_before_factoring(self, capsys, monkeypatch, no_field_built):
         from cdu import monomial
@@ -471,12 +486,13 @@ class TestMonomialCommand:
 
         monkeypatch.setattr(field, "prime_factors", refuse)
         monkeypatch.setattr(monomial, "prime_factors", refuse)
-        for d, cost in [(10 ** 16 + 62, "54 bits, above the bound of 40: the sweep factors"
-                                        " d - 1 and phi(d - 1) by trial division, about 2^27"),
-                        (2 ** 40 + 1, "41 bits")]:
+        for d, bits, divisions in [(10 ** 16 + 62, 54, 27), (2 ** 40 + 1, 41, 21)]:
             code, out, err = run_cli(capsys, "monomial", "--p", "7", "--h", "2", "--d", str(d),
                                      "--c", "7", "--rmax", "1")
-            assert code == 2 and out == "" and f"CapExceeded: d - 1 has {cost}" in err
+            assert code == 2 and out == "" and err == (
+                f"error: d - 1 has {bits} bits, above the bound of 40: the sweep factors d - 1"
+                f" and phi(d - 1) by trial division, about 2^{divisions} divisions each (2^20"
+                " at the bound); pass --force to override\n")
 
     @pytest.mark.parametrize("d", [-2 ** 40, 1])
     def test_d_below_2_is_a_bad_exponent_at_once(self, capsys, monkeypatch, d):
@@ -489,11 +505,13 @@ class TestMonomialCommand:
         monkeypatch.setattr(monomial, "prime_factors", refuse)
         code, out, err = run_cli(capsys, "monomial", "--p", "3", "--h", "2", "--d", str(d),
                                  "--c", "5", "--rmax", "1")
-        assert code == 2 and out == "" and "error: InvalidParams: need d >= 2" in err
+        assert code == 2 and out == "" and err == (
+            f"error: need d >= 2 with p not dividing d(d-1); got p=3, d={d}\n")
 
-    @pytest.mark.parametrize("c,rmax,error", [("1", "1", "InvalidParams: c must avoid 0 and 1"),
-                                              ("0", "1", "InvalidParams: c must avoid 0 and 1"),
-                                              ("5", "0", "InvalidParams: r_max must be positive")])
+    @pytest.mark.parametrize("c,rmax,error", [
+        ("1", "1", "c must avoid 0 and 1 (c = 1 is the classical case)"),
+        ("0", "1", "c must avoid 0 and 1 (c = 1 is the classical case)"),
+        ("5", "0", "r_max must be positive, got 0")], ids=["c-1", "c-0", "rmax-0"])
     def test_bad_c_or_rmax_is_refused_before_factoring(self, capsys, monkeypatch, c, rmax, error):
         from cdu import monomial
 
@@ -503,7 +521,7 @@ class TestMonomialCommand:
         monkeypatch.setattr(monomial, "min_s", refuse)
         code, out, err = run_cli(capsys, "monomial", "--p", "3", "--h", "2",
                                  "--d", "70368744177815", "--c", c, "--rmax", rmax, "--force")
-        assert code == 2 and out == "" and f"error: {error}" in err
+        assert code == 2 and out == "" and err == f"error: {error}\n"
 
     @pytest.mark.parametrize("p,d,force", [(7, 2 ** 40, []), (5, 2 ** 41 + 1, ["--force"])])
     def test_d_within_the_bound_or_forced(self, capsys, p, d, force):
@@ -539,15 +557,32 @@ class TestRefusals:
         # hypotheses of the builder's own route are named
         (["construct", "--recipe", json.dumps({"theorem": "pcn1", "q": 3, "n": 2,
                                                "phi": "x^3 + 2*x", "g": "x"})],
-         "PreconditionFailed: precondition(s) failed: kernel_meets_base_trivially"
+         "precondition(s) failed: kernel_meets_base_trivially"
          " (ker(phi) meets the base subfield in [0, 1, 2])"),
         (["construct", "--recipe", json.dumps({"theorem": "apcnagw", "q": 4, "n": 3,
                                                "phi": "x", "g": "x"})],
-         "PreconditionFailed: precondition(s) failed: phi_two_to_one_on_base"
+         "precondition(s) failed: phi_two_to_one_on_base"
          " (fiber sizes of phi on F_4: [1])"),
+        # whichever layer refuses, the line is "error: " and the message alone
+        (["analyze", "--field", "nine", "--function", "x"],
+         "bad field spec 'nine'; expected 'p^n' or 'p^n/c0,c1,...,cn'"),
+        (["analyze", "--field", "4^2", "--function", "x"], "4 is not prime"),
+        (["monomial", "--p", "3", "--h", "3", "--d", "5", "--c", "g", "--rmax", "2",
+          "--cap", "728"],
+         "field order 729 exceeds the cap 728: the sweep builds F_3^(3r) for r = 1..2;"
+         " pass --force to override"),
+        (["construct", "--recipe", json.dumps({"q": 3, "n": 2})], "recipe is missing 'theorem'"),
+        (["construct", "--recipe", json.dumps({"theorem": "apcnagw", "q": 4, "n": 3,
+                                               "phi": "x^8 + x", "g": "x"})],
+         "precondition(s) failed: h_phi_permutes_j (h(y)*phi(y) does not permute J);"
+         " composite_permutes_j (composite map does not permute J)"),
+        (["monomial", "--p", "3", "--h", "2", "--d", "5", "--c", "1", "--rmax", "1"],
+         "c must avoid 0 and 1 (c = 1 is the classical case)"),
     ], ids=["function-coefficient", "matrix-c-coefficient", "monomial-c-coefficient",
             "unclosed-parenthesis", "trailing-input", "x-in-c", "missing-recipe-file",
-            "missing-config-file", "pcn1-kernel", "apcnagw-two-to-one"])
+            "missing-config-file", "pcn1-kernel", "apcnagw-two-to-one",
+            "field-spec", "non-prime-p", "cap", "recipe-key", "apcnagw-permutes-j",
+            "monomial-c"])
     def test_refusal_is_one_line(self, capsys, monkeypatch, tmp_path, argv, line):
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)

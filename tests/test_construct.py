@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdu import errors
 from cdu.cdiff import c_uniformity
@@ -22,6 +23,13 @@ F25 = make_field(5, 2)
 F27 = make_field(3, 3)
 F32 = make_field(2, 5)
 F64 = make_field(2, 6)
+F81 = make_field(3, 4)
+
+# the items of the permutation route and of the 2-to-1 route, in order
+PP_ROUTE = ["h_image_in_base_units", "kernel_meets_base_trivially",
+            "h_phi_permutes_j", "composite_permutes_j"]
+TWO_TO_ONE_ROUTE = ["h_image_in_base_units", "phi_two_to_one_on_base",
+                    "h_phi_permutes_j", "composite_permutes_j"]
 
 
 class TestJSubspace:
@@ -29,11 +37,11 @@ class TestJSubspace:
         j = subspace_j(F9, 3)
         kernel = tuple(x for x in range(9) if relative_trace(F9, 1, x) == 0)
         assert j.elements == kernel
-        assert len(j) == 3
+        assert len(j.elements) == 3
 
     def test_size_formula(self):
-        assert len(subspace_j(F64, 4)) == 16  # q^(n-1), q=4, n=3
-        assert len(subspace_j(F27, 3)) == 9
+        assert len(subspace_j(F64, 4).elements) == 16  # q^(n-1), q=4, n=3
+        assert len(subspace_j(F27, 3).elements) == 9
         assert subspace_j(F9, 9).elements == (0,)
 
     def test_bad_subfield(self):
@@ -94,36 +102,105 @@ class TestAgwParams:
         assert p3.linearity_degree() == 2
 
 
+def _passed(report) -> dict:
+    """Each item's name, and whether it passed."""
+    return {it.name: it.passed for it in report.items}
+
+
 class TestValidatePreconditions:
     def test_simple_pass(self):
         params = AgwParams(ctx=F9, q=3, phi=parse_function("x", F9),
                            g=parse_function("x^2", F9), b=1)
         rep = validate_preconditions(params)
-        assert rep.pp_ok
-        assert rep.item("kernel_meets_base_trivially").passed
-        assert rep.item("composite_permutes_j").passed
+        assert rep.ok
+        assert _passed(rep) == dict.fromkeys(PP_ROUTE, True)
 
     def test_h_zero_fails_image_check(self):
         params = AgwParams(ctx=F9, q=3, phi=parse_function("x", F9),
                            g=parse_function("x^2", F9), h=PolyFunc(F9, {}))
         rep = validate_preconditions(params)
-        assert not rep.item("h_image_in_base_units").passed
-        assert not rep.pp_ok
+        assert not _passed(rep)["h_image_in_base_units"]
+        assert not rep.ok
 
     def test_kernel_detection(self):
         # phi = x^2 + x on F_4-in-F_64 has kernel F_2 (2-to-1, not injective)
         params = AgwParams(ctx=F64, q=4, phi=parse_function("x^2 + x", F64),
                            g=parse_function("x", F64), b=1)
+        assert _passed(validate_preconditions(params)) == {
+            **dict.fromkeys(PP_ROUTE, True), "kernel_meets_base_trivially": False}
         rep = validate_preconditions(params, two_to_one=True)
-        assert not rep.item("kernel_meets_base_trivially").passed
-        assert rep.item("phi_two_to_one_on_base").passed
-        assert rep.two_to_one_ok
+        assert _passed(rep) == dict.fromkeys(TWO_TO_ONE_ROUTE, True)
+        assert rep.ok
 
     def test_report_serializes(self):
-        params = AgwParams(ctx=F9, q=3, phi=parse_function("x", F9),
-                           g=parse_function("x^2", F9), b=1)
-        d = validate_preconditions(params).to_dict()
-        assert {"items", "pp_ok", "two_to_one_ok", "linearity_degree"} <= set(d)
+        params = AgwParams(ctx=F64, q=4, phi=parse_function("x^2 + x", F64),
+                           g=parse_function("x", F64), b=1)
+        # phi = x^2 + x fails the permutation route and passes the 2-to-1 one
+        for two_to_one, key, ok in [(False, "pp_ok", False), (True, "two_to_one_ok", True)]:
+            d = validate_preconditions(params, two_to_one).to_dict()
+            assert set(d) == {"items", "linearity_degree", key} and d[key] is ok
+
+
+# (field, order of a proper subfield) of each configuration agw_cases draws,
+# and those the 2-to-1 builder takes: characteristic 2, odd extension degree
+AGW_CONFIGS = [(F9, 3), (F25, 5), (F27, 3), (F32, 2), (F64, 2), (F64, 4), (F64, 8),
+               (F81, 3), (F81, 9)]
+APCN_CONFIGS = [(F32, 2), (F64, 4)]
+
+
+@st.composite
+def agw_cases(draw):
+    """AgwParams and a route (two_to_one).  The nonzero coefficients of phi
+    and the constant b come from F_q or the whole field, so that both
+    verdicts come up, and the 2-to-1 route draws half of its fields from
+    those its builder takes.  On the permutation route h may instead be a
+    polynomial, given by its values: units of F_q, and on request any
+    element at one point of J."""
+    two_to_one = draw(st.booleans())
+    apcn = two_to_one and draw(st.booleans())
+    ctx, q = draw(st.sampled_from(APCN_CONFIGS if apcn else AGW_CONFIGS))
+    units = ctx.subfield_elements(q)[1:]
+    unit = st.one_of(st.sampled_from(units), st.integers(1, ctx.order - 1))
+    element = st.integers(0, ctx.order - 1)
+    indices = draw(st.lists(st.integers(0, ctx.n - 1), min_size=1, max_size=3, unique=True))
+    phi = PolyFunc(ctx, {ctx.p ** i: draw(unit) for i in indices})
+    g = PolyFunc(ctx, draw(st.dictionaries(element, element, max_size=3)))
+    kind = draw(st.sampled_from(["f1", "f2"]))
+    if not two_to_one and draw(st.booleans()):
+        rng = draw(st.randoms(use_true_random=False))
+        table = [rng.choice(units) for _ in range(ctx.order)]
+        if draw(st.booleans()):
+            table[rng.choice(subspace_j(ctx, q).elements)] = rng.randrange(ctx.order)
+        h_or_b = {"h": PolyFunc.from_table(ctx, table)}
+    else:
+        h_or_b = {"b": draw(unit)}
+    return AgwParams(ctx=ctx, q=q, phi=phi, g=g, kind=kind, **h_or_b), two_to_one
+
+
+class TestRoutes:
+    @settings(max_examples=150, deadline=None)
+    @given(agw_cases())
+    def test_route_decides_its_builder(self, case):
+        params, two_to_one = case
+        report = validate_preconditions(params, two_to_one)
+        passed = _passed(report)
+        assert list(passed) == (TWO_TO_ONE_ROUTE if two_to_one else PP_ROUTE)
+        # psi sends the F_q-valued tail to 0, so the self-check always agrees
+        assert passed["composite_permutes_j"] == passed["h_phi_permutes_j"]
+        build = build_apcn_2to1 if two_to_one else build_agw_pp
+        try:
+            f = build(params)
+        except errors.PreconditionFailed as exc:
+            # the refusal names exactly the failed items of its route
+            assert not report.ok
+            assert str(exc) == "precondition(s) failed: " + "; ".join(
+                f"{it.name} ({it.detail})" for it in report.items if not it.passed)
+        except errors.InvalidParams:
+            # the 2-to-1 builder's own refusals: odd p, even n, b outside F_q
+            assert two_to_one and not report.ok
+        else:
+            assert report.ok
+            assert is_two_to_one(f) if two_to_one else is_permutation(f)
 
 
 class TestBuildAgwPP:
@@ -163,11 +240,10 @@ class TestBuildAgwPP:
                            g=parse_function("x", F32), b=1)
         with pytest.raises(errors.PreconditionFailed) as exc:
             build_agw_pp(params)
-        # only the failed item of the permutation route, with its detail; the
-        # 2-to-1 item is not evaluated on this route
+        # only the failed item of the permutation route, with its detail
         assert str(exc.value) == ("precondition(s) failed: kernel_meets_base_trivially"
                                   " (ker(phi) meets the base subfield in [0, 1])")
-        assert exc.value.report.item("phi_two_to_one_on_base").passed is False
+        assert [it.name for it in exc.value.report.items] == PP_ROUTE
 
     def test_unvalidated_build_still_composes(self):
         params = AgwParams(ctx=F32, q=2, phi=parse_function("x^2 + x", F32),
@@ -222,7 +298,8 @@ class TestBuildApcn2to1:
         with pytest.raises(errors.PreconditionFailed) as exc:
             build_apcn_2to1(params)
         assert str(exc.value) == ("precondition(s) failed: h_phi_permutes_j"
-                                  " (h(y)*phi(y) does not permute J)")
+                                  " (h(y)*phi(y) does not permute J); composite_permutes_j"
+                                  " (composite map does not permute J)")
 
 
 class TestBuildQuadExponentPP:

@@ -80,7 +80,7 @@ DIGESTS = {
     'analyze --field 3^7 --function 151*x^53 + x^15 + x --c-scope 1':
         {'stdout': 'cd1d40d605c521b125a6cc89ff42307c99d77353782ca384aedbfaaed9c001a0'},
     'construct --recipe {"theorem": "pcn1", "q": 3, "n": 4, "phi": "x", "g": "18*x^57 + 30*x^47", "h_or_b": 2, "kind": "f1"}':
-        {'stdout': '42d8ae9553ade1362b7f4346b96ada2afc7568d01f601c9954e6b0a8260e90b1'},
+        {'stdout': '110d51e9983c4faffb6a988c1365afc8874c452d74207e59924119ccbcc0612d'},
     'analyze --field 2^9 --function x^17 --matrix-c 381 --matrix-out ddt.csv':
         {'stdout': 'f5f6fea0ce2cc019b1bb91d9d17b85d6c0eda33565b352fd4a7ee01581539e66', 'ddt.csv': '23dbb0adceca6d21ec5e3d3547302adffb5faa33a650e48ab36afbed6d56002f'},
     'analyze --field 2^10 --function x^43 + x^11 + x --c-scope 5':
@@ -88,7 +88,7 @@ DIGESTS = {
     'analyze --field 2^12 --function 1720*x^61 + x^12 --c-scope 3':
         {'stdout': '3f6b2c188b24e8bcfcc7d6511b99789b5a47f8a7a79504fbe19901f325d81ecc'},
     'construct --recipe {"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "x^12 + 60*x^5", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': 'eeacbe71354db0b76f5c0aaae4fc9c8b83edc582c75574922785423d6e5189a5'},
+        {'stdout': '4fe4ce1ce4601b4a0f6951e2ca35714b35c350c5897d59deaa89bd4bfe7efcce'},
     'monomial --p 3 --h 3 --d 5 --c 26 --rmax 4':
         {'stdout': '41fac94e9401b572c8b10ab29a5b80c471aa5d89b07a833d48cb06fda971c785'},
     'monomial --p 5 --h 2 --d 3 --c 18 --rmax 4':
@@ -98,13 +98,13 @@ DIGESTS = {
     'verify-theorems --seed 0':
         {'stdout': '7150cf3e32e5a5418dd65b0a2cb469ba546f7beb21cf7b6bfed9ab8ea5f077e1'},
     'construct --recipe {"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": "5*x^3 + 5*x^2", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': 'edc1f801d33c0746b1621b282a11589631b0aeb5f9080aae801b84c8c459086a'},
+        {'stdout': '7899d4c04aa66363d7130a1c620c382081696c46ac8692d7e2360fee45ced209'},
     'construct --recipe {"theorem": "pcn1", "q": 5, "n": 2, "phi": "x", "g": "2*x^17 + 2*x^14", "h_or_b": 2, "kind": "f2"}':
-        {'stdout': 'dfcf5fdd44fb2a35339c9f593468e9c335e90309d0ec611dfee5dded5558490b'},
+        {'stdout': '7320170b0d538861049dd798f80e0a82a1ac57655a13e78fee0c87c6585a4d1c'},
     'construct --recipe {"theorem": "apcnagw", "q": 2, "n": 5, "phi": "x^2 + x", "g": "28*x^6 + 8*x", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': '84df1c6fa9b76211d843e16e11fc473864de95061e7da92f3463ee2be9cea2d6'},
+        {'stdout': '2de9a896cf07bf9627ddf5dfbef692b3c28edfa2849bb0f82318dbf5cf0b2adb'},
     'construct --recipe {"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "34*x^11 + 24*x^3", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': 'f01be8f48621f8f369f2ffe554d2273d0c4ab4d2c8b8bb13605d252bf160f339'},
+        {'stdout': '8a1b090b820ec708b74f9454f643a40ff72b7e710bee983e223e1f61c8bc3b84'},
     'analyze --field 3^5 --function x^13':
         {'stdout': '73ccbf6177da7d3e064cfcc9fd189712c40035123093bce9e7b0085697590ff1'},
     'analyze --field 3^6 --function x^36 + 2*x^17 + x --c-scope 2':
@@ -112,7 +112,7 @@ DIGESTS = {
     'analyze --field 3^7 --function 2170*x^58 + x^18 + 50*x --c-scope 1':
         {'stdout': 'b1d30f8aba8ec0dd7bc3649f73ff699933c450615e38390c9da8abc6dfaee30b'},
     'construct --recipe {"theorem": "pcn1", "q": 3, "n": 4, "phi": "x", "g": "22*x^58 + 70*x^23", "h_or_b": 1, "kind": "f2"}':
-        {'stdout': '3d3cd8ce19fcbc95b5257a3a913e9b806ee72a529e9d464245b41ed178de6a3d'},
+        {'stdout': 'f9c6faf3f733d3f8f3a324fd02421b26d4d2b80f6841bfcd218e0b802d8aa195'},
     'analyze --field 2^9 --function x^33 --matrix-c 64 --matrix-out ddt.csv':
         {'stdout': '4b21a84f680698e2c9a4d3e5363c9448b263deca4ff25f5efa326459b80700ef', 'ddt.csv': '3d57d543936f5192a06aa23111fb79fa5f499a8b37fc776ef8bd12d679b89012'},
     'analyze --field 2^10 --function x^44 + x^7 + x --c-scope 5':
@@ -120,7 +120,7 @@ DIGESTS = {
     'analyze --field 2^12 --function 2118*x^53 + x^8 --c-scope 3':
         {'stdout': '121c3632273604ab8345f9d6a51342e91beef062aec6d5499ad357ddfc4f9fce'},
     'construct --recipe {"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "49*x^62 + 52*x^48", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': '8f82ace2ee2cd1179b0fbc7c1053d6a8a2e5ef8a768848af73c3e58c3afa2384'},
+        {'stdout': '4d6fa6536e7066ecb86dac7e5118d1b1bf58ad3cbdba4143d41fc7af07cb6bf6'},
     'monomial --p 3 --h 3 --d 5 --c 12 --rmax 4':
         {'stdout': '1348eb35cf8cf9d4699d64433a0247047c19e03a6bffb391023540c13816250e'},
     'monomial --p 5 --h 2 --d 3 --c 19 --rmax 4':
@@ -130,17 +130,17 @@ DIGESTS = {
     'verify-theorems --seed 4242':
         {'stdout': 'd04d77c2fbad7bf6c09ddf672c651c28ebd80c797f5910a515444a7113755a96'},
     'construct --recipe {"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": "7*x^3 + 4*x", "h_or_b": 2, "kind": "f1"}':
-        {'stdout': 'a336a901ecc245eb4adf8282328ae11670d62ef5defa521cb9e6841a81da9f2b'},
+        {'stdout': '17d19914c6452736cd281d43d8bd7af025ee1190cfcd7c362ffc0d0a392b5fa4'},
     'construct --recipe {"theorem": "pcn1", "q": 5, "n": 2, "phi": "x", "g": "4*x^23 + 13*x^15", "h_or_b": 3, "kind": "f2"}':
-        {'stdout': '285a99d3ebe7d6799b4828d2e3feb7441604850bf3382aa4ee888d4be0c3e187'},
+        {'stdout': '59ee7d662e3c54cf210777839eeb3bb29e6e0798cab774ea48b2c8e33f9a5a41'},
     'construct --recipe {"theorem": "apcnagw", "q": 2, "n": 5, "phi": "x^2 + x", "g": "3*x^10 + 18*x^8", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': '9237fb5a2a1c8c5d0a09f1fe8c27beb3e6ea4ae46421a1e5bfe37f7097bd530e'},
+        {'stdout': 'ee08b30202a3463d0974512cd4b3cc798dfaff595f86977cb76467b6a9072c7a'},
     'construct --recipe {"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "35*x^47 + 54*x^19", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': 'cc1c50cc3c19fd6e41a9a845d79e216a9149f3f87c3d3980243fadad43b9a9f0'},
+        {'stdout': 'fd4e6d4fdfdf00efe6261b93431f6473d50a0a0f0cdc2dc4f9546d91b9b86de8'},
     'analyze --field 3^5 --function x^4 --format human':
         {'stdout': '5de3d53803a01b6331f68bd8d67eea9334fcd007ddd03ef3b7bdd46c5f25c55f'},
     'construct --recipe {"theorem": "pcn1", "q": 3, "n": 4, "phi": "x", "g": "18*x^57 + 30*x^47", "h_or_b": 2, "kind": "f1"} --format human':
-        {'stdout': '15cb38e2c6911083236d785dd526fd185ee58c9988d58eb5d9b9ace815ab05d6'},
+        {'stdout': 'a3d8f33a5d5ee22331fe70babafd80d0280e1687b642a569925d42c45582039a'},
     'monomial --p 3 --h 3 --d 5 --c 26 --rmax 4 --format human':
         {'stdout': '90d0153a45d2a4f06a6261dfb56d94670076b6816184479e4823517acec11509'},
     'verify-theorems --seed 0 --format human':

@@ -20,7 +20,7 @@ _PUBLIC = {
     "construct": ("AgwParams", "JSubspace", "build_agw_pp", "build_apcn_2to1",
                   "build_quad_exponent_pp", "subspace_j", "validate_preconditions"),
     "field": ("FieldContext", "FieldSpec", "embed", "make_field", "parse_element",
-              "parse_field_spec", "relative_trace"),
+              "parse_field_spec", "trace_table"),
     "funcs": ("PolyFunc", "ShapeFlags", "classify_shape", "is_permutation", "is_planar",
               "is_two_to_one", "parse_function"),
     "monomial": ("ExtensionVerdict", "MonomialAnalysis", "ValueDistribution",

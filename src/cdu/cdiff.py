@@ -321,34 +321,20 @@ def row_directions(ctx, c: int, m: int, twist: tuple[int, int]) -> np.ndarray:
     return ctx.vexp(t[smallest == t])
 
 
-def report_method(f: PolyFunc, c: int) -> str:
-    """The name full_report gives the directions it counts for c.
-
-    fiber: c = 0, where every row counts the fibers of f, so direction 0
-    alone gives delta_0, the largest fiber.  monomial: f = alpha*x^d with
-    d >= 1, where x -> a*x scales the row of direction a != 0 by a^d
-    (m = q-1), so row_directions picks direction 1 alone.  rows: any other
-    f, over the directions row_directions picks, at c = 1 those of f
-    without its affine terms (see full_report).  Direction 0 is added for
-    every c other than 0 and 1.
-    """
-    if c == 0:
-        return "fiber"
-    if len(f.coeffs) == 1 and 0 not in f.coeffs:
-        return "monomial"
-    return "rows"
-
-
 def full_report(f: PolyFunc, workers: int = 1, cs=None) -> ClassificationReport:
     """Classify f for every c in the field, in canonical integer order.
 
     cs restricts the multipliers (e.g. to a subfield); default is all of
     F_q including c = 1, which is reported as the classical uniformity.
     delta is counted once per orbit of c under f's semilinear twist and
-    c -> 1/c (see orbit_reps), for the orbit's smallest element, over
-    direction 0 alone when c = 0 and otherwise over the directions
-    row_directions picks, plus direction 0 unless c = 1; the result equals
-    c_uniformity(f, c) for every c.
+    c -> 1/c (see orbit_reps), for the orbit's smallest element, and
+    equals c_uniformity(f, c) for every c.  Each entry's method names the
+    directions counted.  fiber: c = 0, where every row counts the fibers
+    of f, so direction 0 alone gives delta_0, the largest fiber.  Any other
+    c counts the directions row_directions picks, plus direction 0 unless
+    c = 1: monomial when f = alpha*x^d with d >= 1, where x -> a*x scales
+    the row of direction a != 0 by a^d (m = q-1), so row_directions picks
+    direction 1 alone, and rows for any other f.
 
     At c = 1 the directions come from g, f without its constant term and
     its terms x^(p^j): f(x+a) - f(x) = g(x+a) - g(x) + L(a) with L
@@ -365,27 +351,27 @@ def full_report(f: PolyFunc, workers: int = 1, cs=None) -> ClassificationReport:
     if 1 in reps and any(p_weight(e, ctx.p) <= 1 for e in f.coeffs):
         g = PolyFunc(ctx, {e: a for e, a in f.coeffs.items() if p_weight(e, ctx.p) > 1})
 
-    def verdict(c: int) -> tuple[int, str, int, str]:
-        """delta, label, rows counted and method for a representative; the
-        method is the same for every c of its orbit (0 is an orbit alone)."""
+    method = "monomial" if len(f.coeffs) == 1 and 0 not in f.coeffs else "rows"
+
+    def verdict(c: int) -> tuple[int, str, str, int]:
+        """delta, label, method and rows counted for a representative: the
+        fields of its entries that follow c."""
         if c == 0:
-            directions = [0]
-        elif c == 1:
+            d = c_uniformity(f, 0)
+            return d, label_for_delta(d), "fiber", 1
+        if c == 1:
             directions = row_directions(ctx, c, g.scaling_order, g.semilinear_twist)
         else:
             directions = np.concatenate(([0], row_directions(ctx, c, m, twist)))
-        d = c_uniformity(f, 0) if c == 0 else max(
-            int(block.max()) for block in _row_block_counts(f, c, directions))
-        return d, label_for_delta(d), len(directions), report_method(f, c)
+        d = max(int(block.max()) for block in _row_block_counts(f, c, directions))
+        return d, label_for_delta(d), method, len(directions)
 
     distinct = sorted(set(reps))
     verdicts = dict(zip(distinct, pmap(verdict, distinct, workers)))
 
     def entry(c: int, rep: int) -> CEntry:
         note = "c=1 is the classical differential uniformity" if c == 1 else None
-        d, label, rows, method = verdicts[rep]
-        return CEntry(c=c, delta=d, label=label, directions=rows, note=note, method=method,
-                      rep=rep if rep != c else None)
+        return CEntry(c, *verdicts[rep], note=note, rep=rep if rep != c else None)
 
     entries = [entry(c, rep) for c, rep in zip(cs, reps)]
     return ClassificationReport(

@@ -38,6 +38,13 @@ SUITE_NAMES = ("classical-ddt", "constructions", "monomial-sweep", "planar-examp
                "planar-power-family", "quadratic-characterization", "relaxed-pcn",
                "shift-identity", "singular-points")
 
+# the recipe keys each theorem reads
+_RECIPE_KEYS = {
+    "pcn1": ("theorem", "q", "n", "phi", "g", "h_or_b", "kind"),
+    "quad": ("theorem", "q", "n", "phi", "h_or_b", "terms"),
+    "apcnagw": ("theorem", "q", "n", "phi", "g", "h_or_b", "kind"),
+}
+
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
@@ -150,47 +157,34 @@ def _config_argv(command: argparse.ArgumentParser, cfg: dict) -> list[str]:
 _ENTRY_BLOCK = 256
 
 
-@functools.lru_cache(maxsize=None)
-def _entry_templates(pad: str) -> dict:
-    """For each tuple of which fields of cdiff.CENTRY_OPTIONAL are set, the
-    %-template of a CEntry that starts on a line indented by pad, with its
-    keys sorted as json.dumps sorts them, and a getter of the values it
-    takes in that order."""
-    inner = pad + "  "
-    names = sorted(f.name for f in fields(cdiff.CEntry))
-    templates = {}
-    for present in itertools.product((False, True), repeat=len(cdiff.CENTRY_OPTIONAL)):
-        unset = {k for k, p in zip(cdiff.CENTRY_OPTIONAL, present) if not p}
-        keys = [k for k in names if k not in unset]
-        template = "{\n" + ",\n".join(f'{inner}"{k}": %s' for k in keys) + f"\n{pad}}}"
-        templates[present] = template, operator.attrgetter(*keys)
-    return templates
-
-
 def _entry_pieces(entries, pad: str):
     """A list of CEntry records, as json.dumps writes the list of their
     to_dict(), one piece per block of entries.
 
-    The values of a block are one call of the C encoder, separated by
-    newlines, which no encoded scalar contains; its templates, joined,
-    take them with one %.
+    Each entry of a block fills one %-template of every CEntry field, keys
+    sorted as json.dumps sorts them, from one call of the C encoder on the
+    block's values, separated by newlines.  The line of each unset field of
+    cdiff.CENTRY_OPTIONAL, ',\\n<indent>"note": null' and the same for
+    "rep", is then cut with one str.replace per name.  That cuts nothing
+    else: the encoder writes no raw newline inside a value, so such a line
+    starts only in a template, and no optional field sorts first (c does),
+    so each of their lines follows a comma.
     """
-    templates = _entry_templates(pad + "  ")
-    # which optional fields an entry sets (attrgetter of two or more names
-    # returns a tuple)
-    optional = operator.attrgetter(*cdiff.CENTRY_OPTIONAL)
-    nones = (None,) * len(cdiff.CENTRY_OPTIONAL)
-    is_not = operator.is_not
+    inner = pad + "    "
+    names = sorted(f.name for f in fields(cdiff.CEntry))
+    template = "{\n" + ",\n".join(f'{inner}"{k}": %s' for k in names) + f"\n{pad}  }}"
+    values_of = operator.attrgetter(*names)
+    unset = [f',\n{inner}"{k}": null' for k in cdiff.CENTRY_OPTIONAL]
     encode = json.JSONEncoder(separators=("\n", ": ")).encode
     sep = f",\n{pad}  "
     head = f"[\n{pad}  "
     for i in range(0, len(entries), _ENTRY_BLOCK):
-        forms, values = [], []
-        for e in entries[i:i + _ENTRY_BLOCK]:
-            template, get = templates[tuple(map(is_not, optional(e), nones))]
-            forms.append(template)
-            values += get(e)
-        yield head + sep.join(forms) % tuple(encode(values)[1:-1].split("\n"))
+        block = entries[i:i + _ENTRY_BLOCK]
+        values = list(itertools.chain.from_iterable(map(values_of, block)))
+        text = head + sep.join([template] * len(block)) % tuple(encode(values)[1:-1].split("\n"))
+        for line in unset:
+            text = text.replace(line, "")
+        yield text
         head = sep
     yield f"\n{pad}]"
 
@@ -268,13 +262,6 @@ def _drop_stdout():
     os.close(devnull)
 
 
-def _field_spec(spec_text: str):
-    try:
-        return split_field_spec(spec_text)
-    except ValueError as exc:
-        raise InvalidParams(str(exc)) from None
-
-
 def _power(p: int, e: int) -> str:
     """p^e in decimal, or written as a power once it has more than 18 digits."""
     return str(p ** e) if e * math.log10(max(p, 1)) <= 18 else f"{p}^{e}"
@@ -302,7 +289,7 @@ def _check_report_cap(args, p: int, n: int, s: int):
 
 
 def cmd_analyze(args) -> tuple[dict, int]:
-    p, n, modulus = _field_spec(args.field)
+    p, n, modulus = split_field_spec(args.field)
     scope = args.c_scope
     if scope is not None and (scope < 1 or n % scope):
         raise InvalidParams(f"--c-scope {scope} does not divide the extension degree {n}")
@@ -367,6 +354,12 @@ def cmd_construct(args) -> tuple[dict, int]:
         raise InvalidParams(f"the recipe's {key} must be an integer, got {value!r}")
 
     theorem = recipe["theorem"]
+    reads = _RECIPE_KEYS.get(theorem) if isinstance(theorem, str) else None
+    if reads is None:
+        raise InvalidParams(f"unknown theorem {theorem!r}; use pcn1 | quad | apcnagw")
+    if unread := [k for k in recipe if k not in reads]:
+        raise InvalidParams(f"recipe key {unread[0]!r}: theorem {theorem} reads only"
+                            f" {', '.join(map(repr, reads))}")
     q0, n = integer("q", recipe["q"]), integer("n", recipe["n"])
     # the cap comes first: factoring a large q would take longer than refusing it
     _check_report_cap(args, q0, n, n)
@@ -397,13 +390,11 @@ def cmd_construct(args) -> tuple[dict, int]:
         phi = fparse("phi", "x")
         g = fparse("g", "0")
         h_or_b = text("h_or_b", recipe.get("h_or_b", 1))
-        kind = recipe.get("kind", "f1")
-        if h_or_b.lstrip("-").isdigit():
-            params = construct.AgwParams(ctx=ctx, q=q0, phi=phi, g=g,
-                                         b=int(h_or_b), kind=kind)
-        else:
-            params = construct.AgwParams(ctx=ctx, q=q0, phi=phi, g=g,
-                                         h=polynomial("h_or_b", h_or_b), kind=kind)
+        # digit text is the constant b, other text the polynomial h
+        h = ({"b": int(h_or_b)} if h_or_b.lstrip("-").isdigit()
+             else {"h": polynomial("h_or_b", h_or_b)})
+        params = construct.AgwParams(ctx=ctx, q=q0, phi=phi, g=g,
+                                     kind=recipe.get("kind", "f1"), **h)
         report = construct.validate_preconditions(params)
         report.require()
         validation = report.to_dict()
@@ -417,12 +408,15 @@ def cmd_construct(args) -> tuple[dict, int]:
                 and all(isinstance(t, dict) and {"g", "s"} <= t.keys() for t in terms)):
             raise InvalidParams("recipe needs a nonempty 'terms' list of objects "
                                 "with keys 'g' and 's' for theorem=quad")
+        if unread := [f"terms[{i}].{k}" for i, t in enumerate(terms)
+                      for k in t if k not in ("g", "s")]:
+            raise InvalidParams(f"recipe key {unread[0]!r}: a term reads only 'g', 's'")
         terms = [(polynomial(f"terms[{i}].g", t["g"]), integer(f"terms[{i}].s", t["s"]))
                  for i, t in enumerate(terms)]
         f = construct.build_quad_exponent_pp(ctx, q0, phi, b, terms)
         validation = {"terms": len(terms)}
         extra = {"is_permutation": is_permutation(f)}
-    elif theorem == "apcnagw":
+    else:  # apcnagw
         phi = fparse("phi")
         g = fparse("g", "0")
         b = integer("h_or_b", recipe.get("h_or_b", 1))
@@ -434,8 +428,6 @@ def cmd_construct(args) -> tuple[dict, int]:
         report.require()
         validation = report.to_dict()
         extra = {"is_two_to_one": is_two_to_one(f)}
-    else:
-        raise InvalidParams(f"unknown theorem {theorem!r}; use pcn1 | quad | apcnagw")
 
     classification = cdiff.full_report(f).to_dict(records=True)
     return {

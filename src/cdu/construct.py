@@ -7,11 +7,12 @@ F_q-subspace J of size q^(n-1), and functions of the form
     f(x) = h(psi(x)) * phi(x) + T(psi(x))
 
 with T valued in F_q (a relative trace or the (q^n-1)/(q-1) power map)
-permute F_{q^n} exactly when ker(phi) meets F_q trivially and h*phi
-permutes J.  With h a nonzero constant these permutations are PcN for
-every c in F_q \\ {1}; swapping the permutation hypotheses on phi for
-2-to-1 ones (even characteristic, odd n) yields APcN functions instead.
-Every hypothesis is decided by finite exhaustion, never assumed.
+and phi commuting with psi permute F_{q^n} exactly when ker(phi) meets
+F_q trivially and h*phi permutes J.  With h a nonzero constant these
+permutations are PcN for every c in F_q \\ {1}; swapping the permutation
+hypotheses on phi for 2-to-1 ones (even characteristic, odd n) yields
+APcN functions instead.  Every hypothesis is decided by finite
+exhaustion, never assumed.
 """
 
 from __future__ import annotations
@@ -160,9 +161,11 @@ def _tail_value_map(params: AgwParams) -> np.ndarray:
 def validate_preconditions(params: AgwParams, two_to_one: bool = False) -> PreconditionReport:
     """Check the hypotheses of one route by exhaustion over the relevant
     sets: h-image inside F_q*, trivial kernel intersection with F_q (or, on
-    the 2-to-1 route, phi 2-to-1 on F_q) and h*phi permuting J.  The
-    composite AGW map h(y)*phi(y) + psi(T(y)) is checked against J as well.
-    Additivity of phi needs no item: AgwParams refuses any other phi."""
+    the 2-to-1 route, phi 2-to-1 on F_q), phi commuting with psi on the
+    whole field, so that psi(f(x)) = h(y)*phi(y) for y = psi(x), and h*phi
+    permuting J.  The composite AGW map h(y)*phi(y) + psi(T(y)) is checked
+    against J as well.  Additivity of phi needs no item: AgwParams refuses
+    any other phi."""
     ctx = params.ctx
     q0 = params.q
     j = subspace_j(ctx, q0)
@@ -187,6 +190,13 @@ def validate_preconditions(params: AgwParams, two_to_one: bool = False) -> Preco
         items.append(PreconditionItem(
             "kernel_meets_base_trivially", kernel_in_base == [0],
             f"ker(phi) meets the base subfield in {kernel_in_base}"))
+
+    psi = psi_table(ctx, q0)
+    moved = int(np.count_nonzero(psi[phi_table] != phi_table[psi]))
+    items.append(PreconditionItem(
+        "phi_commutes_with_psi", not moved,
+        f"phi(x^{q0} - x) = phi(x)^{q0} - phi(x) for every x" if not moved
+        else f"phi(x^{q0} - x) != phi(x)^{q0} - phi(x) for {moved} of {ctx.order} x"))
 
     image = sorted(ctx.mul(h, int(phi_table[y])) for h, y in zip(hvals, j.elements))
     permutes = image == list(j.elements)

@@ -601,13 +601,9 @@ def embed(sub: FieldContext, sup: FieldContext, x: int) -> int:
     return acc
 
 
-def relative_trace(ctx: FieldContext, sub_degree: int, x: int) -> int:
-    """Trace of x onto the subfield of order p^sub_degree."""
-    return int(trace_table(ctx, sub_degree, x))
-
-
 def trace_table(ctx: FieldContext, sub_degree: int, values) -> np.ndarray:
-    """Vectorized relative_trace over an array of elements.
+    """The trace onto the subfield of order p^sub_degree of an array of
+    elements (or of one element).
 
     The trace x + x^q0 + ... + x^(q0^(k-1)) is F_p-linear, so it is the
     linear_map with the traces of the basis X^i as its images.
@@ -642,7 +638,7 @@ def split_field_spec(text: str) -> tuple[int, int, list[int] | None]:
     """(p, n, modulus or None) of a spec string, without building the field."""
     m = _FIELD_SPEC_RE.match(text.strip())
     if not m:
-        raise ValueError(
+        raise InvalidParams(
             f"bad field spec {text!r}; expected 'p^n' or 'p^n/c0,c1,...,cn'")
     p, n = int(m.group(1)), int(m.group(2))
     modulus = None

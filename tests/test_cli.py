@@ -271,7 +271,8 @@ class TestConstruct:
         assert rep["validation"]["pp_ok"] is True and "two_to_one_ok" not in rep["validation"]
         assert [(it["name"], it["passed"]) for it in rep["validation"]["items"]] == [
             ("h_image_in_base_units", True), ("kernel_meets_base_trivially", True),
-            ("h_phi_permutes_j", True), ("composite_permutes_j", True)]
+            ("phi_commutes_with_psi", True), ("h_phi_permutes_j", True),
+            ("composite_permutes_j", True)]
         assert 0 in rep["classification"]["summary"]["pcn_c"]
         assert 2 in rep["classification"]["summary"]["pcn_c"]
 
@@ -286,7 +287,8 @@ class TestConstruct:
         assert rep["validation"]["two_to_one_ok"] is True and "pp_ok" not in rep["validation"]
         assert [(it["name"], it["passed"]) for it in rep["validation"]["items"]] == [
             ("h_image_in_base_units", True), ("phi_two_to_one_on_base", True),
-            ("h_phi_permutes_j", True), ("composite_permutes_j", True)]
+            ("phi_commutes_with_psi", True), ("h_phi_permutes_j", True),
+            ("composite_permutes_j", True)]
         apcn = set(rep["classification"]["summary"]["apcn_c"])
         assert {0, 56, 57} <= apcn  # F_4 \ {1} inside F_64
 
@@ -578,11 +580,24 @@ class TestRefusals:
          " composite_permutes_j (composite map does not permute J)"),
         (["monomial", "--p", "3", "--h", "2", "--d", "5", "--c", "1", "--rmax", "1"],
          "c must avoid 0 and 1 (c = 1 is the classical case)"),
+        # phi with a coefficient outside F_3 passes every other item
+        (["construct", "--recipe", json.dumps({"theorem": "pcn1", "q": 3, "n": 2,
+                                               "phi": "4*x^3 + 3*x", "g": "x", "kind": "f2"})],
+         "precondition(s) failed: phi_commutes_with_psi"
+         " (phi(x^3 - x) != phi(x)^3 - phi(x) for 6 of 9 x)"),
+        # a key the theorem does not read is refused, not ignored
+        (["construct", "--recipe", json.dumps({"theorem": "pcn1", "q": 3, "n": 2,
+                                               "hb": 2, "knd": "f2"})],
+         "recipe key 'hb': theorem pcn1 reads only 'theorem', 'q', 'n', 'phi', 'g',"
+         " 'h_or_b', 'kind'"),
+        (["construct", "--recipe", json.dumps({"theorem": "quad", "q": 5, "n": 2, "h_or_b": 2,
+                                               "terms": [{"g": "x + 8", "s": 10, "t": 1}]})],
+         "recipe key 'terms[0].t': a term reads only 'g', 's'"),
     ], ids=["function-coefficient", "matrix-c-coefficient", "monomial-c-coefficient",
             "unclosed-parenthesis", "trailing-input", "x-in-c", "missing-recipe-file",
             "missing-config-file", "pcn1-kernel", "apcnagw-two-to-one",
             "field-spec", "non-prime-p", "cap", "recipe-key", "apcnagw-permutes-j",
-            "monomial-c"])
+            "monomial-c", "pcn1-phi-commutes", "unread-recipe-key", "unread-term-key"])
     def test_refusal_is_one_line(self, capsys, monkeypatch, tmp_path, argv, line):
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)

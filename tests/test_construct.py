@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdu import errors
 from cdu.cdiff import c_uniformity
@@ -15,7 +15,7 @@ from cdu.construct import (
     subspace_j,
     validate_preconditions,
 )
-from cdu.field import make_field, relative_trace
+from cdu.field import make_field, trace_table
 from cdu.funcs import PolyFunc, is_permutation, is_two_to_one, parse_function
 
 F9 = make_field(3, 2)
@@ -27,15 +27,15 @@ F81 = make_field(3, 4)
 
 # the items of the permutation route and of the 2-to-1 route, in order
 PP_ROUTE = ["h_image_in_base_units", "kernel_meets_base_trivially",
-            "h_phi_permutes_j", "composite_permutes_j"]
+            "phi_commutes_with_psi", "h_phi_permutes_j", "composite_permutes_j"]
 TWO_TO_ONE_ROUTE = ["h_image_in_base_units", "phi_two_to_one_on_base",
-                    "h_phi_permutes_j", "composite_permutes_j"]
+                    "phi_commutes_with_psi", "h_phi_permutes_j", "composite_permutes_j"]
 
 
 class TestJSubspace:
     def test_f9_is_trace_kernel(self):
         j = subspace_j(F9, 3)
-        kernel = tuple(x for x in range(9) if relative_trace(F9, 1, x) == 0)
+        kernel = tuple(x for x in range(9) if trace_table(F9, 1, x) == 0)
         assert j.elements == kernel
         assert len(j.elements) == 3
 
@@ -64,7 +64,7 @@ class TestJSubspace:
         for ctx, q0, m in [(F9, 3, 1), (F64, 4, 2)]:
             exp = (ctx.order - 1) // (q0 - 1)
             for y in range(ctx.order):
-                t = relative_trace(ctx, m, y)
+                t = int(trace_table(ctx, m, y))
                 assert ctx.sub(ctx.pow(t, q0), t) == 0
                 v = ctx.pow(y, exp)
                 assert ctx.sub(ctx.pow(v, q0), v) == 0
@@ -180,6 +180,10 @@ def agw_cases(draw):
 class TestRoutes:
     @settings(max_examples=150, deadline=None)
     @given(agw_cases())
+    # phi = 4*x^3 + 3*x has a coefficient outside F_3 and does not commute
+    # with psi: every other item passes, yet f is no permutation
+    @example((AgwParams(ctx=F9, q=3, phi=parse_function("4*x^3 + 3*x", F9),
+                        g=parse_function("x", F9), b=1, kind="f2"), False))
     def test_route_decides_its_builder(self, case):
         params, two_to_one = case
         report = validate_preconditions(params, two_to_one)
@@ -212,7 +216,7 @@ class TestBuildAgwPP:
         # matches the pointwise definition
         for x in range(9):
             psi = F9.sub(F9.pow(x, 3), x)
-            expect = F9.add(x, relative_trace(F9, 1, F9.pow(psi, 2)))
+            expect = F9.add(x, int(trace_table(F9, 1, F9.pow(psi, 2))))
             assert f(x) == expect
 
     def test_zero_g_is_identity(self):

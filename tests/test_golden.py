@@ -80,7 +80,7 @@ DIGESTS = {
     'analyze --field 3^7 --function 151*x^53 + x^15 + x --c-scope 1':
         {'stdout': 'cd1d40d605c521b125a6cc89ff42307c99d77353782ca384aedbfaaed9c001a0'},
     'construct --recipe {"theorem": "pcn1", "q": 3, "n": 4, "phi": "x", "g": "18*x^57 + 30*x^47", "h_or_b": 2, "kind": "f1"}':
-        {'stdout': '110d51e9983c4faffb6a988c1365afc8874c452d74207e59924119ccbcc0612d'},
+        {'stdout': '8a315e00498097c852ea176b59810e667cb072184aa0e018ff4011aa22cf1784'},
     'analyze --field 2^9 --function x^17 --matrix-c 381 --matrix-out ddt.csv':
         {'stdout': 'f5f6fea0ce2cc019b1bb91d9d17b85d6c0eda33565b352fd4a7ee01581539e66', 'ddt.csv': '23dbb0adceca6d21ec5e3d3547302adffb5faa33a650e48ab36afbed6d56002f'},
     'analyze --field 2^10 --function x^43 + x^11 + x --c-scope 5':
@@ -88,7 +88,7 @@ DIGESTS = {
     'analyze --field 2^12 --function 1720*x^61 + x^12 --c-scope 3':
         {'stdout': '3f6b2c188b24e8bcfcc7d6511b99789b5a47f8a7a79504fbe19901f325d81ecc'},
     'construct --recipe {"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "x^12 + 60*x^5", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': '4fe4ce1ce4601b4a0f6951e2ca35714b35c350c5897d59deaa89bd4bfe7efcce'},
+        {'stdout': '84a89c96677ddb94b423d2bfb4fa0c3f913d8d1c4daef339b07cb6ce8c7a6f75'},
     'monomial --p 3 --h 3 --d 5 --c 26 --rmax 4':
         {'stdout': '41fac94e9401b572c8b10ab29a5b80c471aa5d89b07a833d48cb06fda971c785'},
     'monomial --p 5 --h 2 --d 3 --c 18 --rmax 4':
@@ -98,13 +98,13 @@ DIGESTS = {
     'verify-theorems --seed 0':
         {'stdout': '7150cf3e32e5a5418dd65b0a2cb469ba546f7beb21cf7b6bfed9ab8ea5f077e1'},
     'construct --recipe {"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": "5*x^3 + 5*x^2", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': '7899d4c04aa66363d7130a1c620c382081696c46ac8692d7e2360fee45ced209'},
+        {'stdout': '81cef11b1bafb99e42d7e80058d0b3dc5fac74351167f9874efcd7d3617f72d9'},
     'construct --recipe {"theorem": "pcn1", "q": 5, "n": 2, "phi": "x", "g": "2*x^17 + 2*x^14", "h_or_b": 2, "kind": "f2"}':
-        {'stdout': '7320170b0d538861049dd798f80e0a82a1ac57655a13e78fee0c87c6585a4d1c'},
+        {'stdout': '733ad36d59364d19463b29b1f064b5888c2138cbcfa8cafb832c38f094f80cf9'},
     'construct --recipe {"theorem": "apcnagw", "q": 2, "n": 5, "phi": "x^2 + x", "g": "28*x^6 + 8*x", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': '2de9a896cf07bf9627ddf5dfbef692b3c28edfa2849bb0f82318dbf5cf0b2adb'},
+        {'stdout': '6b71fbb612cccec76e4798e204e4a209fac526d7565bcd4eb3ab61b5ea42e6d2'},
     'construct --recipe {"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "34*x^11 + 24*x^3", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': '8a1b090b820ec708b74f9454f643a40ff72b7e710bee983e223e1f61c8bc3b84'},
+        {'stdout': 'c65f33ad799bb66c7a76fb2cfe657c65a187a5e6ed1c1f0e8a0471c239b5e54f'},
     'analyze --field 3^5 --function x^13':
         {'stdout': '73ccbf6177da7d3e064cfcc9fd189712c40035123093bce9e7b0085697590ff1'},
     'analyze --field 3^6 --function x^36 + 2*x^17 + x --c-scope 2':
@@ -112,7 +112,7 @@ DIGESTS = {
     'analyze --field 3^7 --function 2170*x^58 + x^18 + 50*x --c-scope 1':
         {'stdout': 'b1d30f8aba8ec0dd7bc3649f73ff699933c450615e38390c9da8abc6dfaee30b'},
     'construct --recipe {"theorem": "pcn1", "q": 3, "n": 4, "phi": "x", "g": "22*x^58 + 70*x^23", "h_or_b": 1, "kind": "f2"}':
-        {'stdout': 'f9c6faf3f733d3f8f3a324fd02421b26d4d2b80f6841bfcd218e0b802d8aa195'},
+        {'stdout': '8b361552dfbd7b471af1337729d5edd5a99f8561e6c67cc3b3b7c9a7b2613b75'},
     'analyze --field 2^9 --function x^33 --matrix-c 64 --matrix-out ddt.csv':
         {'stdout': '4b21a84f680698e2c9a4d3e5363c9448b263deca4ff25f5efa326459b80700ef', 'ddt.csv': '3d57d543936f5192a06aa23111fb79fa5f499a8b37fc776ef8bd12d679b89012'},
     'analyze --field 2^10 --function x^44 + x^7 + x --c-scope 5':
@@ -120,7 +120,7 @@ DIGESTS = {
     'analyze --field 2^12 --function 2118*x^53 + x^8 --c-scope 3':
         {'stdout': '121c3632273604ab8345f9d6a51342e91beef062aec6d5499ad357ddfc4f9fce'},
     'construct --recipe {"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "49*x^62 + 52*x^48", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': '4d6fa6536e7066ecb86dac7e5118d1b1bf58ad3cbdba4143d41fc7af07cb6bf6'},
+        {'stdout': '5a134955d3dc9ba999c70f0faa37cf3a1b86499131a597dc56aa08112bbc8515'},
     'monomial --p 3 --h 3 --d 5 --c 12 --rmax 4':
         {'stdout': '1348eb35cf8cf9d4699d64433a0247047c19e03a6bffb391023540c13816250e'},
     'monomial --p 5 --h 2 --d 3 --c 19 --rmax 4':
@@ -130,17 +130,17 @@ DIGESTS = {
     'verify-theorems --seed 4242':
         {'stdout': 'd04d77c2fbad7bf6c09ddf672c651c28ebd80c797f5910a515444a7113755a96'},
     'construct --recipe {"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": "7*x^3 + 4*x", "h_or_b": 2, "kind": "f1"}':
-        {'stdout': '17d19914c6452736cd281d43d8bd7af025ee1190cfcd7c362ffc0d0a392b5fa4'},
+        {'stdout': 'bcb5f61b71c7d3374ba15a06bf31ceb856f6bb91258c393b88407b6a718b5061'},
     'construct --recipe {"theorem": "pcn1", "q": 5, "n": 2, "phi": "x", "g": "4*x^23 + 13*x^15", "h_or_b": 3, "kind": "f2"}':
-        {'stdout': '59ee7d662e3c54cf210777839eeb3bb29e6e0798cab774ea48b2c8e33f9a5a41'},
+        {'stdout': 'b1701196cc08001b35cd9fe1a8496b901c88057dbc256307e726f0bd41e0527e'},
     'construct --recipe {"theorem": "apcnagw", "q": 2, "n": 5, "phi": "x^2 + x", "g": "3*x^10 + 18*x^8", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': 'ee08b30202a3463d0974512cd4b3cc798dfaff595f86977cb76467b6a9072c7a'},
+        {'stdout': '03dfa19b611799a7d8065e9182df12448e303e2f14cd4b8ee9c225efb552cd1f'},
     'construct --recipe {"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "35*x^47 + 54*x^19", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': 'fd4e6d4fdfdf00efe6261b93431f6473d50a0a0f0cdc2dc4f9546d91b9b86de8'},
+        {'stdout': '82e13d21b044418f46b3fdd26e9f9feffa77434f0cb40090fab44b940d47cb18'},
     'analyze --field 3^5 --function x^4 --format human':
         {'stdout': '5de3d53803a01b6331f68bd8d67eea9334fcd007ddd03ef3b7bdd46c5f25c55f'},
     'construct --recipe {"theorem": "pcn1", "q": 3, "n": 4, "phi": "x", "g": "18*x^57 + 30*x^47", "h_or_b": 2, "kind": "f1"} --format human':
-        {'stdout': 'a3d8f33a5d5ee22331fe70babafd80d0280e1687b642a569925d42c45582039a'},
+        {'stdout': '009ac6c73f3dbba3aa822836f57eb9605bd6d9b377ca966a9f7030dbe1ba40b9'},
     'monomial --p 3 --h 3 --d 5 --c 26 --rmax 4 --format human':
         {'stdout': '90d0153a45d2a4f06a6261dfb56d94670076b6816184479e4823517acec11509'},
     'verify-theorems --seed 0 --format human':

@@ -3,7 +3,8 @@ writes, compared with a digest recorded beside it.
 
 The corpus is the benchmark workloads' commands at seeds 0 and 4242,
 written out here so that a change to the benchmark does not move them,
-plus one command of each kind in the human format.  A command with
+plus one command of each kind in the human format and one all-c report
+of many entries.  A command with
 --matrix-out also pins the CSV it writes; it runs in an empty directory
 with a fixed relative path, because the report names the path.  A change that moves report
 bytes on purpose prints the new digests with
@@ -69,6 +70,8 @@ CORPUS = [
     ["construct", "--recipe", '{"theorem": "pcn1", "q": 3, "n": 4, "phi": "x", "g": "18*x^57 + 30*x^47", "h_or_b": 2, "kind": "f1"}', "--format", "human"],
     ["monomial", "--p", "3", "--h", "3", "--d", "5", "--c", "26", "--rmax", "4", "--format", "human"],
     ["verify-theorems", "--seed", "0", "--format", "human"],
+    # an all-c report of 4,096 entries, which the writer renders in many blocks
+    ["analyze", "--field", "2^12", "--function", "x^7"],
 ]
 
 # SHA-256 of stdout, and of each file a command writes, keyed by the command
@@ -145,6 +148,8 @@ DIGESTS = {
         {'stdout': '90d0153a45d2a4f06a6261dfb56d94670076b6816184479e4823517acec11509'},
     'verify-theorems --seed 0 --format human':
         {'stdout': '52edfc5d9a3a1e7a2ae80657d12db486f047a5e0377842909512ac5035fb6f99'},
+    'analyze --field 2^12 --function x^7':
+        {'stdout': 'eaf8c6fbc103501e5cac3e4328cf26e1f618dc6b6b7073b33bad446c022c613b'},
 }
 
 

@@ -23,16 +23,29 @@ _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_]\w*)|(\^)|(\*)|(\+)|(-)|(\()|(\))|(\S)"
 
 _INT, _NAME, _CARET, _STAR, _PLUS, _MINUS, _LPAREN, _RPAREN, _END = range(9)
 
+# the deepest nesting of parentheses parsed, as in CPython's own parser: each
+# level takes three frames of the recursive descent
+MAX_DEPTH = 200
+
 
 def _tokenize(text: str):
     # group k + 1 of the regex matches token kind k; the last group, any other
     # character, falls on kind _END
-    tokens = []
+    tokens, depth = [], 0
     for m in _TOKEN_RE.finditer(text):
         kind, value, pos = m.lastindex - 1, m.group(m.lastindex), m.start()
+        depth += (kind == _LPAREN) - (kind == _RPAREN)
         if kind == _END:
             raise ParseError(f"unexpected character {value!r}", pos)
-        tokens.append((kind, int(value) if kind == _INT else value, pos))
+        if depth > MAX_DEPTH:
+            raise ParseError(f"parentheses nest deeper than {MAX_DEPTH} levels", pos)
+        if kind == _INT:
+            # int() refuses more digits than sys.get_int_max_str_digits()
+            try:
+                value = int(value)
+            except ValueError:
+                raise ParseError(f"an integer of {len(value)} digits is too long", pos) from None
+        tokens.append((kind, value, pos))
     tokens.append((_END, None, len(text)))
     return tokens
 
@@ -52,51 +65,32 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_int(self) -> int:
-        kind, value, pos = self.take()
-        if kind != _INT:
-            raise ParseError("expected an integer", pos)
-        return value
-
     def parse_poly(self) -> dict[int, int]:
         """Returns {exponent: coefficient} with field-reduced coefficients
         (exponents are raw, i.e. not reduced mod x^q - x)."""
         ctx = self.ctx
         out: dict[int, int] = {}
-        sign = 1
-        kind, _, _ = self.peek()
-        if kind in (_PLUS, _MINUS):
-            sign = -1 if kind == _MINUS else 1
-            self.take()
         while True:
+            # the sign is optional before the first term only
+            kind = self.peek()[0]
+            if kind in (_PLUS, _MINUS):
+                self.take()
             exp, coeff = self.parse_term()
-            if sign == -1:
-                coeff = ctx.neg(coeff)
-            merged = ctx.add(out.get(exp, 0), coeff)
+            merged = ctx.add(out.get(exp, 0), ctx.neg(coeff) if kind == _MINUS else coeff)
             if merged:
                 out[exp] = merged
             else:
                 out.pop(exp, None)
-            kind, _, pos = self.peek()
-            if kind in (_PLUS, _MINUS):
-                sign = -1 if kind == _MINUS else 1
-                self.take()
-                continue
-            return out
+            if self.peek()[0] not in (_PLUS, _MINUS):
+                return out
 
     def parse_term(self) -> tuple[int, int]:
-        ctx = self.ctx
-        exp = 0
-        coeff = 1
-        while True:
+        exp, coeff = self.parse_factor()
+        while self.peek()[0] == _STAR:
+            self.take()
             e, c = self.parse_factor()
-            exp += e
-            coeff = ctx.mul(coeff, c)
-            kind, _, _ = self.peek()
-            if kind == _STAR:
-                self.take()
-                continue
-            return exp, coeff
+            exp, coeff = exp + e, self.ctx.mul(coeff, c)
+        return exp, coeff
 
     def parse_factor(self) -> tuple[int, int]:
         """Returns (x_exponent, coefficient_value) of one factor."""
@@ -129,11 +123,13 @@ class _Parser:
         raise ParseError("expected a coefficient, 'x', 'g' or '('", pos)
 
     def parse_opt_exponent(self) -> int:
-        kind, _, _ = self.peek()
-        if kind == _CARET:
-            self.take()
-            return self.expect_int()
-        return 1
+        if self.peek()[0] != _CARET:
+            return 1
+        self.take()
+        kind, value, pos = self.take()
+        if kind != _INT:
+            raise ParseError("expected an integer", pos)
+        return value
 
     def finish(self):
         kind, _, pos = self.peek()

@@ -11,7 +11,7 @@ uniformity, which is why the a = 0 row is excluded exactly there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -211,34 +211,42 @@ def classify_c(f: PolyFunc, c: int) -> str:
     return label_for_delta(c_uniformity(f, c))
 
 
-@dataclass
-class CEntry:
-    """One multiplier's verdict.  method names the directions delta was
-    counted over (see full_report) and directions how many rows that took;
-    rep, when set, is the multiplier whose delta was computed in c's place.
-    The fields are in the order of the report's keys."""
-
-    c: int
-    delta: int
-    label: str
-    method: str
-    directions: int
-    note: str | None = None
-    rep: int | None = None
-
-    def to_dict(self):
-        """The fields as a dict, without those of CENTRY_OPTIONAL that are
-        unset."""
-        d = vars(self).copy()
-        for k in CENTRY_OPTIONAL:
-            if d[k] is None:
-                del d[k]
-        return d
+C1_NOTE = "c=1 is the classical differential uniformity"
 
 
-# the fields CEntry.to_dict leaves out when they are unset: those that
-# default to None
-CENTRY_OPTIONAL = tuple(f.name for f in fields(CEntry) if f.default is None)
+@dataclass(repr=False)
+class Entries:
+    """A report's entries as columns: cs, the multipliers in increasing
+    order; reps, the multiplier each c takes its delta from (c itself when
+    c counted its own); verdicts, for each representative, its (delta,
+    label, method, directions), method naming the directions delta was
+    counted over (see full_report) and directions how many rows that took.
+
+    Iterating yields each entry as a dict with the keys c, delta, label,
+    method and directions, then note (C1_NOTE) only at c = 1, and rep only
+    where the representative is not c.  It prints as the list of them.
+    """
+
+    cs: list[int] | range
+    reps: list[int]
+    verdicts: dict[int, tuple[int, str, str, int]]
+
+    def __len__(self):
+        return len(self.cs)
+
+    def __iter__(self):
+        for c, rep in zip(self.cs, self.reps):
+            delta, label, method, directions = self.verdicts[rep]
+            entry = {"c": c, "delta": delta, "label": label, "method": method,
+                     "directions": directions}
+            if c == 1:
+                entry["note"] = C1_NOTE
+            if rep != c:
+                entry["rep"] = rep
+            yield entry
+
+    def __repr__(self):
+        return repr(list(self))
 
 
 @dataclass
@@ -247,17 +255,17 @@ class ClassificationReport:
 
     function: str
     field: str
-    entries: list[CEntry]
+    entries: Entries
     pcn_cs: list[int] = dc_field(default_factory=list)
     apcn_cs: list[int] = dc_field(default_factory=list)
 
     def to_dict(self, records: bool = False):
-        """The report as plain data; with records, the entries stay CEntry
-        records, which the command line writes without a dict each."""
+        """The report as plain data; with records, the entries stay an
+        Entries, which the command line writes without a dict each."""
         return {
             "function": self.function,
             "field": self.field,
-            "entries": self.entries if records else [e.to_dict() for e in self.entries],
+            "entries": self.entries if records else list(self.entries),
             "summary": {"pcn_c": self.pcn_cs, "apcn_c": self.apcn_cs},
         }
 
@@ -354,8 +362,7 @@ def full_report(f: PolyFunc, workers: int = 1, cs=None) -> ClassificationReport:
     method = "monomial" if len(f.coeffs) == 1 and 0 not in f.coeffs else "rows"
 
     def verdict(c: int) -> tuple[int, str, str, int]:
-        """delta, label, method and rows counted for a representative: the
-        fields of its entries that follow c."""
+        """delta, label, method and rows counted for a representative."""
         if c == 0:
             d = c_uniformity(f, 0)
             return d, label_for_delta(d), "fiber", 1
@@ -368,18 +375,12 @@ def full_report(f: PolyFunc, workers: int = 1, cs=None) -> ClassificationReport:
 
     distinct = sorted(set(reps))
     verdicts = dict(zip(distinct, pmap(verdict, distinct, workers)))
-
-    def entry(c: int, rep: int) -> CEntry:
-        note = "c=1 is the classical differential uniformity" if c == 1 else None
-        return CEntry(c, *verdicts[rep], note=note, rep=rep if rep != c else None)
-
-    entries = [entry(c, rep) for c, rep in zip(cs, reps)]
     return ClassificationReport(
         function=str(f),
         field=format_field_spec(ctx),
-        entries=entries,
-        pcn_cs=[e.c for e in entries if e.delta == 1],
-        apcn_cs=[e.c for e in entries if e.delta == 2],
+        entries=Entries(cs, reps, verdicts),
+        pcn_cs=[c for c, rep in zip(cs, reps) if verdicts[rep][0] == 1],
+        apcn_cs=[c for c, rep in zip(cs, reps) if verdicts[rep][0] == 2],
     )
 
 

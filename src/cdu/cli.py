@@ -17,10 +17,9 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 from . import cdiff, construct
 from .errors import CapExceeded, CduError, InvalidParams, ParseError
@@ -157,60 +156,51 @@ def _config_argv(command: argparse.ArgumentParser, cfg: dict) -> list[str]:
 _ENTRY_BLOCK = 256
 
 
-def _entry_pieces(entries, pad: str):
-    """A list of CEntry records, as json.dumps writes the list of their
-    to_dict(), one piece per block of entries.
+def _entry_pieces(entries: cdiff.Entries, pad: str):
+    """An Entries, as json.dumps writes the list of its dicts, one piece
+    per block of entries.
 
-    Each entry of a block fills one %-template of every CEntry field, keys
-    sorted as json.dumps sorts them, from one call of the C encoder on the
-    block's values, separated by newlines.  The line of each unset field of
-    cdiff.CENTRY_OPTIONAL, ',\\n<indent>"note": null' and the same for
-    "rep", is then cut with one str.replace per name.  That cuts nothing
-    else: the encoder writes no raw newline inside a value, so such a line
-    starts only in a template, and no optional field sorts first (c does),
-    so each of their lines follows a comma.
+    The lines of delta, directions, label and method, which sort between
+    c and note, are written once per representative.  Each entry is then
+    one f-string: its c, those lines, and the note or rep line it has, by
+    the conditions of the Entries docstring.
     """
     inner = pad + "    "
-    names = sorted(f.name for f in fields(cdiff.CEntry))
-    template = "{\n" + ",\n".join(f'{inner}"{k}": %s' for k in names) + f"\n{pad}  }}"
-    values_of = operator.attrgetter(*names)
-    unset = [f',\n{inner}"{k}": null' for k in cdiff.CENTRY_OPTIONAL]
-    encode = json.JSONEncoder(separators=("\n", ": ")).encode
-    sep = f",\n{pad}  "
-    head = f"[\n{pad}  "
+    shared = {rep: f',\n{inner}"delta": {d},\n{inner}"directions": {n},\n{inner}"label": '
+                   f'{json.dumps(label)},\n{inner}"method": {json.dumps(method)}'
+              for rep, (d, label, method, n) in entries.verdicts.items()}
+    note = f',\n{inner}"note": {json.dumps(cdiff.C1_NOTE)}'
+    rep_key = f',\n{inner}"rep": '
+    sep, head = f",\n{pad}  ", f"[\n{pad}  "
     for i in range(0, len(entries), _ENTRY_BLOCK):
-        block = entries[i:i + _ENTRY_BLOCK]
-        values = list(itertools.chain.from_iterable(map(values_of, block)))
-        text = head + sep.join([template] * len(block)) % tuple(encode(values)[1:-1].split("\n"))
-        for line in unset:
-            text = text.replace(line, "")
-        yield text
+        block = zip(entries.cs[i:i + _ENTRY_BLOCK], entries.reps[i:i + _ENTRY_BLOCK])
+        yield head + sep.join([
+            f'{{\n{inner}"c": {c}{shared[rep]}{note if c == 1 else ""}'
+            f'{rep_key + str(rep) if rep != c else ""}\n{pad}  }}' for c, rep in block])
         head = sep
     yield f"\n{pad}]"
 
 
 def _holds_entries(obj) -> bool:
-    """Whether obj is a nonempty list of CEntry records, or a dict holding one at any depth."""
+    """Whether obj is a nonempty Entries, or a dict holding one at any depth."""
     if isinstance(obj, dict):
         return any(map(_holds_entries, obj.values()))
-    return isinstance(obj, list) and bool(obj) and isinstance(obj[0], cdiff.CEntry)
+    return isinstance(obj, cdiff.Entries) and bool(obj)
 
 
 def _json_pieces(obj, pad: str = ""):
     """Exactly json.dumps(obj, sort_keys=True, indent=2), in pieces to be
     written in turn, pad being the indentation of the line obj starts on.
-    A list of CEntry records that is a value of dicts at any depth is
-    written as the list of their to_dict().
+    An Entries anywhere is written as the list of its dicts.
 
-    Only the dicts that hold such a list are walked here, and the list goes
-    to _entry_pieces.  Any other value is one json.dumps, each of whose
-    newlines takes pad (JSON text holds no raw newline).
+    Only the dicts that hold a nonempty Entries are walked here, and the
+    Entries goes to _entry_pieces.  Any other value is one json.dumps, each
+    of whose newlines takes pad (JSON text holds no raw newline), and which
+    writes an Entries it meets as the list it iterates.
     """
     if not _holds_entries(obj):
-        yield json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
-    elif isinstance(obj, list):
-        yield from _entry_pieces(obj, pad)
-    else:
+        yield json.dumps(obj, sort_keys=True, indent=2, default=list).replace("\n", "\n" + pad)
+    elif isinstance(obj, dict):
         inner = pad + "  "
         sep = "{"
         for k, v in sorted(obj.items()):
@@ -219,27 +209,30 @@ def _json_pieces(obj, pad: str = ""):
             yield from _json_pieces(v, inner)
             sep = ","
         yield f"\n{pad}}}"
+    else:
+        yield from _entry_pieces(obj, pad)
 
 
 def _human_lines(obj, pad: str = ""):
     """The human format of obj, in pieces of whole lines: each key of a
     dict on its own line, a nonempty container indented below its key, and
     each item of a list on a line of its own or, if it nests, as a block
-    followed by an empty line.  A CEntry is written as its to_dict(), which
-    nests nothing, in one piece."""
+    followed by an empty line.  An Entries is written as the list of its
+    dicts, which nest nothing, one piece per entry."""
     inner = pad + "  "
-    if isinstance(obj, cdiff.CEntry):
-        yield "".join([f"{pad}{k}: {v}\n" for k, v in obj.to_dict().items()])
+    if isinstance(obj, cdiff.Entries):
+        for entry in obj:
+            yield "".join([f"{inner}{k}: {v}\n" for k, v in entry.items()]) + "\n"
     elif isinstance(obj, dict):
         for k, v in obj.items():
-            if isinstance(v, (dict, list, tuple)) and v:
+            if isinstance(v, (dict, list, tuple, cdiff.Entries)) and v:
                 yield f"{pad}{k}:\n"
                 yield from _human_lines(v, inner)
             else:
                 yield f"{pad}{k}: {v}\n"
     elif isinstance(obj, (list, tuple)):
         for v in obj:
-            if isinstance(v, (dict, list, tuple, cdiff.CEntry)):
+            if isinstance(v, (dict, list, tuple, cdiff.Entries)):
                 yield from _human_lines(v, inner)
                 yield "\n"
             else:
@@ -391,7 +384,7 @@ def cmd_construct(args) -> tuple[dict, int]:
         g = fparse("g", "0")
         h_or_b = text("h_or_b", recipe.get("h_or_b", 1))
         # digit text is the constant b, other text the polynomial h
-        h = ({"b": int(h_or_b)} if h_or_b.lstrip("-").isdigit()
+        h = ({"b": integer("h_or_b", h_or_b)} if h_or_b.lstrip("-").isdigit()
              else {"h": polynomial("h_or_b", h_or_b)})
         params = construct.AgwParams(ctx=ctx, q=q0, phi=phi, g=g,
                                      kind=recipe.get("kind", "f1"), **h)

@@ -637,14 +637,14 @@ _FIELD_SPEC_RE = re.compile(rf"^(\d+)\^(\d+)(?:/({_COEFF}(?:,{_COEFF})*))?$")
 def split_field_spec(text: str) -> tuple[int, int, list[int] | None]:
     """(p, n, modulus or None) of a spec string, without building the field."""
     m = _FIELD_SPEC_RE.match(text.strip())
-    if not m:
-        raise InvalidParams(
-            f"bad field spec {text!r}; expected 'p^n' or 'p^n/c0,c1,...,cn'")
-    p, n = int(m.group(1)), int(m.group(2))
-    modulus = None
-    if m.group(3):
-        modulus = [int(c) for c in m.group(3).split(",")]
-    return p, n, modulus
+    try:
+        # int() refuses a number of more digits than sys.get_int_max_str_digits()
+        if m:
+            modulus = [int(c) for c in m.group(3).split(",")] if m.group(3) else None
+            return int(m.group(1)), int(m.group(2)), modulus
+    except ValueError:
+        pass
+    raise InvalidParams(f"bad field spec {text!r}; expected 'p^n' or 'p^n/c0,c1,...,cn'")
 
 
 def parse_field_spec(text: str) -> FieldContext:

@@ -151,24 +151,24 @@ class TestClassification:
 
     def test_full_report_x2_f5(self):
         rep = full_report(parse_function("x^2", F5))
-        labels = {e.c: e.label for e in rep.entries}
+        labels = {e["c"]: e["label"] for e in rep.entries}
         assert labels == {0: "APcN", 1: "PcN", 2: "APcN", 3: "APcN", 4: "APcN"}
         assert rep.pcn_cs == [1]
         assert rep.apcn_cs == [0, 2, 3, 4]
 
     def test_full_report_identity_f4(self):
         rep = full_report(parse_function("x", F4))
-        by_c = {e.c: e for e in rep.entries}
-        assert by_c[1].label == "uniform(4)"
-        assert by_c[1].note is not None
+        by_c = {e["c"]: e for e in rep.entries}
+        assert by_c[1]["label"] == "uniform(4)"
+        assert "note" in by_c[1]
         for c in (0, 2, 3):
-            assert by_c[c].label == "PcN"
+            assert by_c[c]["label"] == "PcN"
 
     def test_full_report_planar_example(self):
         rep = full_report(parse_function("x^2 + x^3", F9))
         for e in rep.entries:
-            if e.c != 1:
-                assert e.label not in ("PcN", "APcN")
+            if e["c"] != 1:
+                assert e["label"] not in ("PcN", "APcN")
 
     def test_report_deterministic_across_workers(self):
         import json
@@ -254,12 +254,13 @@ class TestReducedReport:
         f, cs = case
         ctx = f.ctx
         report = full_report(f, cs=cs)
-        assert [e.c for e in report.entries] == sorted(cs if cs is not None else range(ctx.order))
+        assert [e["c"] for e in report.entries] == sorted(
+            cs if cs is not None else range(ctx.order))
         for e in report.entries:
-            assert e.delta == c_uniformity(f, e.c), (str(f), e)
-            assert e.label == label_for_delta(e.delta)
-        assert report.pcn_cs == [e.c for e in report.entries if e.delta == 1]
-        assert report.apcn_cs == [e.c for e in report.entries if e.delta == 2]
+            assert e["delta"] == c_uniformity(f, e["c"]), (str(f), e)
+            assert e["label"] == label_for_delta(e["delta"])
+        assert report.pcn_cs == [e["c"] for e in report.entries if e["delta"] == 1]
+        assert report.apcn_cs == [e["c"] for e in report.entries if e["delta"] == 2]
 
     @settings(max_examples=40, deadline=None)
     @given(report_cases())
@@ -277,10 +278,9 @@ class TestReducedReport:
         i = f.semilinear_twist[0]
         monomial = len(f.coeffs) == 1 and 0 not in f.coeffs
         for e in full_report(f, cs=cs).entries:
-            d = e.to_dict()
-            assert d["method"] == ("fiber" if e.c == 0 else "monomial" if monomial else "rows")
-            rep = 0 if e.c == 0 else min(_scalar_orbit(ctx, e.c, i))
-            assert d.get("rep") == (rep if rep != e.c else None)
+            assert e["method"] == ("fiber" if e["c"] == 0 else "monomial" if monomial else "rows")
+            rep = 0 if e["c"] == 0 else min(_scalar_orbit(ctx, e["c"], i))
+            assert e.get("rep") == (rep if rep != e["c"] else None)
 
     @settings(max_examples=100, deadline=None)
     @given(report_cases())
@@ -309,7 +309,7 @@ class TestReducedReport:
         monkeypatch.setattr(cdiff, "_row_block_counts", counting)
         F81 = make_field(3, 4)
         report = full_report(parse_function("x^4", F81))
-        reps = {e.to_dict().get("rep", e.c) for e in report.entries}
+        reps = {e.get("rep", e["c"]) for e in report.entries}
         # c = 0 counts f's table without the row kernel; one row for c = 1,
         # two rows per other orbit
         assert sorted(rows) == [1] + [2] * (len(reps) - 2)
@@ -325,10 +325,9 @@ class TestReducedReport:
         report = full_report(f)
         assert rows[:2] == [13, 14] and sorted(rows[2:]) == [45] * 2 + [81] * 10
         # each entry records the rows counted for its representative, one for c = 0
-        by_rep = dict(zip(sorted({e.to_dict().get("rep", e.c) for e in report.entries}),
-                          [1, *rows]))
-        assert [e.directions for e in report.entries] == [
-            by_rep[e.to_dict().get("rep", e.c)] for e in report.entries]
+        by_rep = dict(zip(sorted({e.get("rep", e["c"]) for e in report.entries}), [1, *rows]))
+        assert [e["directions"] for e in report.entries] == [
+            by_rep[e.get("rep", e["c"])] for e in report.entries]
 
 
 def _scalar_direction_orbit(ctx, a, c, m, twist):
@@ -436,7 +435,7 @@ class TestDirectionOrbits:
         i = f.semilinear_twist[0]
         cs = {1, ctx.neg(1)} | (set(ctx.subfield_elements(ctx.p ** i)) if i < ctx.n else set())
         for e in full_report(f, cs=cs).entries:
-            assert e.delta == c_uniformity(f, e.c), (str(f), e)
+            assert e["delta"] == c_uniformity(f, e["c"]), (str(f), e)
 
     @settings(max_examples=80, deadline=None)
     @given(report_cases(), st.data())
@@ -465,8 +464,8 @@ class TestAffineTermsAtCOne:
         f = PolyFunc(ctx, {**g.coeffs, **data.draw(_affine_terms(ctx))})
         (entry,) = full_report(f, cs=[1]).entries
         (alone,) = full_report(g, cs=[1]).entries
-        assert entry.delta == c_uniformity(f, 1) == alone.delta
-        assert entry.directions == alone.directions
+        assert entry["delta"] == c_uniformity(f, 1) == alone["delta"]
+        assert entry["directions"] == alone["directions"]
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(REPORT_FIELDS), st.data())
@@ -474,8 +473,8 @@ class TestAffineTermsAtCOne:
         ctx = make_field(*pn)
         f = PolyFunc(ctx, data.draw(_affine_terms(ctx)))
         (entry,) = full_report(f, cs=[1]).entries
-        assert entry.delta == c_uniformity(f, 1) == ctx.order
-        assert entry.directions == 1
+        assert entry["delta"] == c_uniformity(f, 1) == ctx.order
+        assert entry["directions"] == 1
 
 
 class TestClassicalReduction:

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import cdu
 from cdu import cdiff, cli, construct, field, parallel
+from cdu._parse import MAX_DEPTH
 from cdu.cli import main
 from cdu.funcs import PolyFunc
 
@@ -534,6 +535,11 @@ class TestMonomialCommand:
 
 
 _NOT_IN_F9 = "10 is not a canonical element of a field of order 9 (at position 0)"
+# more digits than int() reads, and one parenthesis more than the parser nests
+_HUGE = "9" * 5000
+_TOO_LONG = "an integer of 5000 digits is too long (at position 2)"
+_NESTED = "(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1)
+_TOO_DEEP = f"parentheses nest deeper than {MAX_DEPTH} levels (at position {MAX_DEPTH + 2})"
 
 
 class TestRefusals:
@@ -593,11 +599,37 @@ class TestRefusals:
         (["construct", "--recipe", json.dumps({"theorem": "quad", "q": 5, "n": 2, "h_or_b": 2,
                                                "terms": [{"g": "x + 8", "s": 10, "t": 1}]})],
          "recipe key 'terms[0].t': a term reads only 'g', 's'"),
+        # an integer int() will not read, or parentheses nested too deep
+        (["analyze", "--field", "3^2", "--function", f"x^{_HUGE}"],
+         f"cannot parse function: {_TOO_LONG}"),
+        (["analyze", "--field", "3^2", "--function", "x", "--matrix-c", f"g^{_HUGE}"],
+         f"cannot parse --matrix-c: {_TOO_LONG}"),
+        (["monomial", "--p", "3", "--h", "2", "--d", "5", "--c", f"g^{_HUGE}", "--rmax", "1"],
+         f"cannot parse c: {_TOO_LONG}"),
+        (["construct", "--recipe", json.dumps({"theorem": "pcn1", "q": 3, "n": 2,
+                                               "g": f"g^{_HUGE}"})],
+         f"cannot parse the recipe's g: {_TOO_LONG}"),
+        (["construct", "--recipe", json.dumps({"theorem": "pcn1", "q": 3, "n": 2,
+                                               "h_or_b": _HUGE})],
+         f"the recipe's h_or_b must be an integer, got '{_HUGE}'"),
+        (["analyze", "--field", f"3^{_HUGE}", "--function", "x"],
+         f"bad field spec '3^{_HUGE}'; expected 'p^n' or 'p^n/c0,c1,...,cn'"),
+        (["analyze", "--field", f"{_HUGE}^2", "--function", "x"],
+         f"bad field spec '{_HUGE}^2'; expected 'p^n' or 'p^n/c0,c1,...,cn'"),
+        (["analyze", "--field", f"3^2/1,0,{_HUGE}", "--function", "x"],
+         f"bad field spec '3^2/1,0,{_HUGE}'; expected 'p^n' or 'p^n/c0,c1,...,cn'"),
+        (["analyze", "--field", "3^2", "--function", f"x*{_NESTED}"],
+         f"cannot parse function: {_TOO_DEEP}"),
+        (["analyze", "--field", "3^2", "--function", "x", "--matrix-c", f"g*{_NESTED}"],
+         f"cannot parse --matrix-c: {_TOO_DEEP}"),
     ], ids=["function-coefficient", "matrix-c-coefficient", "monomial-c-coefficient",
             "unclosed-parenthesis", "trailing-input", "x-in-c", "missing-recipe-file",
             "missing-config-file", "pcn1-kernel", "apcnagw-two-to-one",
             "field-spec", "non-prime-p", "cap", "recipe-key", "apcnagw-permutes-j",
-            "monomial-c", "pcn1-phi-commutes", "unread-recipe-key", "unread-term-key"])
+            "monomial-c", "pcn1-phi-commutes", "unread-recipe-key", "unread-term-key",
+            "huge-exponent", "huge-matrix-c", "huge-monomial-c", "huge-recipe-g",
+            "huge-h_or_b", "huge-field-degree", "huge-field-prime", "huge-field-modulus",
+            "deep-function", "deep-matrix-c"])
     def test_refusal_is_one_line(self, capsys, monkeypatch, tmp_path, argv, line):
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
@@ -645,12 +677,22 @@ def _json_containers(children):
 _REPORT_FIELDS = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 7) if p ** n <= 81]
 _JSON_TEXT = st.text(alphabet=st.characters(codec="utf-8"), max_size=6) | st.sampled_from(
     ["quote \" back \\ slash", "tab\tnew\nline", "\x00\x1f\x7f", "é ✓ 𝔽"])
-_ENTRY = st.builds(cdiff.CEntry, c=st.integers(0, 10 ** 6), delta=st.integers(0, 99),
-                   label=_JSON_TEXT, method=_JSON_TEXT, directions=st.integers(0, 10 ** 6),
-                   note=st.none() | _JSON_TEXT, rep=st.none() | st.integers(0, 10 ** 6))
-# lists of CEntry records as the values of dicts at any depth, beside plain values
+
+
+@st.composite
+def _entries(draw):
+    """An Entries of any label and method text, with c = 1 present or
+    absent and each representative c itself or another multiplier."""
+    cs = sorted(draw(st.sets(st.just(1) | st.integers(0, 10 ** 6), max_size=6)))
+    reps = [draw(st.just(c) | st.integers(0, 10 ** 6)) for c in cs]
+    verdicts = {rep: draw(st.tuples(st.integers(0, 99), _JSON_TEXT, _JSON_TEXT,
+                                    st.integers(0, 10 ** 6))) for rep in reps}
+    return cdiff.Entries(cs, reps, verdicts)
+
+
+# Entries, alone or in lists, as the values of dicts at any depth, beside plain values
 _ENTRY_TREES = st.recursive(
-    st.lists(_ENTRY, min_size=1, max_size=3),
+    _entries() | st.lists(_entries(), max_size=2),
     lambda children: _json_dicts(children | st.recursive(_JSON_FLAT, _json_containers,
                                                          max_leaves=6), min_size=1),
     max_leaves=6)
@@ -668,8 +710,9 @@ class TestJsonEncoding:
     @settings(max_examples=400, deadline=None)
     @given(st.recursive(_JSON_FLAT, _json_containers, max_leaves=30) | _ENTRY_TREES)
     def test_indented_json_is_the_stdlib_encoding(self, obj):
+        # json.dumps writes an Entries as the list it iterates
         assert "".join(cli._json_pieces(obj)) == json.dumps(obj, sort_keys=True, indent=2,
-                                                            default=cdiff.CEntry.to_dict)
+                                                            default=list)
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--field", "3^2", "--function", "x^2 + x^3"],
@@ -685,13 +728,12 @@ class TestJsonEncoding:
                                                                emit(report, fmt)))
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        # the plain-data form: each CEntry record as its to_dict()
-        assert out == json.dumps(reports[0], sort_keys=True, indent=2,
-                                 default=cdiff.CEntry.to_dict) + "\n"
+        # the plain-data form: each Entries as the list of its dicts
+        assert out == json.dumps(reports[0], sort_keys=True, indent=2, default=list) + "\n"
         if argv[0] == "analyze":
             entries = reports[0]["report"]["entries"]
-            assert any(e.rep is not None for e in entries)
-            assert any(e.note is not None for e in entries)
+            assert any("rep" in e for e in entries)
+            assert any("note" in e for e in entries)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(_REPORT_FIELDS), st.data())
@@ -706,13 +748,26 @@ class TestJsonEncoding:
             {"report": report.to_dict()}, sort_keys=True, indent=2) + "\n"
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(_ENTRY, min_size=1, max_size=6),
-           _JSON_TEXT, st.lists(st.integers(0, 99), max_size=3))
+    @given(_entries(), _JSON_TEXT, st.lists(st.integers(0, 99), max_size=3))
     def test_any_entries_are_written_as_their_dicts(self, entries, text, cs):
         report = cdiff.ClassificationReport(function=text, field=text, entries=entries,
                                             pcn_cs=cs, apcn_cs=cs[::-1])
         assert _written(report.to_dict(records=True)) == json.dumps(
             report.to_dict(), sort_keys=True, indent=2) + "\n"
+        assert "".join(cli._human_lines(report.to_dict(records=True))) == "".join(
+            cli._human_lines(report.to_dict()))
+
+    def test_empty_report_is_written_as_its_data(self):
+        report = cdiff.full_report(PolyFunc(field.make_field(3, 2), {2: 1}), cs=[])
+        assert len(report.entries) == 0
+        assert _written({"report": report.to_dict(records=True)}) == json.dumps(
+            {"report": report.to_dict()}, sort_keys=True, indent=2) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_entries(), max_size=3))
+    def test_entries_in_a_list_are_written_as_their_dicts(self, items):
+        assert _written({"items": items}) == json.dumps(
+            {"items": [list(e) for e in items]}, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("argv,shown", [
         (["analyze", "--field", "2^4", "--function", "x^3"], ["  rep: ", "  note: "]),
@@ -736,7 +791,7 @@ class TestJsonEncoding:
                                                                emit(report, fmt)))
         code, out, _ = run_cli(capsys, *argv, "--format", "human")
         assert code == 0
-        data = json.loads(json.dumps(reports[0], default=cdiff.CEntry.to_dict))
+        data = json.loads(json.dumps(reports[0], default=list))
         assert out == "".join(cli._human_lines(data))
         assert all(text in out for text in shown)
 

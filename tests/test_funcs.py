@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdu import cdiff, errors
+from cdu._parse import MAX_DEPTH
 from cdu.field import make_field
 from cdu.funcs import (
     PolyFunc,
@@ -78,6 +79,14 @@ class TestParsing:
         with pytest.raises(errors.ParseError, match="9 is not a canonical element") as exc:
             parse_function("x + 9*x", F9)
         assert exc.value.position == 4
+
+    def test_nesting_up_to_the_bound(self):
+        # the deepest nesting parses; one level more is refused at its parenthesis
+        nested = "(" * MAX_DEPTH + "g" + ")" * MAX_DEPTH
+        assert parse_function(f"{nested}*x", F9).coeffs == {1: F9.gen_residue}
+        with pytest.raises(errors.ParseError, match="nest deeper") as exc:
+            parse_function(f"({nested})*x", F9)
+        assert exc.value.position == MAX_DEPTH
 
     def test_print_parse_roundtrip(self):
         rng = random.Random(2)

@@ -329,36 +329,48 @@ def row_directions(ctx, c: int, m: int, twist: tuple[int, int]) -> np.ndarray:
     return ctx.vexp(t[smallest == t])
 
 
-def full_report(f: PolyFunc, workers: int = 1, cs=None) -> ClassificationReport:
-    """Classify f for every c in the field, in canonical integer order.
+def report_plan(f: PolyFunc, cs=None) -> tuple:
+    """(cs, reps, directions): the multipliers of full_report(f, cs=cs) in
+    increasing order, the representative of each (see orbit_reps) and,
+    for each distinct one, the directions whose rows give its delta.
 
-    cs restricts the multipliers (e.g. to a subfield); default is all of
-    F_q including c = 1, which is reported as the classical uniformity.
-    delta is counted once per orbit of c under f's semilinear twist and
-    c -> 1/c (see orbit_reps), for the orbit's smallest element, and
-    equals c_uniformity(f, c) for every c.  Each entry's method names the
-    directions counted.  fiber: c = 0, where every row counts the fibers
-    of f, so direction 0 alone gives delta_0, the largest fiber.  Any other
-    c counts the directions row_directions picks, plus direction 0 unless
-    c = 1: monomial when f = alpha*x^d with d >= 1, where x -> a*x scales
-    the row of direction a != 0 by a^d (m = q-1), so row_directions picks
-    direction 1 alone, and rows for any other f.
+    c = 0 counts direction 0 alone: every row counts the fibers of f, so
+    f's own table gives delta_0, the largest fiber.  Any other c counts
+    the directions row_directions picks, plus direction 0 unless c = 1.
+    Those depend on c only through c = 1, c^2 = 1 and the subfield degree
+    of c, which its multiplicative order fixes, so they are found once
+    per order.
 
     At c = 1 the directions come from g, f without its constant term and
     its terms x^(p^j): f(x+a) - f(x) = g(x+a) - g(x) + L(a) with L
     additive, so each row of f is a row of g with b shifted by L(a), and
     g's scaling order and twist keep f's rows too.  f's own rows are
-    counted.  g is built, from coefficients alone, only when 1 is a
-    representative and f has such a term.
+    counted.
     """
     ctx = f.ctx
     cs = sorted(cs) if cs is not None else range(ctx.order)
-    m, twist = f.scaling_order, f.semilinear_twist
-    reps = orbit_reps(ctx, cs, twist[0])
-    g = f
-    if 1 in reps and any(p_weight(e, ctx.p) <= 1 for e in f.coeffs):
-        g = PolyFunc(ctx, {e: a for e, a in f.coeffs.items() if p_weight(e, ctx.p) > 1})
+    reps = orbit_reps(ctx, cs, f.semilinear_twist[0])
+    g = PolyFunc(ctx, {e: a for e, a in f.coeffs.items() if p_weight(e, ctx.p) > 1})
+    directions, by_order = {}, {0: np.zeros(1, dtype=np.int64)}
+    for c in sorted(set(reps)):
+        order = c and (ctx.order - 1) // math.gcd(ctx.log(c), ctx.order - 1)
+        if order not in by_order:
+            h = g if c == 1 else f
+            found = row_directions(ctx, c, h.scaling_order, h.semilinear_twist)
+            by_order[order] = found if c == 1 else np.concatenate(([0], found))
+        directions[c] = by_order[order]
+    return cs, reps, directions
 
+
+def full_report(f: PolyFunc, workers: int = 1, cs=None, plan=None) -> ClassificationReport:
+    """Classify f for every c of cs (default all of F_q, c = 1 reported as
+    the classical uniformity) in increasing order.  plan is report_plan(f,
+    cs), made here unless given, and decides the multipliers.  delta is
+    counted once per representative, over the directions the plan gives
+    it, and equals c_uniformity(f, c) for every c.  Each entry's method
+    names them: fiber at c = 0, monomial for f = alpha*x^d, d >= 1, else rows.
+    """
+    cs, reps, directions = plan or report_plan(f, cs)
     method = "monomial" if len(f.coeffs) == 1 and 0 not in f.coeffs else "rows"
 
     def verdict(c: int) -> tuple[int, str, str, int]:
@@ -366,18 +378,13 @@ def full_report(f: PolyFunc, workers: int = 1, cs=None) -> ClassificationReport:
         if c == 0:
             d = c_uniformity(f, 0)
             return d, label_for_delta(d), "fiber", 1
-        if c == 1:
-            directions = row_directions(ctx, c, g.scaling_order, g.semilinear_twist)
-        else:
-            directions = np.concatenate(([0], row_directions(ctx, c, m, twist)))
-        d = max(int(block.max()) for block in _row_block_counts(f, c, directions))
-        return d, label_for_delta(d), method, len(directions)
+        d = max(int(block.max()) for block in _row_block_counts(f, c, directions[c]))
+        return d, label_for_delta(d), method, len(directions[c])
 
-    distinct = sorted(set(reps))
-    verdicts = dict(zip(distinct, pmap(verdict, distinct, workers)))
+    verdicts = dict(zip(directions, pmap(verdict, directions, workers)))
     return ClassificationReport(
         function=str(f),
-        field=format_field_spec(ctx),
+        field=format_field_spec(f.ctx),
         entries=Entries(cs, reps, verdicts),
         pcn_cs=[c for c, rep in zip(cs, reps) if verdicts[rep][0] == 1],
         apcn_cs=[c for c, rep in zip(cs, reps) if verdicts[rep][0] == 2],

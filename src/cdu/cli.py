@@ -6,7 +6,9 @@ of a power function) and verify-theorems (the cross-module suites).
 JSON is the canonical output; the human format is a projection of it.
 Reports embed the field modulus so every result is reconstructible, and
 identical config + seed gives byte-identical JSON across reruns.  Every
-command runs serially.
+command runs serially.  All but verify-theorems go through _admit, which
+refuses a field above MAX_ORDER elements and work above --cap element
+operations (default 2^30, about 10 s) unless --force is given.
 """
 
 from __future__ import annotations
@@ -16,21 +18,19 @@ import contextlib
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
 
 from . import cdiff, construct
-from .errors import CapExceeded, CduError, InvalidParams, ParseError
+from .errors import CapExceeded, CduError, InvalidParams, ParseError, quoted
 from .field import format_field_spec, make_field, parse_element, prime_power, split_field_spec
 from .funcs import is_permutation, is_two_to_one, parse_function
 
-DEFAULT_DDT_CAP = 1 << 12
-DEFAULT_SWEEP_CAP = 1 << 20
-# the sweep factors d-1 and phi(d-1) by trial division, with divisors up
-# to about 2^20 each at this bound (about a second)
-MAX_D_BITS = 40
+# the largest field a command builds, about 32 MiB of tables
+MAX_ORDER = 1 << 20
+# a trial division took about 126 ns, a counted element 3.4-5.5 ns
+DIVISION_OPS = 32
 
 # sorted(verify.SUITES), spelled out so that the parser does not import verify
 SUITE_NAMES = ("classical-ddt", "constructions", "monomial-sweep", "planar-example",
@@ -50,6 +50,17 @@ EXIT_CONFIG = 2
 EXIT_STRICT_FAILURE = 3
 
 
+def _integer(text: str) -> int:
+    """int(text), for an option or a recipe, refused in a short message."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().lstrip("+-")
+        raise argparse.ArgumentTypeError(
+            f"is an integer of {len(digits)} digits, too long to read" if digits.isdigit()
+            else f"must be an integer, got {quoted(text)}") from None
+
+
 @functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The cdu parser, and the parser of each command by name.  Each
@@ -64,45 +75,43 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                         help="JSON file of option values, keyed by long option name;"
                              " the command line overrides them")
 
-    def capped(p, default):
-        p.add_argument("--cap", type=int, default=default,
-                       help=f"field-order cap (default {default})")
-        p.add_argument("--force", action="store_true", help="override the cap, and monomial's bound on d")
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=_integer, default=1 << 30,
+                        help="most element operations to admit (default 2^30, about 10 s)")
+    capped.add_argument("--force", action="store_true",
+                        help=f"lift --cap and the limit of {MAX_ORDER} elements on a field")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_an = sub.add_parser("analyze", parents=[common],
+    p_an = sub.add_parser("analyze", parents=[common, capped],
                           help="classify a function for every multiplier c")
     p_an.add_argument("--field", required=True, help="field spec, e.g. 3^2 or 2^3/1,1,0,1")
     p_an.add_argument("--function", required=True, help="polynomial text, e.g. 'x^2 + x^3'")
-    p_an.add_argument("--c-scope", type=int, default=None, metavar="DEGREE",
+    p_an.add_argument("--c-scope", type=_integer, default=None, metavar="DEGREE",
                       help="restrict multipliers to the subfield F_{p^DEGREE}")
     p_an.add_argument("--matrix-c", default=None,
                       help="also dump the full count matrix for this c")
     p_an.add_argument("--matrix-out", default=None,
                       help="CSV path for the --matrix-c dump (default stdout)")
-    capped(p_an, DEFAULT_DDT_CAP)
 
-    p_co = sub.add_parser("construct", parents=[common],
+    p_co = sub.add_parser("construct", parents=[common, capped],
                           help="build, validate and classify a construction recipe")
     p_co.add_argument("--recipe", required=True,
                       help="inline JSON or @file with keys theorem/q/n/phi/g/h_or_b/kind/terms")
-    capped(p_co, DEFAULT_DDT_CAP)
 
-    p_mo = sub.add_parser("monomial", parents=[common],
+    p_mo = sub.add_parser("monomial", parents=[common, capped],
                           help="exceptionality sweep of x^d over a tower")
-    p_mo.add_argument("--p", type=int, required=True)
-    p_mo.add_argument("--h", type=int, required=True)
-    p_mo.add_argument("--d", type=int, required=True)
+    p_mo.add_argument("--p", type=_integer, required=True)
+    p_mo.add_argument("--h", type=_integer, required=True)
+    p_mo.add_argument("--d", type=_integer, required=True)
     p_mo.add_argument("--c", required=True, help="element of F_{p^h} (integer or g-form)")
-    p_mo.add_argument("--rmax", type=int, required=True)
-    capped(p_mo, DEFAULT_SWEEP_CAP)
+    p_mo.add_argument("--rmax", type=_integer, required=True)
 
     p_ve = sub.add_parser("verify-theorems", parents=[common],
                           help="run the cross-module verification suites")
     p_ve.add_argument("--suite", action="append", default=None,
                       choices=SUITE_NAMES, help="run only these suites")
-    p_ve.add_argument("--seed", type=int, default=0,
+    p_ve.add_argument("--seed", type=_integer, default=0,
                       help="seed for the randomized suites (default 0)")
     p_ve.add_argument("--strict", action="store_true",
                       help="exit 3 when a suite fails")
@@ -144,7 +153,7 @@ def _config_argv(command: argparse.ArgumentParser, cfg: dict) -> list[str]:
             continue
         try:
             ok = (action.type or str)(str(value)) == value
-        except ValueError:
+        except argparse.ArgumentTypeError:
             ok = False
         if not ok or (action.choices is not None and value not in action.choices):
             raise InvalidParams(f"config key {key!r}: {value!r} is not a value of --{key}")
@@ -255,30 +264,22 @@ def _drop_stdout():
     os.close(devnull)
 
 
-def _power(p: int, e: int) -> str:
-    """p^e in decimal, or written as a power once it has more than 18 digits."""
-    return str(p ** e) if e * math.log10(max(p, 1)) <= 18 else f"{p}^{e}"
-
-
-def _check_cap(args, cap: int, p: int, e: int, cost: str):
-    """Refuse work over a field of order p^e above cap unless --force is
-    given.  Commands call this before they build the field.  Neither the
-    check nor cost computes a power too large to read, whose time would
-    grow with e."""
-    if not args.force and ((p > 1 and e > cap.bit_length()) or p ** e > cap):
-        raise CapExceeded(f"field order {_power(p, e)} exceeds the cap {cap}: {cost};"
-                          " pass --force to override")
-
-
-def _check_report_cap(args, p: int, n: int, s: int):
-    """The cap of an all-c report over F_{p^n} with p^s multipliers."""
-    q = _power(p, n)
-    _check_cap(args, args.cap, p, n,
-               f"the report evaluates at most {_power(p, s)} multipliers x {q} directions"
-               f" = {_power(p, s + n)} c-derivative rows of {q} elements each, an upper"
-               " bound that the c = 0 fiber, the orbits of c (semilinear twist, c -> 1/c) and"
-               " the orbits of directions (semilinear twist, x -> lambda*x scaling, a -> -a)"
-               " lower")
+def _admit(args, p: int = 1, e: int = 0, work: int = 0, cost: str = ""):
+    """Refuse, unless --force is given, a field of order p^e above MAX_ORDER
+    without computing a power too large to read, or work element operations
+    (cost says which) above --cap.  Call it before the field or work is made."""
+    if args.cap < 1:
+        raise InvalidParams(f"--cap must be at least 1, got {args.cap}")
+    if args.force:
+        return
+    if (p > 1 and e > MAX_ORDER.bit_length()) or p ** e > MAX_ORDER:
+        over = f"field order {p}^{e} exceeds the limit {MAX_ORDER}: about 32 MiB of tables"
+    elif work > args.cap:
+        count = work if work < 1 << 60 else f"over 2^{work.bit_length() - 1}"
+        over = f"work of {count} element operations exceeds the cap {args.cap}: {cost}"
+    else:
+        return
+    raise CapExceeded(f"{over}; pass --force to override")
 
 
 def cmd_analyze(args) -> tuple[dict, int]:
@@ -288,7 +289,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
         raise InvalidParams(f"--c-scope {scope} does not divide the extension degree {n}")
     if args.matrix_out is not None and args.matrix_c is None:
         raise InvalidParams("--matrix-out needs --matrix-c, the multiplier of the matrix to dump")
-    _check_report_cap(args, p, n, n if scope is None else scope)
+    _admit(args, p, n)
     ctx = make_field(p, n, modulus)
     try:
         f = parse_function(args.function, ctx)
@@ -297,18 +298,21 @@ def cmd_analyze(args) -> tuple[dict, int]:
     cs = None if scope is None else ctx.subfield_elements(ctx.p ** scope)
     matrix_c, matrix_out = None, None
     if args.matrix_c is not None:
-        # both are checked before the report is counted
         try:
             matrix_c = parse_element(ctx, args.matrix_c)
         except ParseError as exc:
             raise InvalidParams(f"cannot parse --matrix-c: {exc}") from None
-        if args.matrix_out:
-            try:
-                matrix_out = open(args.matrix_out, "w")
-            except OSError as exc:
-                raise InvalidParams(f"cannot write --matrix-out: {exc}") from None
+    plan = cdiff.report_plan(f, cs)
+    rows = sum(map(len, plan[2].values())) + (0 if matrix_c is None else ctx.order)
+    _admit(args, work=rows * ctx.order, cost=f"{rows} c-derivative rows of {ctx.order} elements")
+    if args.matrix_out:
+        # checked before the report is counted
+        try:
+            matrix_out = open(args.matrix_out, "w")
+        except OSError as exc:
+            raise InvalidParams(f"cannot write --matrix-out: {exc}") from None
     with matrix_out or contextlib.nullcontext():
-        report = cdiff.full_report(f, cs=cs).to_dict(records=True)
+        report = cdiff.full_report(f, plan=plan).to_dict(records=True)
         if matrix_out:
             cdiff.write_c_ddt_csv(f, matrix_c, matrix_out)
             report["matrix_csv"] = args.matrix_out
@@ -338,35 +342,31 @@ def cmd_construct(args) -> tuple[dict, int]:
         if key not in recipe:
             raise InvalidParams(f"recipe is missing {key!r}")
 
-    def integer(key, value):
-        """A JSON integer, or digit text; not a boolean or a float, which
-        int() would truncate."""
+    def text(key, value, kind="an integer or polynomial text"):
+        """Polynomial or digit text, or a JSON integer as its text; not a bool,
+        float, null, list or object, which str() would misread or int() cut."""
         if isinstance(value, (int, str)) and not isinstance(value, bool):
-            with contextlib.suppress(ValueError):
-                return int(value)
-        raise InvalidParams(f"the recipe's {key} must be an integer, got {value!r}")
+            return str(value)
+        raise InvalidParams(f"the recipe's {key} must be {kind}, got {quoted(value)}")
+
+    def integer(key, value):
+        try:
+            return _integer(text(key, value, "an integer"))
+        except argparse.ArgumentTypeError as exc:
+            raise InvalidParams(f"the recipe's {key} {exc}") from None
 
     theorem = recipe["theorem"]
     reads = _RECIPE_KEYS.get(theorem) if isinstance(theorem, str) else None
     if reads is None:
-        raise InvalidParams(f"unknown theorem {theorem!r}; use pcn1 | quad | apcnagw")
+        raise InvalidParams(f"unknown theorem {quoted(theorem)}; use pcn1 | quad | apcnagw")
     if unread := [k for k in recipe if k not in reads]:
-        raise InvalidParams(f"recipe key {unread[0]!r}: theorem {theorem} reads only"
+        raise InvalidParams(f"recipe key {quoted(unread[0])}: theorem {theorem} reads only"
                             f" {', '.join(map(repr, reads))}")
     q0, n = integer("q", recipe["q"]), integer("n", recipe["n"])
-    # the cap comes first: factoring a large q would take longer than refusing it
-    _check_report_cap(args, q0, n, n)
+    # the limit comes first: factoring a large q would take longer than refusing it
+    _admit(args, q0, n)
     p, m = prime_power(q0)
     ctx = make_field(p, m * n)
-
-    def text(key, value):
-        """Polynomial text, or a JSON integer as the text of a constant; not
-        a boolean, float, null, list or object, whose str() would not parse
-        or would parse as another polynomial."""
-        if isinstance(value, (int, str)) and not isinstance(value, bool):
-            return str(value)
-        raise InvalidParams(f"the recipe's {key} must be an integer or polynomial text,"
-                            f" got {value!r}")
 
     def polynomial(key, value):
         try:
@@ -403,7 +403,7 @@ def cmd_construct(args) -> tuple[dict, int]:
                                 "with keys 'g' and 's' for theorem=quad")
         if unread := [f"terms[{i}].{k}" for i, t in enumerate(terms)
                       for k in t if k not in ("g", "s")]:
-            raise InvalidParams(f"recipe key {unread[0]!r}: a term reads only 'g', 's'")
+            raise InvalidParams(f"recipe key {quoted(unread[0])}: a term reads only 'g', 's'")
         terms = [(polynomial(f"terms[{i}].g", t["g"]), integer(f"terms[{i}].s", t["s"]))
                  for i, t in enumerate(terms)]
         f = construct.build_quad_exponent_pp(ctx, q0, phi, b, terms)
@@ -422,7 +422,10 @@ def cmd_construct(args) -> tuple[dict, int]:
         validation = report.to_dict()
         extra = {"is_two_to_one": is_two_to_one(f)}
 
-    classification = cdiff.full_report(f).to_dict(records=True)
+    plan = cdiff.report_plan(f)
+    rows = sum(map(len, plan[2].values()))
+    _admit(args, work=rows * ctx.order, cost=f"{rows} c-derivative rows of {ctx.order} elements")
+    classification = cdiff.full_report(f, plan=plan).to_dict(records=True)
     return {
         "command": "construct",
         "recipe": recipe,
@@ -437,15 +440,14 @@ def cmd_construct(args) -> tuple[dict, int]:
 def cmd_monomial(args) -> tuple[dict, int]:
     from . import monomial
 
-    _check_cap(args, args.cap, args.p, args.h * args.rmax,
-               f"the sweep builds F_{args.p}^({args.h}r) for r = 1..{args.rmax}")
-    # the sweep refuses a d below 2 before it factors anything
-    bits = (args.d - 1).bit_length()
-    if args.d >= 2 and bits > MAX_D_BITS and not args.force:
-        raise CapExceeded(f"d - 1 has {bits} bits, above the bound of {MAX_D_BITS}: the sweep"
-                          " factors d - 1 and phi(d - 1) by trial division, about"
-                          f" 2^{(bits + 1) // 2} divisions each (2^{MAX_D_BITS // 2} at the"
-                          " bound); pass --force to override")
+    p, h, rmax = args.p, args.h, args.rmax
+    _admit(args, p, h * rmax)
+    elements = sum(p ** (h * r) for r in range(1, rmax + 1)) if p > 1 and h > 0 else 0
+    # trial division of d - 1 and of phi(d - 1) < d - 1 tries up to their square roots
+    half = (max(args.d - 1, 1).bit_length() + 1) // 2
+    _admit(args, work=elements + (DIVISION_OPS << half + 1),
+           cost=f"{elements} elements of F_{p}^({h}r), r = 1..{rmax}, and 2^{half} trial divisions"
+                f" each of d - 1 and phi(d - 1) at {DIVISION_OPS} element operations apiece")
     base = make_field(args.p, args.h)
     try:
         c = parse_element(base, args.c)

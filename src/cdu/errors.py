@@ -5,6 +5,12 @@ message names the input or hypothesis that failed.
 """
 
 
+def quoted(value, width: int = 40) -> str:
+    """repr(value), cut to width characters and its length when longer."""
+    text = repr(value)
+    return text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)"
+
+
 class CduError(Exception):
     """Base class for all library errors."""
 

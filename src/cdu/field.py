@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, quoted
 
 # Shift permutations are no longer cached.  The benchmark's tracer still
 # reads this name to select the shift_perm calls it reports as uncached
@@ -644,7 +644,7 @@ def split_field_spec(text: str) -> tuple[int, int, list[int] | None]:
             return int(m.group(1)), int(m.group(2)), modulus
     except ValueError:
         pass
-    raise InvalidParams(f"bad field spec {text!r}; expected 'p^n' or 'p^n/c0,c1,...,cn'")
+    raise InvalidParams(f"bad field spec {quoted(text)}; expected 'p^n' or 'p^n/c0,c1,...,cn'")
 
 
 def parse_field_spec(text: str) -> FieldContext:

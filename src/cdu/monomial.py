@@ -237,8 +237,8 @@ def _classify_extension(p: int, h: int, d: int, c_base: int, r: int) -> Extensio
 def exceptionality_sweep(p: int, h: int, d: int, c: int, r_max: int) -> MonomialAnalysis:
     """Classify x^d over F_{(p^h)^r} for r = 1..r_max.
 
-    Builds every field of the tower, so the caller bounds (p^h)^r_max (the
-    CLI refuses orders above its --cap).
+    Builds every field of the tower, so the caller bounds (p^h)^r_max, as
+    the CLI does by field order and by the sweep's elements (see --cap).
 
     The sweep certifies the swept range only: it reports where PcN/APcN
     first fails (with witnesses) and never concludes exceptionality.

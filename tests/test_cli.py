@@ -6,11 +6,13 @@ import importlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import signal
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ import cdu
 from cdu import cdiff, cli, construct, field, parallel
 from cdu._parse import MAX_DEPTH
 from cdu.cli import main
+from cdu.errors import InvalidParams
 from cdu.funcs import PolyFunc
 
 
@@ -81,37 +84,95 @@ def fields_up_to(monkeypatch):
     return limit
 
 
+def _refused(what: str) -> str:
+    return f"error: {what}; pass --force to override\n"
+
+
+def _planned_rows(argv) -> int:
+    """The rows an analyze or construct report counts, from its own entries:
+    the directions of each representative, which is an entry without rep."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--force"]) == 0
+    report = json.loads(out.getvalue())
+    entries = (report.get("report") or report["classification"])["entries"]
+    return sum(e["directions"] for e in entries if "rep" not in e)
+
+
+@pytest.fixture
+def forbid_rows(monkeypatch):
+    """A function that makes counting any c-derivative row fail from then on."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted a row before the cap check")
+
+    def forbid():
+        monkeypatch.setattr(cdiff, "_row_block_counts", refuse)
+        monkeypatch.setattr(cdiff, "c_uniformity", refuse)
+    return forbid
+
+
+_PCN1 = json.dumps({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": "x^2", "h_or_b": 1,
+                    "kind": "f1"})
+
+
 class TestCaps:
+    # a field above 2^20 elements is refused before it is built, and work
+    # above --cap element operations before any row is counted
     def test_analyze_refuses_before_building(self, capsys, no_field_built):
-        code, _, err = run_cli(capsys, "analyze", "--field", "3^4",
-                               "--function", "x", "--cap", "80")
-        assert code == 2 and "cap" in err
-        assert "81 multipliers x 81 directions = 6561 c-derivative rows" in err
-        assert err.count("semilinear twist") == 2 and "Frobenius" not in err
-        code, _, err = run_cli(capsys, "analyze", "--field", "3^4", "--function", "x",
-                               "--c-scope", "2", "--cap", "80")
-        assert code == 2 and "9 multipliers x 81 directions = 729" in err
+        for extra in ([], ["--c-scope", "1"], ["--cap", str(2 ** 60)]):
+            code, out, err = run_cli(capsys, "analyze", "--field", "3^13", "--function", "x",
+                                     *extra)
+            assert (code, out) == (2, "")
+            assert err == _refused("field order 3^13 exceeds the limit 1048576:"
+                                   " about 32 MiB of tables")
 
     def test_construct_refuses_before_building(self, capsys, no_field_built):
-        recipe = json.dumps({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x",
-                             "g": "x^2", "h_or_b": 1, "kind": "f1"})
-        code, _, err = run_cli(capsys, "construct", "--recipe", recipe, "--cap", "8")
-        assert code == 2 and "cap" in err
-        assert "9 multipliers x 9 directions = 81 c-derivative rows" in err
+        recipe = json.dumps({"theorem": "pcn1", "q": 3, "n": 13})
+        code, _, err = run_cli(capsys, "construct", "--recipe", recipe)
+        assert code == 2 and err == _refused("field order 3^13 exceeds the limit 1048576:"
+                                             " about 32 MiB of tables")
 
     def test_construct_force(self, capsys):
-        recipe = json.dumps({"theorem": "pcn1", "q": 3, "n": 2, "phi": "x",
-                             "g": "x^2", "h_or_b": 1, "kind": "f1"})
-        code, out, _ = run_cli(capsys, "construct", "--recipe", recipe,
-                               "--cap", "8", "--force")
+        code, out, _ = run_cli(capsys, "construct", "--recipe", _PCN1, "--cap", "8", "--force")
         assert code == 0
         assert json.loads(out)["properties"]["is_permutation"] is True
 
+    def test_construct_refuses_work_just_over_the_cap(self, capsys, forbid_rows):
+        rows = _planned_rows(["construct", "--recipe", _PCN1])
+        code, out, _ = run_cli(capsys, "construct", "--recipe", _PCN1, "--cap", str(9 * rows))
+        assert code == 0 and json.loads(out)["command"] == "construct"
+        forbid_rows()
+        code, out, err = run_cli(capsys, "construct", "--recipe", _PCN1,
+                                 "--cap", str(9 * rows - 1))
+        assert (code, out) == (2, "")
+        assert err == _refused(f"work of {9 * rows} element operations exceeds the cap"
+                               f" {9 * rows - 1}: {rows} c-derivative rows of 9 elements")
+
+    def test_generic_report_on_f3_7_is_refused_with_its_exact_count(self, capsys,
+                                                                   forbid_rows):
+        forbid_rows()
+        code, out, err = run_cli(capsys, "analyze", "--field", "3^7",
+                                 "--function", "5*x^41 + x^5 + x")
+        assert (code, out) == (2, "")
+        assert err == _refused("work of 2615433300 element operations exceeds the cap"
+                               " 1073741824: 1195900 c-derivative rows of 2187 elements")
+
+    def test_x7_on_f2_16_is_admitted(self, capsys, monkeypatch):
+        # admitted by its 4,136 planned rows; the rows themselves are not counted here
+        monkeypatch.setattr(cdiff, "full_report", lambda f, plan: types.SimpleNamespace(
+            to_dict=lambda records: {"rows": sum(map(len, plan[2].values()))}))
+        code, out, err = run_cli(capsys, "analyze", "--field", "2^16", "--function", "x^7")
+        assert code == 0, err
+        assert json.loads(out)["report"] == {"rows": 4136}
+
     def test_monomial_refuses_before_building(self, capsys, no_field_built):
+        # 27 + 729 elements, and d - 1 = 4 of 3 bits: 2 x 2^2 trial divisions of 32
         code, _, err = run_cli(capsys, "monomial", "--p", "3", "--h", "3",
-                               "--d", "5", "--c", "g", "--rmax", "2", "--cap", "728")
-        assert code == 2 and err == ("error: field order 729 exceeds the cap 728: the sweep"
-                                     " builds F_3^(3r) for r = 1..2; pass --force to override\n")
+                               "--d", "5", "--c", "g", "--rmax", "2", "--cap", "1011")
+        assert code == 2 and err == _refused(
+            "work of 1012 element operations exceeds the cap 1011: 756 elements of F_3^(3r),"
+            " r = 1..2, and 2^2 trial divisions each of d - 1 and phi(d - 1) at 32 element"
+            " operations apiece")
 
     def test_monomial_force(self, capsys):
         argv = ["monomial", "--p", "3", "--h", "3", "--d", "5", "--c", "g", "--rmax", "1"]
@@ -119,6 +180,8 @@ class TestCaps:
         assert code == 0
         _, plain, _ = run_cli(capsys, *argv)
         assert out == plain
+        code, capped, _ = run_cli(capsys, *argv, "--cap", str(27 + 256))
+        assert code == 0 and capped == plain
 
     def test_monomial_root_decided_in_the_base_field(self, capsys, fields_up_to):
         # s = 5 (the order of 3 mod 22): the root lies in F_{3^5}, but only
@@ -132,11 +195,10 @@ class TestCaps:
 
     def test_huge_field_is_refused_with_its_cost(self, capsys, no_field_built):
         # 3^10000 has more decimal digits than Python converts to text
-        code, _, err = run_cli(capsys, "analyze", "--field", "3^10000", "--function", "x")
-        assert code == 2 and "field order 3^10000 exceeds the cap 4096" in err
-        assert "3^10000 multipliers x 3^10000 directions = 3^20000 c-derivative rows" in err
-        code, _, err = run_cli(capsys, "analyze", "--field", "3^1000000000", "--function", "x")
-        assert code == 2 and "3^1000000000 multipliers x 3^1000000000 directions" in err
+        for n in (10000, 1000000000):
+            code, _, err = run_cli(capsys, "analyze", "--field", f"3^{n}", "--function", "x")
+            assert code == 2 and err == _refused(f"field order 3^{n} exceeds the limit"
+                                                 " 1048576: about 32 MiB of tables")
 
     def test_construct_refuses_a_large_prime_q_before_factoring_it(self, capsys, monkeypatch,
                                                                   no_field_built):
@@ -144,10 +206,24 @@ class TestCaps:
             raise AssertionError(f"factored {m} before the cap check")
 
         monkeypatch.setattr(field, "prime_factors", refuse)
-        for q, order in [(10000019, "100000380000361"), (2 ** 61 - 1, "2305843009213693951^2")]:
+        for q in (10000019, 2 ** 61 - 1):
             recipe = json.dumps({"theorem": "pcn1", "q": q, "n": 2})
             code, _, err = run_cli(capsys, "construct", "--recipe", recipe)
-            assert code == 2 and f"field order {order} exceeds the cap" in err
+            assert code == 2 and err.startswith(f"error: field order {q}^2 exceeds the limit")
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--field", "3^2", "--function", "x"],
+        ["construct", "--recipe", _PCN1],
+        ["monomial", "--p", "3", "--h", "2", "--d", "5", "--c", "5", "--rmax", "1"],
+    ], ids=["analyze", "construct", "monomial"])
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_1_is_refused(self, capsys, tmp_path, no_field_built, argv, cap):
+        code, out, err = run_cli(capsys, *argv, "--cap", cap)
+        assert (code, out, err) == (2, "", f"error: --cap must be at least 1, got {cap}\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"cap": int(cap), "force": True}))
+        code, out, err = run_cli(capsys, *argv, "--config", str(config))
+        assert (code, out, err) == (2, "", f"error: --cap must be at least 1, got {cap}\n")
 
     @pytest.mark.parametrize("q,n", [(12, 2), (1, 2), (3, 0), ("three", 2)])
     def test_construct_refuses_a_q_that_is_no_prime_power(self, capsys, q, n):
@@ -192,10 +268,10 @@ class TestAnalyze:
         assert err == "error: bad field spec '3^2/1,,1'; expected 'p^n' or 'p^n/c0,c1,...,cn'\n"
 
     def test_cap_refusal_and_force(self, capsys):
-        code, _, err = run_cli(capsys, "analyze", "--field", "2^13",
-                               "--function", "x")
-        assert code == 2 and "cap" in err
-        # force overrides the cap; shrink the cap so the sweep stays tiny
+        code, _, err = run_cli(capsys, "analyze", "--field", "2^2",
+                               "--function", "x", "--cap", "2")
+        assert code == 2 and "exceeds the cap 2: " in err
+        # force overrides the cap
         code, out, _ = run_cli(capsys, "analyze", "--field", "2^2",
                                "--function", "x", "--cap", "2", "--force")
         assert code == 0
@@ -477,9 +553,8 @@ class TestMonomialCommand:
     def test_cap(self, capsys):
         code, _, err = run_cli(capsys, "monomial", "--p", "3", "--h", "3",
                                "--d", "5", "--c", "3", "--rmax", "9")
-        assert code == 2 and err == ("error: field order 7625597484987 exceeds the cap 1048576:"
-                                     " the sweep builds F_3^(3r) for r = 1..9; pass --force"
-                                     " to override\n")
+        assert code == 2 and err == _refused("field order 3^27 exceeds the limit 1048576:"
+                                             " about 32 MiB of tables")
 
     def test_large_d_is_refused_before_factoring(self, capsys, monkeypatch, no_field_built):
         from cdu import monomial
@@ -489,13 +564,16 @@ class TestMonomialCommand:
 
         monkeypatch.setattr(field, "prime_factors", refuse)
         monkeypatch.setattr(monomial, "prime_factors", refuse)
-        for d, bits, divisions in [(10 ** 16 + 62, 54, 27), (2 ** 40 + 1, 41, 21)]:
+        # d - 1 of 54 bits under the default cap, and of 41 bits just over a lowered one:
+        # 49 elements plus 2 x 2^27 or 2 x 2^21 trial divisions of 32 operations each
+        for d, cap, divisions in [(10 ** 16 + 62, 2 ** 30, 27), (2 ** 40 + 1, 2 ** 27 + 48, 21)]:
             code, out, err = run_cli(capsys, "monomial", "--p", "7", "--h", "2", "--d", str(d),
-                                     "--c", "7", "--rmax", "1")
-            assert code == 2 and out == "" and err == (
-                f"error: d - 1 has {bits} bits, above the bound of 40: the sweep factors d - 1"
-                f" and phi(d - 1) by trial division, about 2^{divisions} divisions each (2^20"
-                " at the bound); pass --force to override\n")
+                                     "--c", "7", "--rmax", "1", "--cap", str(cap))
+            work = 49 + 64 * 2 ** divisions
+            assert code == 2 and out == "" and err == _refused(
+                f"work of {work} element operations exceeds the cap {cap}: 49 elements of"
+                f" F_7^(2r), r = 1..1, and 2^{divisions} trial divisions each of d - 1 and"
+                " phi(d - 1) at 32 element operations apiece")
 
     @pytest.mark.parametrize("d", [-2 ** 40, 1])
     def test_d_below_2_is_a_bad_exponent_at_once(self, capsys, monkeypatch, d):
@@ -575,9 +653,8 @@ class TestRefusals:
         (["analyze", "--field", "nine", "--function", "x"],
          "bad field spec 'nine'; expected 'p^n' or 'p^n/c0,c1,...,cn'"),
         (["analyze", "--field", "4^2", "--function", "x"], "4 is not prime"),
-        (["monomial", "--p", "3", "--h", "3", "--d", "5", "--c", "g", "--rmax", "2",
-          "--cap", "728"],
-         "field order 729 exceeds the cap 728: the sweep builds F_3^(3r) for r = 1..2;"
+        (["monomial", "--p", "3", "--h", "3", "--d", "5", "--c", "g", "--rmax", "7"],
+         "field order 3^21 exceeds the limit 1048576: about 32 MiB of tables;"
          " pass --force to override"),
         (["construct", "--recipe", json.dumps({"q": 3, "n": 2})], "recipe is missing 'theorem'"),
         (["construct", "--recipe", json.dumps({"theorem": "apcnagw", "q": 4, "n": 3,
@@ -611,17 +688,43 @@ class TestRefusals:
          f"cannot parse the recipe's g: {_TOO_LONG}"),
         (["construct", "--recipe", json.dumps({"theorem": "pcn1", "q": 3, "n": 2,
                                                "h_or_b": _HUGE})],
-         f"the recipe's h_or_b must be an integer, got '{_HUGE}'"),
+         "the recipe's h_or_b is an integer of 5000 digits, too long to read"),
         (["analyze", "--field", f"3^{_HUGE}", "--function", "x"],
-         f"bad field spec '3^{_HUGE}'; expected 'p^n' or 'p^n/c0,c1,...,cn'"),
+         f"bad field spec '3^{_HUGE[:37]}... (5004 characters); expected 'p^n' or"
+         " 'p^n/c0,c1,...,cn'"),
         (["analyze", "--field", f"{_HUGE}^2", "--function", "x"],
-         f"bad field spec '{_HUGE}^2'; expected 'p^n' or 'p^n/c0,c1,...,cn'"),
+         f"bad field spec '{_HUGE[:39]}... (5004 characters); expected 'p^n' or"
+         " 'p^n/c0,c1,...,cn'"),
         (["analyze", "--field", f"3^2/1,0,{_HUGE}", "--function", "x"],
-         f"bad field spec '3^2/1,0,{_HUGE}'; expected 'p^n' or 'p^n/c0,c1,...,cn'"),
+         f"bad field spec '3^2/1,0,{_HUGE[:31]}... (5010 characters); expected 'p^n' or"
+         " 'p^n/c0,c1,...,cn'"),
         (["analyze", "--field", "3^2", "--function", f"x*{_NESTED}"],
          f"cannot parse function: {_TOO_DEEP}"),
         (["analyze", "--field", "3^2", "--function", "x", "--matrix-c", f"g*{_NESTED}"],
          f"cannot parse --matrix-c: {_TOO_DEEP}"),
+        # each recipe integer, and every recipe key or theorem the recipe echoes, is cut short
+        (["construct", "--recipe", json.dumps({"theorem": "pcn1", "q": _HUGE, "n": 2})],
+         "the recipe's q is an integer of 5000 digits, too long to read"),
+        (["construct", "--recipe", json.dumps({"theorem": "pcn1", "q": 3, "n": "-" + _HUGE})],
+         "the recipe's n is an integer of 5000 digits, too long to read"),
+        (["construct", "--recipe", json.dumps({"theorem": "quad", "q": 5, "n": 2, "h_or_b": 2,
+                                               "terms": [{"g": "x", "s": _HUGE}]})],
+         "the recipe's terms[0].s is an integer of 5000 digits, too long to read"),
+        (["construct", "--recipe", json.dumps({"theorem": "quad", "q": 5, "n": 2,
+                                               "h_or_b": "x" * 5000,
+                                               "terms": [{"g": "x", "s": 10}]})],
+         f"the recipe's h_or_b must be an integer, got '{'x' * 39}... (5002 characters)"),
+        (["construct", "--recipe", json.dumps({"theorem": "pcn1", "q": 3, "n": 2,
+                                               "k" * 5000: 1})],
+         f"recipe key '{'k' * 39}... (5002 characters): theorem pcn1 reads only 'theorem',"
+         " 'q', 'n', 'phi', 'g', 'h_or_b', 'kind'"),
+        (["construct", "--recipe", json.dumps({"theorem": "quad", "q": 5, "n": 2,
+                                               "terms": [{"g": "x", "s": 10, "k" * 5000: 1}]})],
+         f"recipe key 'terms[0].{'k' * 30}... (5011 characters): a term reads only 'g', 's'"),
+        (["construct", "--recipe", json.dumps({"theorem": "t" * 5000, "q": 3, "n": 2})],
+         f"unknown theorem '{'t' * 39}... (5002 characters); use pcn1 | quad | apcnagw"),
+        (["analyze", "--field", "3^2", "--function", "x", "--cap", "0"],
+         "--cap must be at least 1, got 0"),
     ], ids=["function-coefficient", "matrix-c-coefficient", "monomial-c-coefficient",
             "unclosed-parenthesis", "trailing-input", "x-in-c", "missing-recipe-file",
             "missing-config-file", "pcn1-kernel", "apcnagw-two-to-one",
@@ -629,11 +732,108 @@ class TestRefusals:
             "monomial-c", "pcn1-phi-commutes", "unread-recipe-key", "unread-term-key",
             "huge-exponent", "huge-matrix-c", "huge-monomial-c", "huge-recipe-g",
             "huge-h_or_b", "huge-field-degree", "huge-field-prime", "huge-field-modulus",
-            "deep-function", "deep-matrix-c"])
+            "deep-function", "deep-matrix-c", "huge-q", "huge-n", "huge-terms-s",
+            "long-h_or_b", "long-recipe-key", "long-term-key", "long-theorem", "cap-below-1"])
     def test_refusal_is_one_line(self, capsys, monkeypatch, tmp_path, argv, line):
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+class TestIntegerOptions:
+    # argparse reads each integer option through cli._integer, which refuses
+    # in one short line what int() will not read
+    @pytest.mark.parametrize("argv", [
+        ["monomial", "--h", "2", "--d", "5", "--c", "5", "--rmax", "1", "--p"],
+        ["monomial", "--p", "3", "--d", "5", "--c", "5", "--rmax", "1", "--h"],
+        ["monomial", "--p", "3", "--h", "2", "--c", "5", "--rmax", "1", "--d"],
+        ["monomial", "--p", "3", "--h", "2", "--d", "5", "--c", "5", "--rmax"],
+        ["analyze", "--field", "3^2", "--function", "x", "--cap"],
+        ["analyze", "--field", "3^2", "--function", "x", "--c-scope"],
+        ["verify-theorems", "--seed"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+    @pytest.mark.parametrize("value,message", [
+        (_HUGE, "is an integer of 5000 digits, too long to read"),
+        ("-" + _HUGE, "is an integer of 5000 digits, too long to read"),
+        ("x" * 5000, f"must be an integer, got '{'x' * 39}... (5002 characters)"),
+    ], ids=["digits", "negative", "text"])
+    def test_refused_in_one_short_line(self, capsys, argv, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.endswith(f"error: argument {argv[-1]}: {message}\n")
+        assert len(err) < 1000
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(), st.text(max_size=6), st.booleans(), st.none(),
+                     st.floats(allow_nan=False), st.integers().map(str)))
+    def test_config_takes_the_integers_int_takes(self, value):
+        # a config value is taken iff int() makes exactly that value of its text
+        try:
+            taken = int(str(value)) == value
+        except ValueError:
+            taken = False
+        _, commands = cli.build_parser()
+        for command, key in [("monomial", "d"), ("monomial", "cap"), ("analyze", "c-scope"),
+                             ("verify-theorems", "seed")]:
+            try:
+                cli._config_argv(commands[command], {key: value})
+            except InvalidParams:
+                assert not taken
+            else:
+                assert taken
+
+
+_FIELDS = [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)] + [(5, 1), (5, 2),
+                                                                            (7, 1), (7, 2)]
+
+
+class TestPlannedWork:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_admitted_work_is_the_rows_the_report_counts(self, data):
+        # the plan's rows are the directions of the report's distinct
+        # representatives, plus q for a --matrix-c dump; the command runs at a
+        # cap of rows x q and is refused, before any row is counted, just below
+        p, n = data.draw(st.sampled_from(_FIELDS))
+        q = p ** n
+        terms = data.draw(st.dictionaries(st.integers(0, q), st.integers(1, q - 1),
+                                          min_size=1, max_size=3))
+        argv = ["analyze", "--field", f"{p}^{n}",
+                "--function", " + ".join(f"{a}*x^{e}" for e, a in terms.items())]
+        scope = data.draw(st.sampled_from([None, *(k for k in range(1, n + 1) if n % k == 0)]))
+        if scope is not None:
+            argv += ["--c-scope", str(scope)]
+        matrix_c = data.draw(st.none() | st.integers(0, q - 1))
+        if matrix_c is not None:
+            argv += ["--matrix-c", str(matrix_c), "--matrix-out", os.devnull]
+        calls, directions = [], cdiff.row_directions
+
+        def counted(ctx, c, *rest):
+            calls.append(c)
+            return directions(ctx, c, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cdiff, "row_directions", counted)
+            rows = _planned_rows(argv)
+        ctx = field.make_field(p, n)
+        f = cdu.parse_function(argv[4], ctx)
+        cs = None if scope is None else ctx.subfield_elements(p ** scope)
+        _, reps, planned = cdiff.report_plan(f, cs)
+        assert sum(map(len, planned.values())) == rows
+        # row_directions runs once per multiplicative order of a representative
+        assert len(calls) == len({(q - 1) // math.gcd(ctx.log(c), q - 1) for c in reps if c})
+        rows += 0 if matrix_c is None else q
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main([*argv, "--cap", str(rows * q)]) == 0
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cdiff, "_row_block_counts", None)
+                mp.setattr(cdiff, "c_uniformity", None)
+                assert main([*argv, "--cap", str(rows * q - 1)]) == 2
+        assert err.getvalue() == _refused(
+            f"work of {rows * q} element operations exceeds the cap {rows * q - 1}:"
+            f" {rows} c-derivative rows of {q} elements")
 
 
 class TestVerifyCommand:

@@ -180,10 +180,7 @@ def c_ddt(f: PolyFunc, c: int) -> CDiffSpectrum:
         counts[a:a + len(block)] = block
         a += len(block)
     row_max = counts.max(axis=1)
-    if c == 1:
-        delta = int(row_max[1:].max()) if q > 1 else 0
-    else:
-        delta = int(row_max.max())
+    delta = int(row_max[1:].max() if c == 1 else row_max.max())
     return CDiffSpectrum(c=c, counts=counts, row_max=row_max, delta=delta)
 
 
@@ -193,8 +190,7 @@ def c_uniformity(f: PolyFunc, c: int) -> int:
     direction 0, f's own table, gives delta: its largest fiber."""
     if c == 0:
         return int(np.bincount(f.table).max())
-    q = f.ctx.order
-    directions = range(1, q) if c == 1 else range(q)
+    directions = range(c == 1, f.ctx.order)  # row 0 is excluded at c = 1
     return max(int(block.max()) for block in _row_block_counts(f, c, directions))
 
 
@@ -220,7 +216,8 @@ class Entries:
     order; reps, the multiplier each c takes its delta from (c itself when
     c counted its own); verdicts, for each representative, its (delta,
     label, method, directions), method naming the directions delta was
-    counted over (see full_report) and directions how many rows that took.
+    counted over (see full_report) and directions how many rows that took,
+    c = 0's one row, f's fibers, standing for row 0 of every c != 1.
 
     Iterating yields each entry as a dict with the keys c, delta, label,
     method and directions, then note (C1_NOTE) only at c = 1, and rep only
@@ -335,11 +332,11 @@ def report_plan(f: PolyFunc, cs=None) -> tuple:
     for each distinct one, the directions whose rows give its delta.
 
     c = 0 counts direction 0 alone: every row counts the fibers of f, so
-    f's own table gives delta_0, the largest fiber.  Any other c counts
-    the directions row_directions picks, plus direction 0 unless c = 1.
-    Those depend on c only through c = 1, c^2 = 1 and the subfield degree
-    of c, which its multiplicative order fixes, so they are found once
-    per order.
+    f's own table gives delta_0, the largest fiber, also the maximum of
+    row 0 at any c != 1, (1-c)*f(x) = b.  Any other c counts the nonzero
+    directions row_directions picks.  Those depend on c only through
+    c = 1, c^2 = 1 and the subfield degree of c, which its multiplicative
+    order fixes, so they are found once per order.
 
     At c = 1 the directions come from g, f without its constant term and
     its terms x^(p^j): f(x+a) - f(x) = g(x+a) - g(x) + L(a) with L
@@ -356,8 +353,7 @@ def report_plan(f: PolyFunc, cs=None) -> tuple:
         order = c and (ctx.order - 1) // math.gcd(ctx.log(c), ctx.order - 1)
         if order not in by_order:
             h = g if c == 1 else f
-            found = row_directions(ctx, c, h.scaling_order, h.semilinear_twist)
-            by_order[order] = found if c == 1 else np.concatenate(([0], found))
+            by_order[order] = row_directions(ctx, c, h.scaling_order, h.semilinear_twist)
         directions[c] = by_order[order]
     return cs, reps, directions
 
@@ -365,20 +361,23 @@ def report_plan(f: PolyFunc, cs=None) -> tuple:
 def full_report(f: PolyFunc, workers: int = 1, cs=None, plan=None) -> ClassificationReport:
     """Classify f for every c of cs (default all of F_q, c = 1 reported as
     the classical uniformity) in increasing order.  plan is report_plan(f,
-    cs), made here unless given, and decides the multipliers.  delta is
-    counted once per representative, over the directions the plan gives
-    it, and equals c_uniformity(f, c) for every c.  Each entry's method
-    names them: fiber at c = 0, monomial for f = alpha*x^d, d >= 1, else rows.
+    cs), made here unless given, and decides the multipliers.  f's largest
+    fiber, delta_0 and row 0's maximum at every c != 1, is counted once;
+    any other delta once per representative, over the plan's directions
+    and, unless c = 1, the fiber.  delta equals c_uniformity(f, c) for
+    every c.  Each entry's method names the directions counted: fiber at
+    c = 0, monomial for f = alpha*x^d, d >= 1, else rows.
     """
     cs, reps, directions = plan or report_plan(f, cs)
     method = "monomial" if len(f.coeffs) == 1 and 0 not in f.coeffs else "rows"
+    fiber = c_uniformity(f, 0)
 
     def verdict(c: int) -> tuple[int, str, str, int]:
         """delta, label, method and rows counted for a representative."""
         if c == 0:
-            d = c_uniformity(f, 0)
-            return d, label_for_delta(d), "fiber", 1
+            return fiber, label_for_delta(fiber), "fiber", 1
         d = max(int(block.max()) for block in _row_block_counts(f, c, directions[c]))
+        d = d if c == 1 else max(d, fiber)
         return d, label_for_delta(d), method, len(directions[c])
 
     verdicts = dict(zip(directions, pmap(verdict, directions, workers)))

@@ -154,16 +154,16 @@ class TestCaps:
         code, out, err = run_cli(capsys, "analyze", "--field", "3^7",
                                  "--function", "5*x^41 + x^5 + x")
         assert (code, out) == (2, "")
-        assert err == _refused("work of 2615433300 element operations exceeds the cap"
-                               " 1073741824: 1195900 c-derivative rows of 2187 elements")
+        assert err == _refused("work of 2613042909 element operations exceeds the cap"
+                               " 1073741824: 1194807 c-derivative rows of 2187 elements")
 
     def test_x7_on_f2_16_is_admitted(self, capsys, monkeypatch):
-        # admitted by its 4,136 planned rows; the rows themselves are not counted here
+        # admitted by its 2,069 planned rows; the rows themselves are not counted here
         monkeypatch.setattr(cdiff, "full_report", lambda f, plan: types.SimpleNamespace(
             to_dict=lambda records: {"rows": sum(map(len, plan[2].values()))}))
         code, out, err = run_cli(capsys, "analyze", "--field", "2^16", "--function", "x^7")
         assert code == 0, err
-        assert json.loads(out)["report"] == {"rows": 4136}
+        assert json.loads(out)["report"] == {"rows": 2069}
 
     def test_monomial_refuses_before_building(self, capsys, no_field_built):
         # 27 + 729 elements, and d - 1 = 4 of 3 bits: 2 x 2^2 trial divisions of 32

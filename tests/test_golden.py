@@ -77,21 +77,21 @@ CORPUS = [
 # SHA-256 of stdout, and of each file a command writes, keyed by the command
 DIGESTS = {
     'analyze --field 3^5 --function x^4':
-        {'stdout': 'a010db3997bdd00ae84929815f94840551c348e962fc687b124eb73a2f3c4191'},
+        {'stdout': '4d763cc533e698ea6def8f35f0a24809cfdbedf2f88bf67f383ce16f02a6d740'},
     'analyze --field 3^6 --function x^32 + x^5 + 2*x --c-scope 2':
-        {'stdout': '6bb997c20141491add8a1ae8c1a46470beb4f2f743ab46b7311ddf716037108b'},
+        {'stdout': '76d791cf5337da16a12172904a27e31c7e948165861b66aea0c8f6159312e3a7'},
     'analyze --field 3^7 --function 151*x^53 + x^15 + x --c-scope 1':
-        {'stdout': 'cd1d40d605c521b125a6cc89ff42307c99d77353782ca384aedbfaaed9c001a0'},
+        {'stdout': 'b70d52ca1901b991d9fdf28f27ddcf839c09fe587753a0d73751988dcf1e0d77'},
     'construct --recipe {"theorem": "pcn1", "q": 3, "n": 4, "phi": "x", "g": "18*x^57 + 30*x^47", "h_or_b": 2, "kind": "f1"}':
-        {'stdout': '8a315e00498097c852ea176b59810e667cb072184aa0e018ff4011aa22cf1784'},
+        {'stdout': '2efbadc276fd1a0473f6be38a5722883ce61531b6d6d00b6db2cc45705ed2273'},
     'analyze --field 2^9 --function x^17 --matrix-c 381 --matrix-out ddt.csv':
-        {'stdout': 'f5f6fea0ce2cc019b1bb91d9d17b85d6c0eda33565b352fd4a7ee01581539e66', 'ddt.csv': '23dbb0adceca6d21ec5e3d3547302adffb5faa33a650e48ab36afbed6d56002f'},
+        {'stdout': 'a5624d31c66ffee7ce05b06e61687fbd943f93edab31ffdb999f04cbf4bf1305', 'ddt.csv': '23dbb0adceca6d21ec5e3d3547302adffb5faa33a650e48ab36afbed6d56002f'},
     'analyze --field 2^10 --function x^43 + x^11 + x --c-scope 5':
-        {'stdout': 'e051358cf7dc9f9c7c7bd1280fa6a6af055c6186a9718d4204bf392c169e51af'},
+        {'stdout': 'fbcfdfec4a027b0d0ff5e965b7b654ebe59b32c323efba660b6de6b2c03ed39b'},
     'analyze --field 2^12 --function 1720*x^61 + x^12 --c-scope 3':
-        {'stdout': '3f6b2c188b24e8bcfcc7d6511b99789b5a47f8a7a79504fbe19901f325d81ecc'},
+        {'stdout': 'c103d182e5db4b57f594fcadb4e26179db626d591791d2d5e29f7885b7f9e291'},
     'construct --recipe {"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "x^12 + 60*x^5", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': '84a89c96677ddb94b423d2bfb4fa0c3f913d8d1c4daef339b07cb6ce8c7a6f75'},
+        {'stdout': '814b8574094435c79512c424dd28a16dda2d768b256ec5a3217f5904fcee2db6'},
     'monomial --p 3 --h 3 --d 5 --c 26 --rmax 4':
         {'stdout': '41fac94e9401b572c8b10ab29a5b80c471aa5d89b07a833d48cb06fda971c785'},
     'monomial --p 5 --h 2 --d 3 --c 18 --rmax 4':
@@ -101,29 +101,29 @@ DIGESTS = {
     'verify-theorems --seed 0':
         {'stdout': '7150cf3e32e5a5418dd65b0a2cb469ba546f7beb21cf7b6bfed9ab8ea5f077e1'},
     'construct --recipe {"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": "5*x^3 + 5*x^2", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': '81cef11b1bafb99e42d7e80058d0b3dc5fac74351167f9874efcd7d3617f72d9'},
+        {'stdout': '889895270e16f6690954c9bb1a6d0b75367ee05fe0da947ebafd327fb1c0eb97'},
     'construct --recipe {"theorem": "pcn1", "q": 5, "n": 2, "phi": "x", "g": "2*x^17 + 2*x^14", "h_or_b": 2, "kind": "f2"}':
-        {'stdout': '733ad36d59364d19463b29b1f064b5888c2138cbcfa8cafb832c38f094f80cf9'},
+        {'stdout': 'a6ae9e1b10126545016964193f189bfbde313053408154cfc4313e5da841c12e'},
     'construct --recipe {"theorem": "apcnagw", "q": 2, "n": 5, "phi": "x^2 + x", "g": "28*x^6 + 8*x", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': '6b71fbb612cccec76e4798e204e4a209fac526d7565bcd4eb3ab61b5ea42e6d2'},
+        {'stdout': 'b3a9b72b140099dc92dad99b6a0c3c582f10682a7cb3707e0d4511173e195347'},
     'construct --recipe {"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "34*x^11 + 24*x^3", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': 'c65f33ad799bb66c7a76fb2cfe657c65a187a5e6ed1c1f0e8a0471c239b5e54f'},
+        {'stdout': 'eca8bd57a91fecd3bf0c454dd732b634f90a527ef79290db7e9f85c76340d8bb'},
     'analyze --field 3^5 --function x^13':
-        {'stdout': '73ccbf6177da7d3e064cfcc9fd189712c40035123093bce9e7b0085697590ff1'},
+        {'stdout': '5e61db1138425ae018db4e32deea93470c1dcce03ce5f18ecefa2746c08047c8'},
     'analyze --field 3^6 --function x^36 + 2*x^17 + x --c-scope 2':
-        {'stdout': '258f95be920e95a4b9b70d939b53b4b9f6297a8b75a165c846fa61beae65056e'},
+        {'stdout': 'a5a6545e06333145e467b91bcf19149d987d39c5765f73a78f7e86ececf4085b'},
     'analyze --field 3^7 --function 2170*x^58 + x^18 + 50*x --c-scope 1':
-        {'stdout': 'b1d30f8aba8ec0dd7bc3649f73ff699933c450615e38390c9da8abc6dfaee30b'},
+        {'stdout': '47a12cf8cbe770f4e65d6f65be10c151bf68e3ac5b566533d7f6ad82181597f8'},
     'construct --recipe {"theorem": "pcn1", "q": 3, "n": 4, "phi": "x", "g": "22*x^58 + 70*x^23", "h_or_b": 1, "kind": "f2"}':
-        {'stdout': '8b361552dfbd7b471af1337729d5edd5a99f8561e6c67cc3b3b7c9a7b2613b75'},
+        {'stdout': 'd4ac4c327729479b9de274f4304e0978c502c2dd75a9708c486e05dc28982ed4'},
     'analyze --field 2^9 --function x^33 --matrix-c 64 --matrix-out ddt.csv':
-        {'stdout': '4b21a84f680698e2c9a4d3e5363c9448b263deca4ff25f5efa326459b80700ef', 'ddt.csv': '3d57d543936f5192a06aa23111fb79fa5f499a8b37fc776ef8bd12d679b89012'},
+        {'stdout': '4ddcb45a811f64dd1cc3b5c03e7e83c6b7e1c630e02cb5c29dae8376f3f2d26d', 'ddt.csv': '3d57d543936f5192a06aa23111fb79fa5f499a8b37fc776ef8bd12d679b89012'},
     'analyze --field 2^10 --function x^44 + x^7 + x --c-scope 5':
-        {'stdout': '15cc4f98caa84d279d3c72b20125fa153962404e9f836f93c54c1c42e0861627'},
+        {'stdout': 'a5d7e1c5228587e13c4a266bdc10516748884571d48c3b2b2f40d5ed315c98ce'},
     'analyze --field 2^12 --function 2118*x^53 + x^8 --c-scope 3':
-        {'stdout': '121c3632273604ab8345f9d6a51342e91beef062aec6d5499ad357ddfc4f9fce'},
+        {'stdout': '3486b55b71dd6ab23532c57410f0ff9c3bb04314126ab69f46d42ca3ff41c542'},
     'construct --recipe {"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "49*x^62 + 52*x^48", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': '5a134955d3dc9ba999c70f0faa37cf3a1b86499131a597dc56aa08112bbc8515'},
+        {'stdout': '942800f875fc37e8626150a2694bdf08a24b3228a1d18304068eb501e94953bf'},
     'monomial --p 3 --h 3 --d 5 --c 12 --rmax 4':
         {'stdout': '1348eb35cf8cf9d4699d64433a0247047c19e03a6bffb391023540c13816250e'},
     'monomial --p 5 --h 2 --d 3 --c 19 --rmax 4':
@@ -133,23 +133,23 @@ DIGESTS = {
     'verify-theorems --seed 4242':
         {'stdout': 'd04d77c2fbad7bf6c09ddf672c651c28ebd80c797f5910a515444a7113755a96'},
     'construct --recipe {"theorem": "pcn1", "q": 3, "n": 2, "phi": "x", "g": "7*x^3 + 4*x", "h_or_b": 2, "kind": "f1"}':
-        {'stdout': 'bcb5f61b71c7d3374ba15a06bf31ceb856f6bb91258c393b88407b6a718b5061'},
+        {'stdout': 'e76a39472bb4490fa2ca6ce704d7103db527fffb952c3f52c62c018746ee18e2'},
     'construct --recipe {"theorem": "pcn1", "q": 5, "n": 2, "phi": "x", "g": "4*x^23 + 13*x^15", "h_or_b": 3, "kind": "f2"}':
-        {'stdout': 'b1701196cc08001b35cd9fe1a8496b901c88057dbc256307e726f0bd41e0527e'},
+        {'stdout': 'dba27ed72a1fc54d76634e39bc251ae32615e2c9b0517643f072440663e52453'},
     'construct --recipe {"theorem": "apcnagw", "q": 2, "n": 5, "phi": "x^2 + x", "g": "3*x^10 + 18*x^8", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': '03dfa19b611799a7d8065e9182df12448e303e2f14cd4b8ee9c225efb552cd1f'},
+        {'stdout': 'd29611784d9f9d15eac0a31399ecf36ce80fb1b2a230ed3ceea1f850276652f2'},
     'construct --recipe {"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "35*x^47 + 54*x^19", "h_or_b": 1, "kind": "f1"}':
-        {'stdout': '82e13d21b044418f46b3fdd26e9f9feffa77434f0cb40090fab44b940d47cb18'},
+        {'stdout': 'a53cf1259284e18cb78c70b968e683217d49996f8ea60004d83039de331feb02'},
     'analyze --field 3^5 --function x^4 --format human':
-        {'stdout': '5de3d53803a01b6331f68bd8d67eea9334fcd007ddd03ef3b7bdd46c5f25c55f'},
+        {'stdout': '0318fe9f23e6e859df7925c577ae0993d0365b559c4b93d9e4ebfc5d3e67095e'},
     'construct --recipe {"theorem": "pcn1", "q": 3, "n": 4, "phi": "x", "g": "18*x^57 + 30*x^47", "h_or_b": 2, "kind": "f1"} --format human':
-        {'stdout': '009ac6c73f3dbba3aa822836f57eb9605bd6d9b377ca966a9f7030dbe1ba40b9'},
+        {'stdout': '91eabdfa75bff58b86be2a59fb7a6c3457bfc20edd860e39f6433b22ebbabc98'},
     'monomial --p 3 --h 3 --d 5 --c 26 --rmax 4 --format human':
         {'stdout': '90d0153a45d2a4f06a6261dfb56d94670076b6816184479e4823517acec11509'},
     'verify-theorems --seed 0 --format human':
         {'stdout': '52edfc5d9a3a1e7a2ae80657d12db486f047a5e0377842909512ac5035fb6f99'},
     'analyze --field 2^12 --function x^7':
-        {'stdout': 'eaf8c6fbc103501e5cac3e4328cf26e1f618dc6b6b7073b33bad446c022c613b'},
+        {'stdout': 'b8037e2efca0e36b7b977b47ad08a23d81b1a93c53bbe58fab89fbbc3b72f03c'},
 }
 
 

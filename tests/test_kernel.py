@@ -73,6 +73,21 @@ class TestRowKernel:
         assert f._translates is None  # no row was copied from a translate table
         (entry,) = cdiff.full_report(f, cs=[0]).entries
         assert entry["delta"] == delta
+        # for c != 1, row 0 counts (1-c)*f(x) = b, f's fibers again, so a
+        # report takes that row's maximum from the fiber count
+        c = data.draw(st.sampled_from([c for c in range(q) if c != 1]))
+        assert int(scalar_row(f, c, 0).max()) == delta
+        (entry,) = cdiff.full_report(f, cs=[c]).entries
+        assert entry["delta"] == c_uniformity(f, c)
+
+    def test_a_report_keeps_the_fiber_of_row_0(self):
+        # x^3 over F_4 at c = 2: every nonzero direction's row reaches 2,
+        # row 0 reaches 3, the three nonzero x having f(x) = 1
+        f = PolyFunc(make_field(2, 2), {3: 1})
+        assert max(int(scalar_row(f, 2, a).max()) for a in range(1, 4)) == 2
+        assert int(scalar_row(f, 2, 0).max()) == 3
+        (entry,) = cdiff.full_report(f, cs=[2]).entries
+        assert entry["delta"] == c_uniformity(f, 2) == 3
 
     @settings(max_examples=60, deadline=None)
     @given(functions())

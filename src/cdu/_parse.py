@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import ParseError, quoted
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_]\w*)|(\^)|(\*)|(\+)|(-)|(\()|(\))|(\S)")
 
@@ -110,7 +110,7 @@ class _Parser:
             if value == "g":
                 e = self.parse_opt_exponent()
                 return 0, ctx.pow(ctx.gen_residue, e)
-            raise ParseError(f"unknown symbol {value!r}", pos)
+            raise ParseError(f"unknown symbol {quoted(value)}", pos)
         if kind == _LPAREN:
             saved_allow = self.allow_x
             self.allow_x = False

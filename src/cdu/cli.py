@@ -144,11 +144,12 @@ def _config_argv(command: argparse.ArgumentParser, cfg: dict) -> list[str]:
     for key, value in cfg.items():
         action = actions.get(key)
         if action is None:
-            raise InvalidParams(f"config key {key!r}: {command.prog} takes no option --{key}")
+            name = f"--{key}" if quoted(key) == repr(key) else "of that name"
+            raise InvalidParams(f"config key {quoted(key)}: {command.prog} takes no option {name}")
         if action.nargs == 0:
             if not isinstance(value, bool):
                 raise InvalidParams(
-                    f"config key {key!r}: --{key} takes true or false, not {value!r}")
+                    f"config key {key!r}: --{key} takes true or false, not {quoted(value)}")
             argv += [f"--{key}"] * value
             continue
         try:
@@ -156,7 +157,7 @@ def _config_argv(command: argparse.ArgumentParser, cfg: dict) -> list[str]:
         except argparse.ArgumentTypeError:
             ok = False
         if not ok or (action.choices is not None and value not in action.choices):
-            raise InvalidParams(f"config key {key!r}: {value!r} is not a value of --{key}")
+            raise InvalidParams(f"config key {key!r}: {quoted(value)} is not a value of --{key}")
         argv.append(f"--{key}={value}")
     return argv
 
@@ -422,6 +423,8 @@ def cmd_construct(args) -> tuple[dict, int]:
         validation = report.to_dict()
         extra = {"is_two_to_one": is_two_to_one(f)}
 
+    # the plan and str(f) read f's coefficients, interpolated from its table
+    _admit(args, work=ctx.order ** 2, cost=f"interpolating the {ctx.order} values of f")
     plan = cdiff.report_plan(f)
     rows = sum(map(len, plan[2].values()))
     _admit(args, work=rows * ctx.order, cost=f"{rows} c-derivative rows of {ctx.order} elements")

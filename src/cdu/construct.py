@@ -22,21 +22,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, PreconditionFailed
+from .errors import InvalidParams, PreconditionFailed, quoted
 from .field import FieldContext, trace_table
 from .funcs import PolyFunc, classify_shape
 
 
 @dataclass(frozen=True)
 class JSubspace:
-    """The image set {x^q - x} materialized as a sorted element tuple."""
+    """The image set {x^q - x}, as a sorted int64 array of its elements."""
 
     q: int
-    elements: tuple[int, ...]
-
-    @property
-    def as_set(self) -> frozenset:
-        return frozenset(self.elements)
+    elements: np.ndarray
 
 
 def psi_table(ctx: FieldContext, q0: int) -> np.ndarray:
@@ -48,9 +44,9 @@ def psi_table(ctx: FieldContext, q0: int) -> np.ndarray:
 def subspace_j(ctx: FieldContext, q0: int) -> JSubspace:
     """Materialize J = {x^q0 - x : x in F_{q0^n}}."""
     ctx.subfield_elements(q0)  # refuses a q0 that is no subfield order
-    values = psi_table(ctx, q0)
-    elems = tuple(sorted(set(int(v) for v in values)))
-    assert len(elems) == ctx.order // q0
+    # the values psi takes, sorted; np.unique would import numpy.ma on first use
+    elems = np.flatnonzero(np.bincount(psi_table(ctx, q0)))
+    assert elems.size == ctx.order // q0
     return JSubspace(q=q0, elements=elems)
 
 
@@ -78,7 +74,7 @@ class AgwParams:
         if self.b is not None and not 0 < self.b < self.ctx.order:
             raise InvalidParams(f"constant h must be a nonzero element, got {self.b}")
         if self.kind not in ("f1", "f2"):
-            raise InvalidParams(f"kind must be 'f1' or 'f2', got {self.kind!r}")
+            raise InvalidParams(f"kind must be 'f1' or 'f2', got {quoted(self.kind)}")
         if self.ctx._subfield_degree(self.q) is None:
             raise InvalidParams(f"{self.q} is not the order of a subfield of the given field")
         if not classify_shape(self.phi).is_linearized:
@@ -141,13 +137,6 @@ class PreconditionReport:
                 "two_to_one_ok" if self.two_to_one else "pp_ok": self.ok}
 
 
-def _h_values_on(params: AgwParams, points) -> list[int]:
-    if params.b is not None:
-        return [params.b] * len(points)
-    table = params.h.table
-    return [int(table[y]) for y in points]
-
-
 def _tail_value_map(params: AgwParams) -> np.ndarray:
     """Table of the F_q-valued tail T(y) = Tr(g(y)) or g(y)^((q^n-1)/(q-1))."""
     ctx = params.ctx
@@ -168,25 +157,25 @@ def validate_preconditions(params: AgwParams, two_to_one: bool = False) -> Preco
     any other phi."""
     ctx = params.ctx
     q0 = params.q
-    j = subspace_j(ctx, q0)
+    js = subspace_j(ctx, q0).elements
     items = []
 
-    hvals = _h_values_on(params, j.elements)
-    bad_h = [v for v in hvals if v == 0 or not ctx.in_subfield(v, q0)]
+    hvals = np.full(js.shape, params.b) if params.h is None else params.h.table[js]
+    bad_h = int(np.count_nonzero((hvals == 0) | (ctx.vpow_const(hvals, q0) != hvals)))
     items.append(PreconditionItem(
         "h_image_in_base_units", not bad_h,
         "h(J) lies in the base subfield and avoids 0" if not bad_h
-        else f"{len(bad_h)} values of h on J are 0 or outside F_{q0}"))
+        else f"{bad_h} values of h on J are 0 or outside F_{q0}"))
 
     phi_table = params.phi.table
-    base = ctx.subfield_elements(q0)
+    base = np.array(ctx.subfield_elements(q0))
     if two_to_one:
-        sizes = sorted(set(np.unique(phi_table[list(base)], return_counts=True)[1].tolist()))
+        sizes = sorted(set(np.unique(phi_table[base], return_counts=True)[1].tolist()))
         items.append(PreconditionItem(
             "phi_two_to_one_on_base", sizes == [2],
             f"fiber sizes of phi on F_{q0}: {sizes}"))
     else:
-        kernel_in_base = [x for x in base if int(phi_table[x]) == 0]
+        kernel_in_base = base[phi_table[base] == 0].tolist()
         items.append(PreconditionItem(
             "kernel_meets_base_trivially", kernel_in_base == [0],
             f"ker(phi) meets the base subfield in {kernel_in_base}"))
@@ -198,19 +187,17 @@ def validate_preconditions(params: AgwParams, two_to_one: bool = False) -> Preco
         f"phi(x^{q0} - x) = phi(x)^{q0} - phi(x) for every x" if not moved
         else f"phi(x^{q0} - x) != phi(x)^{q0} - phi(x) for {moved} of {ctx.order} x"))
 
-    image = sorted(ctx.mul(h, int(phi_table[y])) for h, y in zip(hvals, j.elements))
-    permutes = image == list(j.elements)
+    head = ctx.vmul(hvals, phi_table[js])
+    permutes = np.array_equal(np.sort(head), js)
     items.append(PreconditionItem(
         "h_phi_permutes_j", permutes,
         "h(y)*phi(y) permutes J" if permutes else "h(y)*phi(y) does not permute J"))
 
     # composite AGW condition; psi kills the F_q-valued tail, so this
     # must agree with the previous item whenever h_image passed
-    tail = _tail_value_map(params)
-    psi_of_tail = {y: ctx.sub(ctx.pow(int(tail[y]), q0), int(tail[y])) for y in j.elements}
-    comp = sorted(ctx.add(ctx.mul(h, int(phi_table[y])), psi_of_tail[y])
-                  for h, y in zip(hvals, j.elements))
-    comp_ok = comp == list(j.elements)
+    tail = _tail_value_map(params)[js]
+    comp = ctx.vadd(head, ctx.vsub(ctx.vpow_const(tail, q0), tail))
+    comp_ok = np.array_equal(np.sort(comp), js)
     items.append(PreconditionItem(
         "composite_permutes_j", comp_ok,
         "h(y)*phi(y) + psi(T(y)) permutes J" if comp_ok else "composite map does not permute J"))
@@ -282,8 +269,7 @@ def build_quad_exponent_pp(ctx: FieldContext, q0: int, phi: PolyFunc, b: int,
         raise InvalidParams(f"b={b} is not a nonzero element of F_{q0}")
     if not classify_shape(phi).is_linearized:
         raise InvalidParams("phi must be additive")
-    j = subspace_j(ctx, q0)
-    jset = j.as_set
+    js = subspace_j(ctx, q0).elements
     p = ctx.p
     for g_i, s_i in terms:
         # each base-p digit position of s_i, once per unit of its digit (none for s_i <= 0)
@@ -294,8 +280,7 @@ def build_quad_exponent_pp(ctx: FieldContext, q0: int, phi: PolyFunc, b: int,
         if lo < 1 or hi > 2 * m - 1:
             raise InvalidParams(
                 f"exponent {s_i} = {p}^{lo} + {p}^{hi} has an index outside [1, {2*m-1}]")
-        gtab = g_i.table
-        if any(int(gtab[y]) not in jset for y in j.elements):
+        if not np.isin(g_i.table[js], js).all():
             raise InvalidParams(f"g = {g_i} does not map J into J")
     psi = psi_table(ctx, q0)
     total = ctx.vmul_const(b, phi.table)

@@ -96,9 +96,9 @@ def root_of_unity(ctx: FieldContext, m: int) -> int:
     raise AssertionError("root of unity not found despite divisibility (unreachable)")
 
 
-def _row(ctx: FieldContext, d: int, c: int, a: int = 1) -> np.ndarray:
-    """Values of (x+a)^d - c*x^d at every x of ctx, indexed by x."""
-    return ctx.vsub(ctx.vpow_const(ctx.shift_perm(a), d),
+def _row(ctx: FieldContext, d: int, c: int) -> np.ndarray:
+    """Values of (x+1)^d - c*x^d at every x of ctx, indexed by x."""
+    return ctx.vsub(ctx.vpow_const(ctx.shift_perm(1), d),
                     ctx.vmul_const(c, ctx.vpow_const(ctx.elements(), d)))
 
 
@@ -218,9 +218,9 @@ def _classify_extension(p: int, h: int, d: int, c_base: int, r: int) -> Extensio
         sols = np.flatnonzero(row == many[0]).tolist()
         violation = {"a": 1, "b": int(many[0]), "count": len(sols), "solutions": sols}
     elif g >= 3:
-        b = ctx.sub(1, c)  # image of x = 1 under x^d - c*x^d
-        sols = np.flatnonzero(_row(ctx, d, c, a=0) == b).tolist()
-        violation = {"a": 0, "b": b, "count": len(sols), "solutions": sols}
+        # the a = 0 row (1 - c)*x^d takes b = 1 - c exactly where x^d = 1 (c != 1)
+        sols = np.flatnonzero(ctx.vpow_const(ctx.elements(), d) == 1).tolist()
+        violation = {"a": 0, "b": ctx.sub(1, c), "count": len(sols), "solutions": sols}
 
     split = None
     full = np.flatnonzero(counts == d)

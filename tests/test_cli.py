@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cdu
-from cdu import cdiff, cli, construct, field, parallel
+from cdu import cdiff, cli, construct, field, funcs, parallel
 from cdu._parse import MAX_DEPTH
 from cdu.cli import main
 from cdu.errors import InvalidParams
@@ -147,6 +147,24 @@ class TestCaps:
         assert (code, out) == (2, "")
         assert err == _refused(f"work of {9 * rows} element operations exceeds the cap"
                                f" {9 * rows - 1}: {rows} c-derivative rows of 9 elements")
+
+    # f is built as a table, and the plan and str(f) read its coefficients:
+    # their interpolation, q^2 element operations, is admitted before it runs
+    @pytest.mark.parametrize("recipe,cap,q", [
+        (_PCN1, 80, 9),
+        (json.dumps({"theorem": "pcn1", "q": 16, "n": 4, "phi": "x", "g": "x^7 + 3*x^3",
+                     "h_or_b": 1}), 1 << 30, 1 << 16),
+    ], ids=["f9", "f2_16"])
+    def test_construct_refuses_interpolation_before_it_runs(self, capsys, monkeypatch,
+                                                           recipe, cap, q):
+        def refuse(*args):
+            raise AssertionError("interpolated f before the cap check")
+
+        monkeypatch.setattr(funcs, "_interpolate", refuse)
+        code, out, err = run_cli(capsys, "construct", "--recipe", recipe, "--cap", str(cap))
+        assert (code, out) == (2, "")
+        assert err == _refused(f"work of {q * q} element operations exceeds the cap {cap}:"
+                               f" interpolating the {q} values of f")
 
     def test_generic_report_on_f3_7_is_refused_with_its_exact_count(self, capsys,
                                                                    forbid_rows):
@@ -723,6 +741,12 @@ class TestRefusals:
          f"recipe key 'terms[0].{'k' * 30}... (5011 characters): a term reads only 'g', 's'"),
         (["construct", "--recipe", json.dumps({"theorem": "t" * 5000, "q": 3, "n": 2})],
          f"unknown theorem '{'t' * 39}... (5002 characters); use pcn1 | quad | apcnagw"),
+        (["construct", "--recipe", json.dumps({"theorem": "pcn1", "q": 3, "n": 2,
+                                               "kind": "k" * 5000})],
+         f"kind must be 'f1' or 'f2', got '{'k' * 39}... (5002 characters)"),
+        (["analyze", "--field", "3^2", "--function", "z" * 5000],
+         f"cannot parse function: unknown symbol '{'z' * 39}... (5002 characters)"
+         " (at position 0)"),
         (["analyze", "--field", "3^2", "--function", "x", "--cap", "0"],
          "--cap must be at least 1, got 0"),
     ], ids=["function-coefficient", "matrix-c-coefficient", "monomial-c-coefficient",
@@ -733,11 +757,29 @@ class TestRefusals:
             "huge-exponent", "huge-matrix-c", "huge-monomial-c", "huge-recipe-g",
             "huge-h_or_b", "huge-field-degree", "huge-field-prime", "huge-field-modulus",
             "deep-function", "deep-matrix-c", "huge-q", "huge-n", "huge-terms-s",
-            "long-h_or_b", "long-recipe-key", "long-term-key", "long-theorem", "cap-below-1"])
+            "long-h_or_b", "long-recipe-key", "long-term-key", "long-theorem", "long-kind",
+            "long-symbol", "cap-below-1"])
     def test_refusal_is_one_line(self, capsys, monkeypatch, tmp_path, argv, line):
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {line}\n")
+
+    # a config key or value is cut short too, and the key echoed once
+    @pytest.mark.parametrize("cfg,line", [
+        ({"k" * 5000: 1},
+         f"config key '{'k' * 39}... (5002 characters): cdu analyze takes no option of that name"),
+        ({"format": "x" * 5000},
+         f"config key 'format': '{'x' * 39}... (5002 characters) is not a value of --format"),
+        ({"force": "y" * 5000},
+         f"config key 'force': --force takes true or false, not '{'y' * 39}... (5002 characters)"),
+    ], ids=["long-config-key", "long-config-value", "long-config-flag"])
+    def test_long_config_entry_is_one_short_line(self, capsys, tmp_path, cfg, line):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "analyze", "--field", "3^2", "--function", "x",
+                                 "--config", str(path))
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+        assert len(err.encode()) < 200
 
 
 class TestIntegerOptions:
@@ -1115,6 +1157,25 @@ class TestColdStart:
         assert set(proc.stdout.split()) <= {
             "cdu", "cdu._parse", "cdu.cdiff", "cdu.cli", "cdu.construct", "cdu.errors",
             "cdu.field", "cdu.funcs", "cdu.parallel"}
+
+    def test_commands_leave_numpy_ma_unimported(self):
+        # np.unique without return_counts imports numpy.ma on first use:
+        # about 20 ms and half a MiB that no command needs
+        src = os.path.dirname(os.path.dirname(cdu.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        recipes = [{"theorem": "pcn1", "q": 3, "n": 2, "g": "x^2", "h_or_b": "(2)"},
+                   {"theorem": "apcnagw", "q": 4, "n": 3, "phi": "x^2 + x", "g": "x"},
+                   {"theorem": "quad", "q": 5, "n": 2, "terms": [{"g": "x", "s": 10}]}]
+        argvs = [["construct", "--recipe", json.dumps(r)] for r in recipes] + [
+            ["analyze", "--field", "3^4", "--function", "x^5 + x", "--matrix-c", "2"],
+            ["monomial", "--p", "3", "--h", "2", "--d", "5", "--c", "g", "--rmax", "2"]]
+        code = ("import io, sys, contextlib; from cdu.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    codes = [main(argv) for argv in {argvs!r}]\n"
+                f"print(codes + ['numpy.ma' in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert proc.stdout == "[0, 0, 0, 0, 0, False]\n", proc.stderr
 
     def test_public_names_resolve(self):
         star = {}

@@ -1,7 +1,10 @@
 """AGW-based builders: J subspace, preconditions, PP/APcN outputs."""
 
+import dataclasses
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -36,13 +39,13 @@ class TestJSubspace:
     def test_f9_is_trace_kernel(self):
         j = subspace_j(F9, 3)
         kernel = tuple(x for x in range(9) if trace_table(F9, 1, x) == 0)
-        assert j.elements == kernel
-        assert len(j.elements) == 3
+        assert j.elements.tolist() == list(kernel)
+        assert len(j.elements) == 3 and j.elements.dtype == np.int64
 
     def test_size_formula(self):
         assert len(subspace_j(F64, 4).elements) == 16  # q^(n-1), q=4, n=3
         assert len(subspace_j(F27, 3).elements) == 9
-        assert subspace_j(F9, 9).elements == (0,)
+        assert subspace_j(F9, 9).elements.tolist() == [0]
 
     def test_bad_subfield(self):
         with pytest.raises(errors.InvalidParams, match="9 is not the order of a subfield"):
@@ -51,7 +54,7 @@ class TestJSubspace:
     def test_closed_under_addition_and_base_scaling(self):
         for ctx, q0 in [(F9, 3), (F25, 5), (F64, 4)]:
             j = subspace_j(ctx, q0)
-            js = j.as_set
+            js = set(j.elements.tolist())
             for y in j.elements:
                 for z in j.elements:
                     assert ctx.add(y, z) in js
@@ -205,6 +208,103 @@ class TestRoutes:
         else:
             assert report.ok
             assert is_two_to_one(f) if two_to_one else is_permutation(f)
+
+
+def scalar_items(params, two_to_one) -> list:
+    """(name, passed, detail) of each item of the route, by the per-element
+    loops that the array checks replaced: one field operation at a time
+    over J and F_q, with phi and g evaluated from their coefficients."""
+    ctx, q0, phi = params.ctx, params.q, params.phi.evaluate
+    psi = [ctx.sub(ctx.pow(x, q0), x) for x in range(ctx.order)]
+    js = sorted(set(psi))
+    hvals = [params.b if params.h is None else params.h(y) for y in js]
+    bad = [v for v in hvals if v == 0 or ctx.pow(v, q0) != v]
+    items = [("h_image_in_base_units", not bad,
+              "h(J) lies in the base subfield and avoids 0" if not bad
+              else f"{len(bad)} values of h on J are 0 or outside F_{q0}")]
+    base = [x for x in range(ctx.order) if ctx.pow(x, q0) == x]
+    if two_to_one:
+        sizes = sorted(set(Counter(phi(x) for x in base).values()))
+        items.append(("phi_two_to_one_on_base", sizes == [2],
+                      f"fiber sizes of phi on F_{q0}: {sizes}"))
+    else:
+        kernel = [x for x in base if phi(x) == 0]
+        items.append(("kernel_meets_base_trivially", kernel == [0],
+                      f"ker(phi) meets the base subfield in {kernel}"))
+    moved = sum(phi(psi[x]) != ctx.sub(ctx.pow(phi(x), q0), phi(x)) for x in range(ctx.order))
+    items.append(("phi_commutes_with_psi", not moved,
+                  f"phi(x^{q0} - x) = phi(x)^{q0} - phi(x) for every x" if not moved
+                  else f"phi(x^{q0} - x) != phi(x)^{q0} - phi(x) for {moved} of {ctx.order} x"))
+    head = [ctx.mul(h, phi(y)) for h, y in zip(hvals, js)]
+    permutes = sorted(head) == js
+    items.append(("h_phi_permutes_j", permutes,
+                  "h(y)*phi(y) permutes J" if permutes else "h(y)*phi(y) does not permute J"))
+
+    def tail(y):
+        v = params.g.evaluate(y)
+        if params.kind == "f2":
+            return ctx.pow(v, (ctx.order - 1) // (q0 - 1))
+        out = 0
+        for _ in range(params.extension_degree):
+            out, v = ctx.add(out, v), ctx.pow(v, q0)
+        return out
+
+    comp = sorted(ctx.add(z, ctx.sub(ctx.pow(tail(y), q0), tail(y))) for z, y in zip(head, js))
+    items.append(("composite_permutes_j", comp == js,
+                  "h(y)*phi(y) + psi(T(y)) permutes J" if comp == js
+                  else "composite map does not permute J"))
+    return items
+
+
+@st.composite
+def spoiled_h(draw):
+    """The parameters of agw_cases, or those with h turned into a table
+    that takes, at up to two points of J, 0 or any element, so that both
+    ways of failing the h-image item come up."""
+    params, _ = draw(agw_cases())
+    if draw(st.booleans()):
+        return params
+    ctx, q = params.ctx, params.q
+    table = np.array(params.h.table if params.h is not None else [params.b] * ctx.order)
+    j_points = sorted({ctx.sub(ctx.pow(x, q), x) for x in range(ctx.order)})
+    for _ in range(draw(st.integers(1, 2))):
+        table[draw(st.sampled_from(j_points))] = draw(
+            st.one_of(st.just(0), st.integers(0, ctx.order - 1)))
+    return dataclasses.replace(params, h=PolyFunc.from_table(ctx, table), b=None)
+
+
+class TestArrayChecks:
+    @settings(max_examples=150, deadline=None)
+    @given(spoiled_h())
+    # h is 1 on J = {0, 3, 6} but 0 at y = 3: only the check for 0 refuses it
+    @example(AgwParams(ctx=F9, q=3, phi=parse_function("x", F9), g=parse_function("x", F9),
+                       h=PolyFunc.from_table(F9, [1, 1, 1, 0, 1, 1, 1, 1, 1])))
+    def test_items_match_the_scalar_loops(self, params):
+        for two_to_one in (False, True):
+            items = validate_preconditions(params, two_to_one).items
+            assert [(it.name, it.passed, it.detail) for it in items] == \
+                scalar_items(params, two_to_one)
+            assert all(type(it.passed) is bool for it in items)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(F9, 3, 6), (F25, 5, 10), (F64, 8, 6), (F81, 9, 6)]), st.data())
+    def test_quad_j_stability_matches_the_scalar_loop(self, config, data):
+        # g is any polynomial, or lam*x + delta with lam in F_q and delta in J,
+        # which maps the F_q-subspace J into itself
+        ctx, q, s = config
+        js = sorted({ctx.sub(ctx.pow(x, q), x) for x in range(ctx.order)})
+        element = st.integers(0, ctx.order - 1)
+        affine = st.tuples(st.sampled_from(ctx.subfield_elements(q)), st.sampled_from(js))
+        g = PolyFunc(ctx, data.draw(st.one_of(
+            st.dictionaries(element, element, max_size=3),
+            affine.map(lambda t: {1: t[0], 0: t[1]}))))
+        stable = all(g.evaluate(y) in js for y in js)
+        try:
+            build_quad_exponent_pp(ctx, q, parse_function("x", ctx), 1, [(g, s)])
+        except errors.InvalidParams as exc:
+            assert not stable and "does not map J into J" in str(exc)
+        else:
+            assert stable
 
 
 class TestBuildAgwPP:
